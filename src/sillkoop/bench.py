@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure import SpannedField
-from .regression import SnapshotSet, Trajectory
+from .regression import SnapshotSet, Trajectory, _rk4
 
 __all__ = [
     "VectorField",
@@ -79,21 +79,9 @@ def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    y = np.asarray(y0, dtype=float).copy()
-    rows = [y.copy()]
-    diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1 = F.fn(y)
-            k2 = F.fn(y + 0.5 * dt * k1)
-            k3 = F.fn(y + 0.5 * dt * k2)
-            k4 = F.fn(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
-                diverged = True
-                break
-            rows.append(y.copy())
-    return Trajectory(np.vstack(rows), diverged)
+    y0 = np.array(y0, dtype=float)
+    rows, diverged = _rk4(F.fn, y0, dt, steps, np.copy)
+    return Trajectory(np.vstack([y0, *rows]), diverged)
 
 
 def spanned_field(sf: SpannedField) -> VectorField:
@@ -102,7 +90,7 @@ def spanned_field(sf: SpannedField) -> VectorField:
     The domain box extends two units beyond the extreme centers in every
     dimension; the field itself is bounded by the row sums of |W|.
     """
-    mus = np.stack([f.mu for f in sf.dictionary.logistics])
+    mus = sf.dictionary.mu
     box = tuple((float(lo) - 2.0, float(hi) + 2.0) for lo, hi in zip(mus.min(0), mus.max(0)))
     return VectorField(
         name="spanned-logistic",

@@ -7,8 +7,10 @@ config, the seed, and library versions.  Outputs are written atomically
 (temp file + rename) and contain no timestamps, so a rerun with the same
 config and seed reproduces every file byte for byte.
 
-Exit codes: 0 success, 2 bad input, 3 numerical failure (divergence or
-quadrature non-convergence).  Errors print as a single line on stderr.
+Exit codes: 0 success, 2 bad input, 3 numerical failure (trajectory
+divergence, quadrature non-convergence, least-squares solver failure, or a
+fitted residual above its closure bound).  Errors print as a single line
+on stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .closure import (
 from .dictionary import (
     ConjLogistic,
     SillDictionary,
+    _write_atomic,
     check_total_order,
     join_completion,
     load_dictionary,
@@ -61,20 +64,13 @@ from .stats import (
 _RNG_NAME = "pcg64"
 
 
-def _write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path, header: str, rows) -> None:
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _need(cfg: dict, key: str, kind, desc: str):
@@ -129,7 +125,7 @@ def _residual_summary(rep, snaps) -> dict:
 # commands
 
 
-def cmd_fit(cfg, outdir, seed, workers):
+def cmd_fit(cfg, outdir, seed):
     csv_path = _need(cfg, "snapshots_csv", str, "snapshot CSV path")
     man_path = _need(cfg, "snapshots_manifest", str, "snapshot manifest path")
     dict_path = _need(cfg, "dictionary", str, "dictionary JSON path")
@@ -146,7 +142,7 @@ def cmd_fit(cfg, outdir, seed, workers):
     return {"outputs": ["model.json", "residual_summary.json"]}
 
 
-def cmd_edmd(cfg, outdir, seed, workers):
+def cmd_edmd(cfg, outdir, seed):
     csv_path = _need(cfg, "snapshots_csv", str, "snapshot CSV path")
     man_path = _need(cfg, "snapshots_manifest", str, "snapshot manifest path")
     dict_path = _need(cfg, "dictionary", str, "dictionary JSON path")
@@ -162,7 +158,7 @@ def cmd_edmd(cfg, outdir, seed, workers):
     return {"outputs": ["model.json", "residual_summary.json"]}
 
 
-def cmd_predict(cfg, outdir, seed, workers):
+def cmd_predict(cfg, outdir, seed):
     model = load_model(_need(cfg, "model", str, "model JSON path"))
     y0 = _need(cfg, "y0", list, "initial measurement vector")
     horizon = _need(cfg, "horizon", float, "integration horizon")
@@ -195,7 +191,7 @@ def _spanned_field_from(cfg) -> SpannedField:
     return SpannedField(SillDictionary(m, logistics), W)
 
 
-def cmd_closure(cfg, outdir, seed, workers):
+def cmd_closure(cfg, outdir, seed):
     sf = _spanned_field_from(cfg)
     box, points, delta = _grid_spec(cfg)
     scales = _need(cfg, "alpha_scales", list, "steepness scale factors")
@@ -217,7 +213,7 @@ def cmd_closure(cfg, outdir, seed, workers):
     return {"outputs": ["closure_reports.json", "closure.csv"]}
 
 
-def cmd_theorem1(cfg, outdir, seed, workers):
+def cmd_theorem1(cfg, outdir, seed):
     f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f")
     g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g")
     box, points, delta = _grid_spec(cfg)
@@ -249,7 +245,7 @@ def cmd_theorem1(cfg, outdir, seed, workers):
     return {"outputs": ["decay.csv", "decay_fit.json"]}
 
 
-def cmd_stats(cfg, outdir, seed, workers):
+def cmd_stats(cfg, outdir, seed):
     a_values = _need(cfg, "a_values", list, "interval radii for the moment sweep")
     quad_points = _need(cfg, "quad_points", int, "quadrature subdivision limit")
     samples = _need(cfg, "samples", int, "Monte Carlo sample count")
@@ -271,7 +267,7 @@ def cmd_stats(cfg, outdir, seed, workers):
     return {"outputs": ["moments.csv", "error_rates.csv", "conjunctive.csv"]}
 
 
-def cmd_example1(cfg, outdir, seed, workers):
+def cmd_example1(cfg, outdir, seed):
     degrees = _need(cfg, "degrees", list, "polynomial dictionary degrees")
     fit_range = _need(cfg, "fit_range", list, "sampling interval [lo, hi]")
     fit_points = _need(cfg, "fit_points", int, "sample count over fit_range")
@@ -314,7 +310,7 @@ def cmd_example1(cfg, outdir, seed, workers):
     return {"outputs": ["example1_poly.csv", "example1_summary.json"]}
 
 
-def cmd_complete_dictionary(cfg, outdir, seed, workers):
+def cmd_complete_dictionary(cfg, outdir, seed):
     d = load_dictionary(_need(cfg, "dictionary", str, "dictionary JSON path"))
     before = check_total_order(d)
     completed = join_completion(d)
@@ -374,12 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="reserved for sharded runs; recorded in the manifest",
-        )
     return parser
 
 
@@ -388,7 +378,7 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(outdir, command, cfg, seed, workers, outputs) -> None:
+def _write_manifest(outdir, command, cfg, seed, outputs) -> None:
     _write_json(
         os.path.join(outdir, "run_manifest.json"),
         {
@@ -396,7 +386,6 @@ def _write_manifest(outdir, command, cfg, seed, workers, outputs) -> None:
             "config": cfg,
             "config_sha256": _config_hash(cfg),
             "seed": seed,
-            "workers": workers,
             "rng": _RNG_NAME,
             "outputs": sorted(outputs),
             "versions": {
@@ -417,15 +406,14 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
         os.makedirs(args.out, exist_ok=True)
-        result = _COMMANDS[args.command](cfg, args.out, args.seed, args.workers)
-        _write_manifest(
-            args.out, args.command, cfg, args.seed, args.workers, result["outputs"]
-        )
+        result = _COMMANDS[args.command](cfg, args.out, args.seed)
+        _write_manifest(args.out, args.command, cfg, args.seed, result["outputs"])
         if result.get("exit", 0) != 0:
             print(f"sillkoop: numerical: {result['error']}", file=sys.stderr)
             return result["exit"]
         return 0
-    except (QuadratureError, ClosureBoundError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (QuadratureError, ClosureBoundError, np.linalg.LinAlgError) as exc:
         print(f"sillkoop: numerical: {_one_line(exc)}", file=sys.stderr)
         return 3
     except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:

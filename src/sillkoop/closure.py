@@ -176,8 +176,7 @@ def hyperplane_distance(y, d: SillDictionary):
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != d.m:
         raise ValueError(f"expected points with last dimension {d.m}, got {y.shape}")
-    mus = np.stack([f.mu for f in d.logistics])  # (N_L, m)
-    gaps = np.abs(y[..., None, :] - mus)
+    gaps = np.abs(y[..., None, :] - d.mu)
     out = gaps.min(axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
@@ -237,19 +236,19 @@ def product_approx_decay(f: ConjLogistic, g: ConjLogistic, grid, scales) -> Deca
 
 def _field_terms(l: int, sf: SpannedField, y):
     """Shared pieces for the Lie-derivative forms of logistic l."""
-    n = sf.dictionary.n_logistic
-    if not 0 <= l < n:
-        raise IndexError(f"logistic index {l} out of range for N_L={n}")
-    f = sf.dictionary.logistics[l]
+    d = sf.dictionary
+    if not 0 <= l < d.n_logistic:
+        raise IndexError(f"logistic index {l} out of range for N_L={d.n_logistic}")
+    f = d.logistics[l]
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != f.m:
         raise ValueError(f"expected points with last dimension {f.m}, got {y.shape}")
+    # per-coordinate terms, for the (1 - lambda_li) weights
     lam_l = stable_sigmoid(f.alpha * (y - f.mu))  # (..., m)
-    lam_full = np.prod(lam_l, axis=-1)  # (...,)
-    lam_all = conj_values(y, sf.dictionary)  # (..., N_L)
-    joins = [join_params(f, g) for g in sf.dictionary.logistics]
-    lam_star = np.stack([eval_conjunctive(y, j) for j in joins], axis=-1)
-    return f, lam_l, lam_full, lam_all, lam_star
+    lam_all = conj_values(y, d)  # (..., N_L)
+    joins = SillDictionary(d.m, tuple(join_params(f, g) for g in d.logistics))
+    lam_star = conj_values(y, joins)  # (..., N_L)
+    return f, lam_l, lam_all[..., l], lam_all, lam_star
 
 
 def _maybe_scalar(arr):
@@ -363,6 +362,11 @@ def compute_bounds(
     hyperplanes the product error is irreducible and the grid maxima
     would stop decaying with steepness.
     """
+    return _bounds(sf, sample_grid, a, delta, alpha_scale)[0]
+
+
+def _bounds(sf: SpannedField, sample_grid, a, delta: float, alpha_scale: float):
+    """compute_bounds' report plus the per-function bar_B1 and bar_B2 arrays."""
     pts = _as_grid(sample_grid, sf.dictionary.m)
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -388,7 +392,7 @@ def compute_bounds(
         residual_mean=float(res_mean[worst]),
         alpha_scale=float(alpha_scale),
         m=sf.dictionary.m,
-    )
+    ), bar_B1, bar_B2
 
 
 def lattice_grid(box, points_per_dim: int) -> np.ndarray:
@@ -451,9 +455,9 @@ def closure_experiment(
         model = fit_generator(train, completed, ridge)
         holdout = SnapshotSet(held, sf_s.evaluate(held), "CT")
         rep = residual(model, holdout)
-        bounds = compute_bounds(sf_s, held, a, delta=delta, alpha_scale=s)
+        bounds, bar_B1, bar_B2 = _bounds(sf_s, held, a, delta, s)
         if check_bounds:
-            _check_per_function(sf_s, rep, bounds_grid=held, a=a)
+            _check_per_function(sf_s, rep, bar_B1, bar_B2)
         reports.append(
             replace(
                 bounds,
@@ -478,10 +482,9 @@ def _default_holdout(pts: np.ndarray) -> np.ndarray:
     return pts + shift
 
 
-def _check_per_function(sf_s, rep, bounds_grid, a):
+def _check_per_function(sf_s, rep, bar_B1, bar_B2):
     """Residual column of each field logistic vs its own bound pair."""
     m = sf_s.dictionary.m
-    bar_B1, bar_B2, _, _, _, _ = _per_function_bounds(sf_s, bounds_grid, a)
     for l in range(sf_s.dictionary.n_logistic):
         col = np.abs(rep.matrix[:, 1 + m + l]).max()
         limit = bar_B1[l] + bar_B2[l]

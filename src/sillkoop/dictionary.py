@@ -13,10 +13,13 @@ call with deterministic ordering.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "ScalarLogisticParams",
@@ -42,19 +45,12 @@ __all__ = [
 def stable_sigmoid(z):
     """1 / (1 + exp(-z)) without overflow for any finite z.
 
-    Only the non-positive branch is ever exponentiated, so arguments with
-    magnitude far beyond 700 saturate cleanly to 0 or 1 instead of
-    overflowing.
+    scipy.special.expit never exponentiates a positive argument, so
+    arguments with magnitude far beyond 700 saturate cleanly to 0 or 1
+    instead of overflowing.  A 0-d input returns a Python float.
     """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    out = expit(np.asarray(z, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,15 @@ class SillDictionary:
     there must be at least one (the dictionary is a genuine lifting,
     N > m).  The lifted coordinate layout is fixed: index 0 is the
     constant, 1..m are the measurements, m+1.. are the logistics in list
-    order.
+    order.  mu and alpha are the logistics' centers and steepnesses
+    stacked read-only into (N_L, m) arrays, so the dictionary can stand in
+    for a ConjLogistic in eval_conjunctive and grad_conjunctive.
     """
 
     m: int
     logistics: tuple
+    mu: np.ndarray = field(init=False, repr=False)
+    alpha: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 1:
@@ -157,6 +157,10 @@ class SillDictionary:
                     f"logistics[{k}] has dimension {f.m}, dictionary has m={self.m}"
                 )
         object.__setattr__(self, "logistics", logistics)
+        for name in ("mu", "alpha"):
+            stacked = np.stack([getattr(f, name) for f in logistics])
+            stacked.setflags(write=False)
+            object.__setattr__(self, name, stacked)
 
     @property
     def n_logistic(self) -> int:
@@ -216,7 +220,9 @@ def _check_point(y, m: int) -> np.ndarray:
 def eval_conjunctive(y, f: ConjLogistic):
     """Product of scalar logistics at y; strictly inside (0, 1).
 
-    y may be a single length-m vector or any (..., m) batch.
+    y may be a single length-m vector or any (..., m) batch.  f may also
+    be a SillDictionary, whose (N_L, m) parameter arrays broadcast against
+    y: eval_conjunctive(y[..., None, :], d) has shape (..., N_L).
     """
     y = _check_point(y, f.m)
     lam = stable_sigmoid(f.alpha * (y - f.mu))
@@ -227,10 +233,7 @@ def eval_conjunctive(y, f: ConjLogistic):
 def conj_values(y, d: SillDictionary):
     """All conjunctive logistic values at y, shape (..., N_L)."""
     y = _check_point(y, d.m)
-    out = np.empty(y.shape[:-1] + (d.n_logistic,))
-    for k, f in enumerate(d.logistics):
-        out[..., k] = eval_conjunctive(y, f)
-    return out
+    return eval_conjunctive(y[..., None, :], d)
 
 
 def lift(y, d: SillDictionary):
@@ -251,7 +254,9 @@ def grad_conjunctive(y, f: ConjLogistic):
     """Gradient of a conjunctive logistic with respect to y.
 
     Component i is alpha_i * (1 - lambda_i(y_i)) * Lambda(y); saturates to
-    zero far from the centers and is finite everywhere.
+    zero far from the centers and is finite everywhere.  f may also be a
+    SillDictionary: grad_conjunctive(y[..., None, :], d) has shape
+    (..., N_L, m), one gradient row per logistic.
     """
     y = _check_point(y, f.m)
     lam = stable_sigmoid(f.alpha * (y - f.mu))
@@ -270,8 +275,7 @@ def lift_jacobian(y, d: SillDictionary):
         raise ValueError(f"expected a length-{d.m} point, got shape {y.shape}")
     jac = np.zeros((d.size, d.m))
     jac[1 : 1 + d.m, :] = np.eye(d.m)
-    for k, f in enumerate(d.logistics):
-        jac[1 + d.m + k, :] = grad_conjunctive(y, f)
+    jac[1 + d.m :, :] = grad_conjunctive(y[None, :], d)
     return jac
 
 
@@ -340,10 +344,25 @@ def join_completion(d: SillDictionary) -> SillDictionary:
     return SillDictionary(d.m, tuple(funcs))
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write text to path through a temp file and os.replace.
+
+    Readers see the old file or the complete new one, never a partial
+    write; on failure the temp file is removed and the old file is kept.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_dictionary(d: SillDictionary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_atomic(path, json.dumps(d.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def load_dictionary(path) -> SillDictionary:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import SillDictionary, lift, stable_sigmoid
+from .dictionary import SillDictionary, _write_atomic, grad_conjunctive, lift
 
 __all__ = [
     "SnapshotSet",
@@ -152,10 +152,8 @@ def lift_derivatives(s: SnapshotSet, d: SillDictionary):
     out = np.empty((s.r, d.size))
     out[:, 0] = 0.0
     out[:, 1 : 1 + d.m] = s.D
-    for k, f in enumerate(d.logistics):
-        lam = stable_sigmoid(f.alpha * (s.Y - f.mu))
-        full = np.prod(lam, axis=1)
-        out[:, 1 + d.m + k] = full * np.sum(f.alpha * (1.0 - lam) * s.D, axis=1)
+    grads = grad_conjunctive(s.Y[:, None, :], d)  # (r, N_L, m)
+    out[:, 1 + d.m :] = np.einsum("rkm,rm->rk", grads, s.D)
     return out
 
 
@@ -226,22 +224,32 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     y0 = np.asarray(y0, dtype=float)
     steps = int(round(horizon / dt))
     K = model.K
-    z = lift(y0, model.dictionary)
-    rows = [y0.copy()]
-    diverged = False
-    # overflow on an unstable spectrum is reported via the flag, not a warning
+    d = model.dictionary
+    rows, diverged = _rk4(
+        lambda z: K @ z, lift(y0, d), dt, steps, lambda z: project_state(z, d)
+    )
+    return Trajectory(np.vstack([y0, *rows]), diverged)
+
+
+def _rk4(rhs, x, dt: float, steps: int, keep):
+    """Classical fourth-order Runge-Kutta for dx/dt = rhs(x) at fixed dt.
+
+    Returns keep(x) for every accepted step, and whether a non-finite
+    state stopped the integration early.  Overflow on an unstable system
+    is reported through that flag, not a warning.
+    """
+    rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            k1 = K @ z
-            k2 = K @ (z + 0.5 * dt * k1)
-            k3 = K @ (z + 0.5 * dt * k2)
-            k4 = K @ (z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(z).all():
-                diverged = True
-                break
-            rows.append(project_state(z, model.dictionary))
-    return Trajectory(np.vstack(rows), diverged)
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt * k1)
+            k3 = rhs(x + 0.5 * dt * k2)
+            k4 = rhs(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(x).all():
+                return rows, True
+            rows.append(keep(x))
+    return rows, False
 
 
 def residual(model: KoopmanModel, s: SnapshotSet) -> ResidualReport:
@@ -286,11 +294,9 @@ def save_snapshots(s: SnapshotSet, csv_path, manifest_path) -> None:
     lines = [header]
     for yi, di in zip(s.Y, s.D):
         lines.append(",".join(_format(v) for v in np.concatenate([yi, di])))
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"mode": s.mode, "dt": s.dt}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    manifest = {"mode": s.mode, "dt": s.dt}
+    _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
@@ -331,9 +337,7 @@ def save_model(model: KoopmanModel, path) -> None:
         "dictionary": model.dictionary.to_dict(),
         "K": model.K.ravel().tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path) -> KoopmanModel:

@@ -16,13 +16,12 @@ function of its parameters and seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .dictionary import stable_sigmoid
+from .dictionary import _write_atomic, stable_sigmoid
 from .errors import QuadratureError
 
 __all__ = [
@@ -356,13 +355,6 @@ def moment_sweep(a_values, quad_points: int, samples: int, seed: int):
             expected_logistic(float(a), quad_points, samples=samples, seed=seed + i)
         )
     return reports
-
-
-def _write_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def write_moment_csv(reports, path) -> None:

@@ -155,6 +155,27 @@ def test_edmd_rejects_ct_snapshots(tmp_path):
     assert _run(["edmd", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
 
+def test_fit_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    csv_path, man_path = _ct_snapshot_files(tmp_path)
+    dict_path, _ = _dictionary_file(tmp_path)
+    cfg = _write_config(
+        tmp_path / "fit.json",
+        {
+            "snapshots_csv": csv_path,
+            "snapshots_manifest": man_path,
+            "dictionary": dict_path,
+            "ridge": 0.0,
+        },
+    )
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    assert _run(["fit", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    assert "numerical: SVD did not converge" in capsys.readouterr().err
+
+
 def test_predict_writes_trajectory(tmp_path):
     d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
     K = np.zeros((3, 3))

@@ -1,0 +1,75 @@
+"""Property tests of the logistic kernel over random dictionaries.
+
+The whole-dictionary calls (conj_values, lift_derivatives) must agree
+with the one-logistic and one-point forms they are built from, and the
+sigmoid must keep its range and symmetry.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sillkoop.dictionary import (
+    ConjLogistic,
+    SillDictionary,
+    conj_values,
+    eval_conjunctive,
+    lift_jacobian,
+    stable_sigmoid,
+)
+from sillkoop.regression import SnapshotSet, lift_derivatives
+
+EPS = np.finfo(float).eps
+_settings = settings(max_examples=60, deadline=None, derandomize=True)
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def _dictionary_and_points(draw):
+    m = draw(st.integers(1, 4))
+    n_logistic = draw(st.integers(1, 6))
+    logistics = tuple(
+        ConjLogistic(
+            draw(st.lists(_coord, min_size=m, max_size=m)),
+            draw(st.lists(st.floats(0.1, 20.0), min_size=m, max_size=m)),
+        )
+        for _ in range(n_logistic)
+    )
+    # None stands for a single length-m point, an int for a (P, m) batch
+    batch = draw(st.one_of(st.none(), st.integers(1, 5)))
+    shape = (m,) if batch is None else (batch, m)
+    y = np.reshape(draw(st.lists(_coord, min_size=m, max_size=m * 5)), -1)
+    y = np.resize(y, shape)
+    D = np.resize(np.reshape(draw(st.lists(_coord, min_size=1, max_size=4)), -1), shape)
+    return SillDictionary(m, logistics), y, D
+
+
+@_settings
+@given(_dictionary_and_points())
+def test_conj_values_matches_each_logistic(case):
+    d, y, _ = case
+    vals = conj_values(y, d)
+    assert vals.shape == y.shape[:-1] + (d.n_logistic,)
+    for k, f in enumerate(d.logistics):
+        np.testing.assert_array_equal(vals[..., k], eval_conjunctive(y, f))
+
+
+@_settings
+@given(_dictionary_and_points())
+def test_lift_derivatives_rows_match_jacobian(case):
+    d, y, D = case
+    Y, D = np.atleast_2d(y), np.atleast_2d(D)
+    rows = lift_derivatives(SnapshotSet(Y, D, "CT"), d)
+    for yi, di, row in zip(Y, D, rows):
+        # same products, possibly summed in another order
+        np.testing.assert_allclose(row, lift_jacobian(yi, d) @ di, rtol=1e-12, atol=1e-12)
+
+
+@_settings
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=8))
+def test_sigmoid_range_and_symmetry(zs):
+    z = np.asarray(zs)
+    s = stable_sigmoid(z)
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    np.testing.assert_allclose(stable_sigmoid(-z), 1.0 - s, rtol=0.0, atol=2 * EPS)
+    assert isinstance(stable_sigmoid(zs[0]), float)

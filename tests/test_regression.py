@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,22 @@ def test_model_json_roundtrip(tmp_path):
     assert loaded.mode == model.mode
     assert loaded.ridge == model.ridge
     assert loaded.dictionary.logistics == d.logistics
+
+
+def test_failed_model_save_keeps_previous_file(tmp_path, monkeypatch):
+    d = _dictionary(seed=27)
+    path = tmp_path / "model.json"
+    save_model(fit_generator(_ct_snapshots(d, seed=28), d), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_model(fit_generator(_ct_snapshots(d, seed=29), d), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_snapshot_set_rejects_flat_vectors():
