@@ -73,11 +73,9 @@ from .stats import (
     ErrorRateRow,
     MomentReport,
     UniformIntervalSpec,
-    expected_conjunctive,
     expected_error_rates,
     expected_logistic,
     mc_conjunctive,
-    mc_expected_logistic,
     moment_sweep,
     product_cdf,
     product_pdf,

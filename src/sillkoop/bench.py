@@ -80,8 +80,8 @@ def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     y0 = np.array(y0, dtype=float)
-    rows, diverged = _rk4(F.fn, y0, dt, steps, np.copy)
-    return Trajectory(np.vstack([y0, *rows]), diverged)
+    rows, diverged = _rk4(F.fn, y0, dt, steps, y0.shape)
+    return Trajectory(np.vstack([y0, rows]), diverged)
 
 
 def spanned_field(sf: SpannedField) -> VectorField:

@@ -293,13 +293,11 @@ def dominates(f: ConjLogistic, g: ConjLogistic) -> bool:
 
 def check_total_order(d: SillDictionary) -> OrderCheckResult:
     """List every logistic pair where neither function dominates."""
-    bad = []
-    funcs = d.logistics
-    for a in range(len(funcs)):
-        for b in range(a + 1, len(funcs)):
-            if not dominates(funcs[a], funcs[b]) and not dominates(funcs[b], funcs[a]):
-                bad.append((a, b))
-    return OrderCheckResult(totally_ordered=not bad, incomparable_pairs=tuple(bad))
+    # dom[a, b] is dominates(a, b) for all pairs at once
+    dom = (d.mu[None] - d.mu[:, None] >= 0.0).all(-1)
+    pairs = np.argwhere(np.triu(~dom & ~dom.T, 1))
+    bad = tuple((int(a), int(b)) for a, b in pairs)
+    return OrderCheckResult(totally_ordered=not bad, incomparable_pairs=bad)
 
 
 def join_params(f: ConjLogistic, g: ConjLogistic) -> ConjLogistic:

@@ -226,29 +226,31 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     K = model.K
     d = model.dictionary
     rows, diverged = _rk4(
-        lambda z: K @ z, lift(y0, d), dt, steps, lambda z: project_state(z, d)
+        lambda z: K @ z, lift(y0, d), dt, steps, y0.shape, lambda z: project_state(z, d)
     )
-    return Trajectory(np.vstack([y0, *rows]), diverged)
+    return Trajectory(np.vstack([y0, rows]), diverged)
 
 
-def _rk4(rhs, x, dt: float, steps: int, keep):
+def _rk4(rhs, x, dt: float, steps: int, row_shape, keep=None):
     """Classical fourth-order Runge-Kutta for dx/dt = rhs(x) at fixed dt.
 
-    Returns keep(x) for every accepted step, and whether a non-finite
-    state stopped the integration early.  Overflow on an unstable system
-    is reported through that flag, not a warning.
+    keep(x) of every accepted step (x itself when keep is None) is written
+    into a preallocated (steps, *row_shape) array; returns its filled
+    prefix, and whether a non-finite state stopped the integration early.
+    Overflow on an unstable system is reported through that flag, not a
+    warning.
     """
-    rows = []
+    rows = np.empty((steps, *row_shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
+        for i in range(steps):
             k1 = rhs(x)
             k2 = rhs(x + 0.5 * dt * k1)
             k3 = rhs(x + 0.5 * dt * k2)
             k4 = rhs(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x).all():
-                return rows, True
-            rows.append(keep(x))
+                return rows[:i], True
+            rows[i] = x if keep is None else keep(x)
     return rows, False
 
 

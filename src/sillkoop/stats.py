@@ -9,9 +9,20 @@ form, so they are computed by singularity-aware quadrature (analytic mass
 on a small interval around zero, adaptive quadrature outside) and
 cross-checked by Monte Carlo.
 
-All Monte Carlo draws come from numpy's PCG64 generator seeded explicitly
-(chunked in fixed blocks of 2^20 samples), so every estimate is a pure
-function of its parameters and seed.
+Every Monte Carlo statistic is one call of a single estimator: in blocks
+of at most 2^20 samples it draws a first factor, then multiplies in
+random logistics sigma(X(Y - Z)) one at a time, each drawn as one (3, k)
+block of U(-a, a) values (rows X, Y, Z).  Draws come from numpy's PCG64
+generator seeded explicitly, so every estimate is a pure function of its
+parameters and seed.  Per estimator, seed and draws per block:
+
+* expected_logistic: seed ``seed``; one random logistic.
+* mc_conjunctive(m): seed ``seed``; m random logistics (the first factor
+  is 1 and draws nothing).
+* expected_error_rates, row m: seed ``[seed, m]``; one (4, k) block of
+  alpha, w, y, z for |alpha w| sigma(alpha (y - z)), then 2m random
+  logistics; the linearization term is read after m of them, the
+  bilinear term after all 2m.
 """
 
 from __future__ import annotations
@@ -33,8 +44,6 @@ __all__ = [
     "product_cdf",
     "product_pdf_normalization",
     "expected_logistic",
-    "mc_expected_logistic",
-    "expected_conjunctive",
     "mc_conjunctive",
     "expected_error_rates",
     "moment_sweep",
@@ -185,43 +194,52 @@ def product_pdf_normalization(a: float, quad_points: int = 200) -> float:
     return _lotus(a, lambda z: 1.0, 1.0, quad_points)
 
 
-def _mc_logistic_moments(a: float, samples: int, seed: int):
+def _random_logistic(rng, a: float, k: int):
+    """k draws of sigma(X(Y - Z)), X, Y, Z ~ U(-a, a) iid, as one (3, k) block."""
+    u = rng.uniform(-a, a, size=(3, k))
+    return stable_sigmoid(u[0] * (u[1] - u[2]))
+
+
+def _weighted_logistic(rng, a: float, k: int):
+    """k draws of |alpha w| sigma(alpha (y - z)), drawn as one (4, k) block.
+
+    Every symbol is iid U(-a, a); the steepness that multiplies the error
+    term is the same draw that steepens its own logistic factor.
+    """
+    alpha, w, y, z = rng.uniform(-a, a, size=(4, k))
+    return np.abs(alpha * w) * stable_sigmoid(alpha * (y - z))
+
+
+def _mc_products(first, a: float, n: int, samples: int, seed):
+    """MC mean, variance and standard error of first * (j random logistics).
+
+    Each block of at most _CHUNK samples draws first(rng, a, k) and then
+    the n factors one at a time, so row j of each returned length-(n + 1)
+    array describes the product after j factors.  One sample has no
+    spread to estimate, so its standard error is inf.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    s1 = 0.0
-    s2 = 0.0
+    s1 = np.zeros(n + 1)
+    s2 = np.zeros(n + 1)
     left = samples
     while left:
         k = min(left, _CHUNK)
-        u = rng.uniform(-a, a, size=(3, k))
-        lam = stable_sigmoid(u[0] * (u[1] - u[2]))
-        s1 += lam.sum()
-        s2 += (lam * lam).sum()
+        prod = first(rng, a, k)
+        for j in range(n + 1):
+            if j:
+                prod *= _random_logistic(rng, a, k)
+            s1[j] += prod.sum()
+            s2[j] += (prod * prod).sum()
         left -= k
     mean = s1 / samples
-    mean_sq = s2 / samples
-    var = max(mean_sq - mean * mean, 0.0)
+    var = np.maximum(s2 / samples - mean * mean, 0.0)
     if samples > 1:
         stderr = np.sqrt(var * samples / (samples - 1) / samples)
     else:
-        stderr = np.inf
-    return float(mean), float(var), float(stderr)
-
-
-def mc_expected_logistic(a: float, samples: int, seed: int) -> MomentReport:
-    """Monte Carlo oracle for the logistic moments under U(-a, a) sampling."""
-    UniformIntervalSpec(a)
-    mean, var, stderr = _mc_logistic_moments(a, samples, seed)
-    return MomentReport(
-        a=float(a),
-        expectation=float(mean),
-        variance=float(var),
-        mc_expectation=mean,
-        mc_stderr=float(stderr),
-        samples=int(samples),
-        seed=int(seed),
-    )
+        stderr = np.full(n + 1, np.inf)
+    return mean, var, stderr
 
 
 def expected_logistic(
@@ -240,79 +258,28 @@ def expected_logistic(
     UniformIntervalSpec(a)
     e1 = _lotus(a, stable_sigmoid, 0.5, quad_points)
     e2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2, 0.25, quad_points)
-    mc = mc_expected_logistic(a, samples, seed)
+    mean, _, stderr = _mc_products(_random_logistic, a, 0, samples, seed)
     return MomentReport(
         a=float(a),
         expectation=float(e1),
         variance=float(e2 - e1 * e1),
-        mc_expectation=mc.mc_expectation,
-        mc_stderr=mc.mc_stderr,
+        mc_expectation=float(mean[0]),
+        mc_stderr=float(stderr[0]),
         samples=int(samples),
         seed=int(seed),
     )
 
 
 def mc_conjunctive(m: int, a: float, samples: int, seed: int):
-    """Mean and standard error of a product of m independent random logistics."""
+    """Mean and standard error of a product of m independent random logistics.
+
+    The mean estimates E[Lambda] for m coordinates, which tracks 1/2^m.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
     UniformIntervalSpec(a)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    s1 = 0.0
-    s2 = 0.0
-    left = samples
-    while left:
-        k = min(left, _CHUNK)
-        prod = np.ones(k)
-        for _ in range(m):
-            u = rng.uniform(-a, a, size=(3, k))
-            prod *= stable_sigmoid(u[0] * (u[1] - u[2]))
-        s1 += prod.sum()
-        s2 += (prod * prod).sum()
-        left -= k
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0)
-    stderr = np.sqrt(var * samples / (samples - 1) / samples) if samples > 1 else np.inf
-    return float(mean), float(stderr)
-
-
-def expected_conjunctive(m: int, a: float, samples: int, seed: int) -> float:
-    """MC estimate of E[Lambda] for m independent coordinates; tracks 1/2^m."""
-    return mc_conjunctive(m, a, samples, seed)[0]
-
-
-def _mc_error_term_means(m: int, a: float, samples: int, seed: int):
-    """Mean |alpha w lambda Lambda*| and |alpha w lambda Lambda_l Lambda_j|.
-
-    Every symbol is drawn iid U(-a, a); the steepness that multiplies the
-    term is the same draw that steepens its own logistic factor.  The
-    conjunctive factors carry m (linearization term) respectively 2m
-    (bilinear term) independent logistic draws.  Signed expectations
-    vanish by the symmetry of w, so the absolute magnitude is the
-    meaningful per-term size.
-    """
-    rng = np.random.default_rng([seed, m])
-    s_lin = 0.0
-    s_bil = 0.0
-    left = samples
-    while left:
-        k = min(left, _CHUNK)
-        alpha = rng.uniform(-a, a, k)
-        w = rng.uniform(-a, a, k)
-        yz = rng.uniform(-a, a, size=(2, k))
-        term = np.abs(alpha * w) * stable_sigmoid(alpha * (yz[0] - yz[1]))
-        for _ in range(m):
-            u = rng.uniform(-a, a, size=(3, k))
-            term = term * stable_sigmoid(u[0] * (u[1] - u[2]))
-        s_lin += term.sum()
-        for _ in range(m):
-            u = rng.uniform(-a, a, size=(3, k))
-            term = term * stable_sigmoid(u[0] * (u[1] - u[2]))
-        s_bil += term.sum()
-        left -= k
-    return float(s_lin / samples), float(s_bil / samples)
+    mean, _, stderr = _mc_products(lambda rng, a, k: np.ones(k), a, m, samples, seed)
+    return float(mean[m]), float(stderr[m])
 
 
 def expected_error_rates(
@@ -334,14 +301,17 @@ def expected_error_rates(
         m = int(m)
         if m < 1:
             raise ValueError("all m values must be at least 1")
-        mc_lin, mc_bil = _mc_error_term_means(m, a, samples, seed)
+        # the linearization term carries m logistic factors, the bilinear
+        # term 2m; signed means vanish by the symmetry of w, so the rows
+        # hold the mean absolute per-term magnitudes
+        mean, _, _ = _mc_products(_weighted_logistic, a, 2 * m, samples, [seed, m])
         rows.append(
             ErrorRateRow(
                 m=m,
                 rate_linear=2.0 ** -(m + 1),
                 rate_bilinear=2.0 ** -(2 * m + 1),
-                mc_linear=mc_lin,
-                mc_bilinear=mc_bil,
+                mc_linear=float(mean[m]),
+                mc_bilinear=float(mean[2 * m]),
             )
         )
     return rows

@@ -362,6 +362,15 @@ def test_stats_seeded_reruns_identical(tmp_path):
     assert _tree_bytes(out1) == _tree_bytes(out2)
 
 
+def test_stats_zero_samples_exits_2(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "stats.json",
+        {"a_values": [], "quad_points": 200, "samples": 0, "m_values": [1]},
+    )
+    assert _run(["stats", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "sample" in capsys.readouterr().err
+
+
 def _example1_config(tmp_path, degrees=(3,)):
     return _write_config(
         tmp_path / "ex1.json",

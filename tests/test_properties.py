@@ -1,8 +1,10 @@
 """Property tests of the logistic kernel over random dictionaries.
 
-The whole-dictionary calls (conj_values, lift_derivatives) must agree
-with the one-logistic and one-point forms they are built from, and the
-sigmoid must keep its range and symmetry.
+The whole-dictionary calls (conj_values, lift_derivatives, the order
+check) must agree with the one-logistic and one-point forms they are
+built from, the analytic Jacobian with finite differences, and the
+sigmoid must keep its range and symmetry.  Join completion must be a
+closure: idempotent, closed under join, originals first.
 """
 
 import numpy as np
@@ -12,8 +14,13 @@ from hypothesis import strategies as st
 from sillkoop.dictionary import (
     ConjLogistic,
     SillDictionary,
+    check_total_order,
     conj_values,
+    dominates,
     eval_conjunctive,
+    join_completion,
+    join_params,
+    lift,
     lift_jacobian,
     stable_sigmoid,
 )
@@ -73,3 +80,56 @@ def test_sigmoid_range_and_symmetry(zs):
     assert np.all((s >= 0.0) & (s <= 1.0))
     np.testing.assert_allclose(stable_sigmoid(-z), 1.0 - s, rtol=0.0, atol=2 * EPS)
     assert isinstance(stable_sigmoid(zs[0]), float)
+
+
+@_settings
+@given(_dictionary_and_points())
+def test_lift_jacobian_matches_central_differences(case):
+    d, y, _ = case
+    h = 1e-5
+    for yi in np.atleast_2d(y):
+        steps = h * np.eye(d.m)
+        fd = np.stack(
+            [(lift(yi + e, d) - lift(yi - e, d)) / (2 * h) for e in steps], axis=1
+        )
+        np.testing.assert_allclose(lift_jacobian(yi, d), fd, rtol=0.0, atol=1e-6)
+
+
+@st.composite
+def _grid_dictionary(draw):
+    # centers and steepnesses on a coarse grid, so ties (and the tie rule
+    # of join_params) are common and completion stays at most 5^3 logistics
+    m = draw(st.integers(1, 3))
+    grid = st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=m, max_size=m)
+    steep = st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=m, max_size=m)
+    n_logistic = draw(st.integers(1, 5))
+    return SillDictionary(
+        m, tuple(ConjLogistic(draw(grid), draw(steep)) for _ in range(n_logistic))
+    )
+
+
+@_settings
+@given(_grid_dictionary())
+def test_join_completion_is_a_closure(d):
+    completed = join_completion(d)
+    assert completed.logistics[: d.n_logistic] == d.logistics
+    members = {f.key() for f in completed.logistics}
+    for f in completed.logistics:
+        for g in completed.logistics:
+            assert join_params(f, g).key() in members
+    assert join_completion(completed).logistics == completed.logistics
+
+
+@_settings
+@given(_grid_dictionary())
+def test_check_total_order_matches_pairwise_dominance(d):
+    fs = d.logistics
+    expected = tuple(
+        (a, b)
+        for a in range(len(fs))
+        for b in range(a + 1, len(fs))
+        if not dominates(fs[a], fs[b]) and not dominates(fs[b], fs[a])
+    )
+    result = check_total_order(d)
+    assert result.incomparable_pairs == expected
+    assert all(type(i) is int for pair in result.incomparable_pairs for i in pair)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,21 @@ def test_predict_flags_divergence():
     assert traj.diverged
     assert traj.y.shape[0] < 41
     assert np.isfinite(traj.y).all()
+
+
+def test_predict_keeps_only_the_measurement_rows():
+    # 10k steps at N = 47: the trajectory is 10k x 2 floats (160 kB); rows
+    # that kept views into the lifted state would hold 10k x 47 floats
+    d = _dictionary(m=2, n_logistic=44)
+    model = KoopmanModel(-0.1 * np.eye(d.size), d, "CT")
+    tracemalloc.start()
+    try:
+        traj = predict_ct(model, [0.3, -0.2], horizon=10.0, dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.y.shape == (10_001, 2)
+    assert peak < 1_000_000
 
 
 def test_residual_zero_model_equals_lifted_derivatives():

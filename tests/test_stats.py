@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sillkoop.dictionary import stable_sigmoid
 from sillkoop.stats import (
+    _CHUNK,
     ErrorRateRow,
     UniformIntervalSpec,
-    expected_conjunctive,
     expected_error_rates,
     expected_logistic,
     mc_conjunctive,
-    mc_expected_logistic,
     moment_sweep,
     product_cdf,
     product_pdf,
@@ -119,15 +119,15 @@ def test_expected_logistic_rejects_few_quad_points():
 
 
 def test_mc_expected_logistic_deterministic():
-    r1 = mc_expected_logistic(2.0, 50_000, seed=42)
-    r2 = mc_expected_logistic(2.0, 50_000, seed=42)
+    r1 = expected_logistic(2.0, samples=50_000, seed=42)
+    r2 = expected_logistic(2.0, samples=50_000, seed=42)
     assert r1 == r2
-    r3 = mc_expected_logistic(2.0, 50_000, seed=43)
+    r3 = expected_logistic(2.0, samples=50_000, seed=43)
     assert r3.mc_expectation != r1.mc_expectation
 
 
 def test_mc_expected_logistic_near_half():
-    rep = mc_expected_logistic(2.0, 200_000, seed=7)
+    rep = expected_logistic(2.0, samples=200_000, seed=7)
     assert abs(rep.mc_expectation - 0.5) <= 3 * rep.mc_stderr
     assert rep.mc_stderr > 0
 
@@ -141,7 +141,7 @@ def test_quadrature_and_mc_agree():
 
 
 def test_expected_conjunctive_m1_near_half():
-    est = expected_conjunctive(1, 2.0, 200_000, seed=2)
+    est = mc_conjunctive(1, 2.0, 200_000, seed=2)[0]
     assert abs(est - 0.5) < 5e-3
 
 
@@ -152,7 +152,7 @@ def test_expected_conjunctive_m4_tracks_sixteenth():
 
 
 def test_expected_conjunctive_single_sample_in_range():
-    est = expected_conjunctive(1, 2.0, samples=1, seed=0)
+    est = mc_conjunctive(1, 2.0, samples=1, seed=0)[0]
     assert 0.0 < est < 1.0
 
 
@@ -218,11 +218,69 @@ def test_error_rate_csv_layout(tmp_path):
 
 def test_mc_sample_count_validation():
     with pytest.raises(ValueError):
-        mc_expected_logistic(1.0, 0, seed=0)
+        expected_logistic(1.0, samples=0, seed=0)
     with pytest.raises(ValueError):
         mc_conjunctive(0, 1.0, 100, seed=0)
     with pytest.raises(ValueError):
         expected_error_rates([0], 1.0, samples=100, seed=0)
+
+
+def test_error_rates_reject_zero_samples():
+    with pytest.raises(ValueError):
+        expected_error_rates([1], 2.0, samples=0, seed=0)
+
+
+def _reference_conjunctive(m, a, samples, seed):
+    # the draw layout the estimator must keep, written out loop by loop;
+    # m = 1 is also the logistic-moment loop (1 * sigma is exactly sigma)
+    rng = np.random.default_rng(seed)
+    s1 = s2 = 0.0
+    left = samples
+    while left:
+        k = min(left, _CHUNK)
+        prod = np.ones(k)
+        for _ in range(m):
+            u = rng.uniform(-a, a, size=(3, k))
+            prod *= stable_sigmoid(u[0] * (u[1] - u[2]))
+        s1 += prod.sum()
+        s2 += (prod * prod).sum()
+        left -= k
+    mean = s1 / samples
+    var = max(s2 / samples - mean * mean, 0.0)
+    stderr = np.sqrt(var * samples / (samples - 1) / samples) if samples > 1 else np.inf
+    return float(mean), float(stderr)
+
+
+def _reference_error_terms(m, a, samples, seed):
+    rng = np.random.default_rng([seed, m])
+    s_lin = s_bil = 0.0
+    left = samples
+    while left:
+        k = min(left, _CHUNK)
+        alpha = rng.uniform(-a, a, k)
+        w = rng.uniform(-a, a, k)
+        yz = rng.uniform(-a, a, size=(2, k))
+        term = np.abs(alpha * w) * stable_sigmoid(alpha * (yz[0] - yz[1]))
+        for j in range(2 * m):
+            u = rng.uniform(-a, a, size=(3, k))
+            term = term * stable_sigmoid(u[0] * (u[1] - u[2]))
+            if j == m - 1:
+                s_lin += term.sum()
+        s_bil += term.sum()
+        left -= k
+    return float(s_lin / samples), float(s_bil / samples)
+
+
+@pytest.mark.parametrize(
+    "m, seed, samples", [(1, 0, 1), (2, 3, 1_000), (3, 7, 30_000), (1, 5, _CHUNK + 777)]
+)
+def test_mc_estimators_match_reference_draw_layout(m, seed, samples):
+    a = 2.0
+    assert mc_conjunctive(m, a, samples, seed) == _reference_conjunctive(m, a, samples, seed)
+    (row,) = expected_error_rates([m], a, samples=samples, seed=seed)
+    assert (row.mc_linear, row.mc_bilinear) == _reference_error_terms(m, a, samples, seed)
+    rep = expected_logistic(a, samples=samples, seed=seed)
+    assert (rep.mc_expectation, rep.mc_stderr) == _reference_conjunctive(1, a, samples, seed)
 
 
 def test_product_pdf_matches_defining_convolution():
