@@ -73,7 +73,7 @@ def _write_csv(path, header: str, rows) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _need(cfg: dict, key: str, kind, desc: str):
+def _need(cfg: dict, key: str, kind, desc: str, least=None):
     if key not in cfg:
         raise ValueError(f"config missing required key '{key}' ({desc})")
     val = cfg[key]
@@ -84,6 +84,8 @@ def _need(cfg: dict, key: str, kind, desc: str):
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
             raise ValueError(f"config key '{key}' must be an integer ({desc})")
+        if least is not None and val < least:
+            raise ValueError(f"config key '{key}' must be at least {least} ({desc})")
         return val
     if not isinstance(val, kind):
         raise ValueError(f"config key '{key}' must be {kind.__name__} ({desc})")
@@ -247,8 +249,8 @@ def cmd_theorem1(cfg, outdir, seed):
 
 def cmd_stats(cfg, outdir, seed):
     a_values = _need(cfg, "a_values", list, "interval radii for the moment sweep")
-    quad_points = _need(cfg, "quad_points", int, "quadrature subdivision limit")
-    samples = _need(cfg, "samples", int, "Monte Carlo sample count")
+    quad_points = _need(cfg, "quad_points", int, "quadrature subdivision limit", 100)
+    samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1)
     m_values = _need(cfg, "m_values", list, "measurement dimensions for rate table")
     rate_a = _optional(cfg, "rate_a", float, "interval radius for the rate table", 2.0)
     reports = moment_sweep(a_values, quad_points, samples, seed)

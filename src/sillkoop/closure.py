@@ -15,6 +15,10 @@ This module quantifies that chain of approximations:
 * end-to-end experiments that fit a generator to a spanned field and
   compare its true residual against the bounds across steepness scales.
 
+The forms of all field logistics come from one array pass (one
+evaluation each of the per-coordinate factors, the dictionary and the
+N_L^2 pairwise joins); the public per-logistic functions read a column.
+
 Maxima over the measurement region are taken over a user-supplied finite
 grid that keeps a positive distance delta from the center hyperplanes
 (where the product approximation cannot improve), so all reported bounds
@@ -23,19 +27,22 @@ are grid surrogates of the continuum quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dictionary import (
     ConjLogistic,
     SillDictionary,
+    _check_point,
+    _coordinate_sigmoids,
+    _join,
     conj_values,
     dominates,
     eval_conjunctive,
     join_completion,
     join_params,
-    stable_sigmoid,
+    stable_sigmoid,  # noqa: F401  (still importable as closure.stable_sigmoid)
 )
 from .errors import ClosureBoundError, IncomparableCentersError
 from .regression import SnapshotSet, fit_generator, residual
@@ -121,17 +128,7 @@ class ClosureReport:
             raise ValueError("B must equal min(bar_B1 + bar_B2, tilde_B1 + tilde_B2)")
 
     def to_dict(self) -> dict:
-        return {
-            "bar_B1": self.bar_B1,
-            "bar_B2": self.bar_B2,
-            "tilde_B1": self.tilde_B1,
-            "tilde_B2": self.tilde_B2,
-            "B": self.B,
-            "residual_max": self.residual_max,
-            "residual_mean": self.residual_mean,
-            "alpha_scale": self.alpha_scale,
-            "m": self.m,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -234,25 +231,41 @@ def product_approx_decay(f: ConjLogistic, g: ConjLogistic, grid, scales) -> Deca
     return DecayFit(scales, max_errors, float(slope), float(intercept))
 
 
-def _field_terms(l: int, sf: SpannedField, y):
-    """Shared pieces for the Lie-derivative forms of logistic l."""
-    d = sf.dictionary
-    if not 0 <= l < d.n_logistic:
-        raise IndexError(f"logistic index {l} out of range for N_L={d.n_logistic}")
-    f = d.logistics[l]
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != f.m:
-        raise ValueError(f"expected points with last dimension {f.m}, got {y.shape}")
-    # per-coordinate terms, for the (1 - lambda_li) weights
-    lam_l = stable_sigmoid(f.alpha * (y - f.mu))  # (..., m)
+def _lie_forms(sf: SpannedField, y):
+    """Every Lie-derivative form of every field logistic, in one pass.
+
+    Returns the exact, intermediate, linear, linearization, bilinear and
+    reference (sum_{i,j} alpha_li W_ij Lambda_l Lambda_j) sums, each of
+    shape (..., N_L) with column l for logistic l.
+    """
+    d, W = sf.dictionary, sf.W
+    y = _check_point(y, d.m)
+    lam = _coordinate_sigmoids(y[..., None, :], d)  # (..., N_L, m)
     lam_all = conj_values(y, d)  # (..., N_L)
-    joins = SillDictionary(d.m, tuple(join_params(f, g) for g in d.logistics))
-    lam_star = conj_values(y, joins)  # (..., N_L)
-    return f, lam_l, lam_all[..., l], lam_all, lam_star
+    # the joins of all N_L^2 pairs (l, j), row-major, as one dictionary
+    mu, alpha = _join(d.mu[:, None], d.alpha[:, None], d.mu, d.alpha)
+    pairs = map(ConjLogistic, mu.reshape(-1, d.m), alpha.reshape(-1, d.m))
+    joins = SillDictionary(d.m, tuple(pairs))
+    lam_star = conj_values(y, joins).reshape(lam_all.shape + (d.n_logistic,))
+    off, on = d.alpha * (1.0 - lam), d.alpha * lam
+    coeff = d.alpha @ W  # coeff[l, j] = sum_i alpha_li W_ij
+    return (
+        np.einsum("...li,ij,...j->...l", off, W, lam_all) * lam_all,
+        np.einsum("...li,ij,...lj->...l", off, W, lam_star),
+        np.einsum("lj,...lj->...l", coeff, lam_star),
+        np.einsum("...li,ij,...lj->...l", on, W, lam_star),
+        np.einsum("...li,ij,...j->...l", on, W, lam_all) * lam_all,
+        np.einsum("lj,...j->...l", coeff, lam_all) * lam_all,
+    )
 
 
-def _maybe_scalar(arr):
-    return float(arr) if np.ndim(arr) == 0 else arr
+def _form(k: int, l: int, sf: SpannedField, y):
+    """Column l of the k-th _lie_forms sum; a float at a single point."""
+    n = sf.dictionary.n_logistic
+    if not 0 <= l < n:
+        raise IndexError(f"logistic index {l} out of range for N_L={n}")
+    out = _lie_forms(sf, y)[k][..., l]
+    return float(out) if out.ndim == 0 else out
 
 
 def lie_derivative_exact(l: int, sf: SpannedField, y):
@@ -261,16 +274,12 @@ def lie_derivative_exact(l: int, sf: SpannedField, y):
     sum_{i,j} alpha_li W_ij (1 - lambda_li(y_i)) Lambda_l(y) Lambda_j(y);
     identical to grad Lambda_l . F(y) by the chain rule.
     """
-    f, lam_l, lam_full, lam_all, _ = _field_terms(l, sf, y)
-    coeff = np.einsum("...i,ij,...j->...", f.alpha * (1.0 - lam_l), sf.W, lam_all)
-    return _maybe_scalar(coeff * lam_full)
+    return _form(0, l, sf, y)
 
 
 def lie_approx_intermediate(l: int, sf: SpannedField, y):
     """The bilinear sum with each product Lambda_l Lambda_j replaced by its join."""
-    f, lam_l, _, _, lam_star = _field_terms(l, sf, y)
-    out = np.einsum("...i,ij,...j->...", f.alpha * (1.0 - lam_l), sf.W, lam_star)
-    return _maybe_scalar(out)
+    return _form(1, l, sf, y)
 
 
 def lie_approx_linear(l: int, sf: SpannedField, y):
@@ -279,9 +288,7 @@ def lie_approx_linear(l: int, sf: SpannedField, y):
     This is what a single row of a Koopman matrix can represent once the
     joins are dictionary members, so it is the model-facing approximation.
     """
-    f, _, _, _, lam_star = _field_terms(l, sf, y)
-    out = np.einsum("j,...j->...", f.alpha @ sf.W, lam_star)
-    return _maybe_scalar(out)
+    return _form(2, l, sf, y)
 
 
 def error_term_linearization(l: int, sf: SpannedField, y):
@@ -290,53 +297,12 @@ def error_term_linearization(l: int, sf: SpannedField, y):
     Exactly the gap lie_approx_linear - lie_approx_intermediate, since the
     (1 - lambda) and lambda weighted sums add to the unweighted one.
     """
-    f, lam_l, _, _, lam_star = _field_terms(l, sf, y)
-    out = np.einsum("...i,ij,...j->...", f.alpha * lam_l, sf.W, lam_star)
-    return _maybe_scalar(out)
+    return _form(3, l, sf, y)
 
 
 def error_term_bilinear(l: int, sf: SpannedField, y):
     """sum_{i,j} alpha_li W_ij lambda_li(y_i) Lambda_l(y) Lambda_j(y)."""
-    f, lam_l, lam_full, lam_all, _ = _field_terms(l, sf, y)
-    coeff = np.einsum("...i,ij,...j->...", f.alpha * lam_l, sf.W, lam_all)
-    return _maybe_scalar(coeff * lam_full)
-
-
-def _bilinear_reference(l: int, sf: SpannedField, y):
-    """sum_{i,j} alpha_li W_ij Lambda_l(y) Lambda_j(y) (no lambda weight)."""
-    f, _, lam_full, lam_all, _ = _field_terms(l, sf, y)
-    coeff = np.einsum("j,...j->...", f.alpha @ sf.W, lam_all)
-    return _maybe_scalar(coeff * lam_full)
-
-
-def _per_function_bounds(sf: SpannedField, pts: np.ndarray, a):
-    """Grid and expectation bounds for every logistic of the field."""
-    m = sf.dictionary.m
-    n = sf.dictionary.n_logistic
-    bar_B1 = np.empty(n)
-    bar_B2 = np.empty(n)
-    tilde_B1 = np.empty(n)
-    tilde_B2 = np.empty(n)
-    res_max = np.empty(n)
-    res_mean = np.empty(n)
-    for l in range(n):
-        exact = lie_derivative_exact(l, sf, pts)
-        inter = lie_approx_intermediate(l, sf, pts)
-        linear = lie_approx_linear(l, sf, pts)
-        bilinear = _bilinear_reference(l, sf, pts)
-        # grid maxima of |sum|: the signed maxima would not dominate the
-        # absolute gaps they are meant to bound
-        bar_B1[l] = np.abs(exact - inter).max()
-        tilde_B2[l] = np.abs(bilinear - linear).max()
-        nu = np.abs(sf.dictionary.logistics[l].alpha[:, None] * sf.W)
-        if a is not None:
-            nu = np.minimum(nu, float(a) ** 2)
-        bar_B2[l] = nu.sum() / 2.0 ** (m + 1)
-        tilde_B1[l] = nu.sum() / 2.0 ** (2 * m + 1)
-        gap = np.abs(exact - linear)
-        res_max[l] = gap.max()
-        res_mean[l] = gap.mean()
-    return bar_B1, bar_B2, tilde_B1, tilde_B2, res_max, res_mean
+    return _form(4, l, sf, y)
 
 
 def compute_bounds(
@@ -362,25 +328,39 @@ def compute_bounds(
     hyperplanes the product error is irreducible and the grid maxima
     would stop decaying with steepness.
     """
-    return _bounds(sf, sample_grid, a, delta, alpha_scale)[0]
+    return _bounds(sf, sample_grid, _nu_clip(a), delta, alpha_scale)[0]
 
 
-def _bounds(sf: SpannedField, sample_grid, a, delta: float, alpha_scale: float):
+def _nu_clip(a) -> float:
+    """a^2, the cap on each nu_ij (inf without one); a must be positive."""
+    if a is not None and not a > 0:
+        raise ValueError(f"nu clip a must be positive, got {a}")
+    return np.inf if a is None else float(a) ** 2
+
+
+def _bounds(sf: SpannedField, sample_grid, clip: float, delta: float, alpha_scale):
     """compute_bounds' report plus the per-function bar_B1 and bar_B2 arrays."""
-    pts = _as_grid(sample_grid, sf.dictionary.m)
+    d = sf.dictionary
+    pts = _as_grid(sample_grid, d.m)
     if not delta > 0:
         raise ValueError("delta must be positive")
-    dist = hyperplane_distance(pts, sf.dictionary)
+    dist = hyperplane_distance(pts, d)
     if np.any(dist < delta):
         bad = int(np.argmin(dist))
         raise ValueError(
             f"grid point {bad} is within {delta} of a center hyperplane "
             f"(distance {dist.min():.3g})"
         )
-    bar_B1, bar_B2, tilde_B1, tilde_B2, res_max, res_mean = _per_function_bounds(
-        sf, pts, a
-    )
-    worst = int(np.argmax(res_max))
+    exact, inter, linear, _, _, reference = _lie_forms(sf, pts)
+    # grid maxima of |sum|: the signed maxima would not dominate the
+    # absolute gaps they are meant to bound
+    bar_B1 = np.abs(exact - inter).max(axis=0)
+    tilde_B2 = np.abs(reference - linear).max(axis=0)
+    nu_sum = np.minimum(np.abs(d.alpha[:, :, None] * sf.W), clip).sum(axis=(1, 2))
+    bar_B2 = nu_sum / 2.0 ** (d.m + 1)
+    tilde_B1 = nu_sum / 2.0 ** (2 * d.m + 1)
+    gap = np.abs(exact - linear)
+    worst = int(np.argmax(gap.max(axis=0)))
     b = min(bar_B1[worst] + bar_B2[worst], tilde_B1[worst] + tilde_B2[worst])
     return ClosureReport(
         bar_B1=float(bar_B1[worst]),
@@ -388,10 +368,10 @@ def _bounds(sf: SpannedField, sample_grid, a, delta: float, alpha_scale: float):
         tilde_B1=float(tilde_B1[worst]),
         tilde_B2=float(tilde_B2[worst]),
         B=float(b),
-        residual_max=float(res_max[worst]),
-        residual_mean=float(res_mean[worst]),
+        residual_max=float(gap[:, worst].max()),
+        residual_mean=float(gap[:, worst].mean()),
         alpha_scale=float(alpha_scale),
-        m=sf.dictionary.m,
+        m=d.m,
     ), bar_B1, bar_B2
 
 
@@ -447,6 +427,7 @@ def closure_experiment(
     scales = np.asarray(alpha_scales, dtype=float)
     if scales.ndim != 1 or scales.size < 1 or not np.all(scales > 0):
         raise ValueError("alpha_scales must be positive")
+    clip = _nu_clip(a)
     reports = []
     for s in scales:
         sf_s = sf.scaled(s)
@@ -455,7 +436,7 @@ def closure_experiment(
         model = fit_generator(train, completed, ridge)
         holdout = SnapshotSet(held, sf_s.evaluate(held), "CT")
         rep = residual(model, holdout)
-        bounds, bar_B1, bar_B2 = _bounds(sf_s, held, a, delta, s)
+        bounds, bar_B1, bar_B2 = _bounds(sf_s, held, clip, delta, s)
         if check_bounds:
             _check_per_function(sf_s, rep, bar_B1, bar_B2)
         reports.append(
@@ -484,12 +465,13 @@ def _default_holdout(pts: np.ndarray) -> np.ndarray:
 
 def _check_per_function(sf_s, rep, bar_B1, bar_B2):
     """Residual column of each field logistic vs its own bound pair."""
-    m = sf_s.dictionary.m
-    for l in range(sf_s.dictionary.n_logistic):
-        col = np.abs(rep.matrix[:, 1 + m + l]).max()
-        limit = bar_B1[l] + bar_B2[l]
-        if col > limit:
-            raise ClosureBoundError(
-                f"logistic {l}: fitted residual {col:.6g} exceeds its "
-                f"closure bound {limit:.6g}"
-            )
+    m, n = sf_s.dictionary.m, sf_s.dictionary.n_logistic
+    col = np.abs(rep.matrix[:, 1 + m : 1 + m + n]).max(axis=0)
+    limit = bar_B1 + bar_B2
+    bad = np.flatnonzero(col > limit)
+    if bad.size:
+        l = bad[0]
+        raise ClosureBoundError(
+            f"logistic {l}: fitted residual {col[l]:.6g} exceeds its "
+            f"closure bound {limit[l]:.6g}"
+        )

@@ -67,7 +67,7 @@ class ScalarLogisticParams:
 
 def eval_scalar_logistic(y_i, p: ScalarLogisticParams):
     """Scalar logistic 1 / (1 + exp(-alpha * (y_i - mu)))."""
-    return stable_sigmoid(p.alpha * (np.asarray(y_i, dtype=float) - p.mu))
+    return _coordinate_sigmoids(np.asarray(y_i, dtype=float), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +217,11 @@ def _check_point(y, m: int) -> np.ndarray:
     return y
 
 
+def _coordinate_sigmoids(y, f: ConjLogistic):
+    """Per-coordinate factors lambda_i(y_i), broadcast like eval_conjunctive."""
+    return stable_sigmoid(f.alpha * (y - f.mu))
+
+
 def eval_conjunctive(y, f: ConjLogistic):
     """Product of scalar logistics at y; strictly inside (0, 1).
 
@@ -225,8 +230,7 @@ def eval_conjunctive(y, f: ConjLogistic):
     y: eval_conjunctive(y[..., None, :], d) has shape (..., N_L).
     """
     y = _check_point(y, f.m)
-    lam = stable_sigmoid(f.alpha * (y - f.mu))
-    out = np.prod(lam, axis=-1)
+    out = np.prod(_coordinate_sigmoids(y, f), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -259,7 +263,7 @@ def grad_conjunctive(y, f: ConjLogistic):
     (..., N_L, m), one gradient row per logistic.
     """
     y = _check_point(y, f.m)
-    lam = stable_sigmoid(f.alpha * (y - f.mu))
+    lam = _coordinate_sigmoids(y, f)
     full = np.prod(lam, axis=-1, keepdims=True)
     return f.alpha * (1.0 - lam) * full
 
@@ -300,6 +304,13 @@ def check_total_order(d: SillDictionary) -> OrderCheckResult:
     return OrderCheckResult(totally_ordered=not bad, incomparable_pairs=bad)
 
 
+def _join(mu_f, alpha_f, mu_g, alpha_g):
+    """The join rule on stacked (..., m) parameter arrays, broadcast."""
+    tie = np.maximum(alpha_f, alpha_g)
+    alpha = np.where(mu_g > mu_f, alpha_g, np.where(mu_f > mu_g, alpha_f, tie))
+    return np.maximum(mu_f, mu_g), alpha
+
+
 def join_params(f: ConjLogistic, g: ConjLogistic) -> ConjLogistic:
     """Componentwise-max join of two conjunctive logistics.
 
@@ -309,37 +320,33 @@ def join_params(f: ConjLogistic, g: ConjLogistic) -> ConjLogistic:
     """
     if f.m != g.m:
         raise ValueError(f"dimension mismatch: {f.m} vs {g.m}")
-    mu = np.maximum(f.mu, g.mu)
-    alpha = np.where(
-        g.mu > f.mu,
-        g.alpha,
-        np.where(f.mu > g.mu, f.alpha, np.maximum(f.alpha, g.alpha)),
-    )
-    return ConjLogistic(mu, alpha)
+    return ConjLogistic(*_join(f.mu, f.alpha, g.mu, g.alpha))
 
 
 def join_completion(d: SillDictionary) -> SillDictionary:
     """Close the logistic set under pairwise join.
 
-    Original functions keep their indices; newly created joins are
-    appended, deduplicated by exact (mu, alpha) equality.  The closure of
-    a finite set under componentwise max is finite (every join draws its
+    Original functions keep their indices, repeated ones included; new
+    joins are appended, deduplicated by exact (mu, alpha) equality.  Each
+    pass joins, in row-major order, the pairs (a, b), a < b, whose b
+    arrived in the previous pass (all pairs in the first), and appends the
+    first occurrence of each join not yet a member.  The closure of a
+    finite set under componentwise max is finite (every join draws its
     coordinates from the original center grid), so this terminates.
     """
-    funcs = list(d.logistics)
-    seen = set(funcs)
-    grew = True
-    while grew:
-        grew = False
-        n = len(funcs)
-        for a in range(n):
-            for b in range(a + 1, n):
-                j = join_params(funcs[a], funcs[b])
-                if j not in seen:
-                    funcs.append(j)
-                    seen.add(j)
-                    grew = True
-    return SillDictionary(d.m, tuple(funcs))
+    m, n0 = d.m, d.n_logistic
+    rows = np.hstack([d.mu, d.alpha])
+    fresh = 0
+    while fresh < len(rows):
+        n = len(rows)
+        a, b = np.triu_indices(n, 1)
+        a, b = a[b >= fresh], b[b >= fresh]
+        joined = np.hstack(_join(rows[a, :m], rows[a, m:], rows[b, :m], rows[b, m:]))
+        _, first = np.unique(np.vstack([rows, joined]), axis=0, return_index=True)
+        rows = np.vstack([rows, joined[np.sort(first[first >= n]) - n]])
+        fresh = n
+    new = map(ConjLogistic, rows[n0:, :m], rows[n0:, m:])
+    return SillDictionary(m, d.logistics + tuple(new))
 
 
 def _write_atomic(path, text: str) -> None:

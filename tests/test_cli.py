@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sillkoop.bench import builtin_fields, make_snapshots
 from sillkoop.cli import main
@@ -279,6 +280,14 @@ def test_closure_bound_violation_exits_3(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", [0, -2])
+def test_closure_nonpositive_nu_clip_exits_2(tmp_path, capsys, a):
+    cfg = json.loads(Path(_closure_config(tmp_path)).read_text())
+    path = _write_config(tmp_path / "clip.json", {**cfg, "nu_clip_a": a})
+    assert _run(["closure", "--config", path, "--out", tmp_path / "o"]) == 2
+    assert "nu clip" in capsys.readouterr().err
+
+
 def test_closure_missing_grid_rejected(tmp_path, capsys):
     cfg = json.loads(Path(_closure_config(tmp_path)).read_text())
     del cfg["grid"]
@@ -362,13 +371,21 @@ def test_stats_seeded_reruns_identical(tmp_path):
     assert _tree_bytes(out1) == _tree_bytes(out2)
 
 
-def test_stats_zero_samples_exits_2(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path / "stats.json",
-        {"a_values": [], "quad_points": 200, "samples": 0, "m_values": [1]},
-    )
+@pytest.mark.parametrize(
+    "settings, word",
+    [
+        pytest.param({"samples": 0, "m_values": [1]}, "sample", id="zero-samples"),
+        # rejected even when nothing is sampled
+        pytest.param({"samples": 0}, "sample", id="zero-samples-empty"),
+        pytest.param({"samples": -3}, "sample", id="negative-samples-empty"),
+        pytest.param({"quad_points": 5}, "quad_points", id="few-quad-points-empty"),
+    ],
+)
+def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
+    base = {"a_values": [], "quad_points": 200, "samples": 10, "m_values": []}
+    cfg = _write_config(tmp_path / "stats.json", {**base, **settings})
     assert _run(["stats", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert "sample" in capsys.readouterr().err
+    assert word in capsys.readouterr().err
 
 
 def _example1_config(tmp_path, degrees=(3,)):

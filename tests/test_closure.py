@@ -319,6 +319,13 @@ def test_compute_bounds_nu_clip():
     assert rep.bar_B2 == pytest.approx(4.0 / 4.0)
 
 
+@pytest.mark.parametrize("a", [0.0, -2.0])
+def test_compute_bounds_rejects_nonpositive_clip(a):
+    sf = SpannedField(SillDictionary(1, (ConjLogistic([0.25], [4.0]),)), [[10.0]])
+    with pytest.raises(ValueError, match="nu clip"):
+        compute_bounds(sf, [[2.0]], a=a, delta=0.5)
+
+
 def test_compute_bounds_rejects_near_hyperplane_grid():
     sf = _single_logistic_field(mu=0.3)
     with pytest.raises(ValueError, match="hyperplane"):

@@ -4,12 +4,27 @@ The whole-dictionary calls (conj_values, lift_derivatives, the order
 check) must agree with the one-logistic and one-point forms they are
 built from, the analytic Jacobian with finite differences, and the
 sigmoid must keep its range and symmetry.  Join completion must be a
-closure: idempotent, closed under join, originals first.
+closure: idempotent, closed under join, originals first, and member for
+member the result of the pairwise loop it replaced.  The closure forms,
+computed for all logistics in one pass, must agree with their one-point
+calls, and the bounds with the per-logistic forms they summarise.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from sillkoop.closure import (
+    SpannedField,
+    compute_bounds,
+    error_term_bilinear,
+    error_term_linearization,
+    hyperplane_distance,
+    lie_approx_intermediate,
+    lie_approx_linear,
+    lie_derivative_exact,
+)
 
 from sillkoop.dictionary import (
     ConjLogistic,
@@ -133,3 +148,120 @@ def test_check_total_order_matches_pairwise_dominance(d):
     result = check_total_order(d)
     assert result.incomparable_pairs == expected
     assert all(type(i) is int for pair in result.incomparable_pairs for i in pair)
+
+
+def _pairwise_join_completion(d):
+    # the loop join_completion replaced: every pass joins every pair
+    funcs = list(d.logistics)
+    seen = set(funcs)
+    grew = True
+    while grew:
+        grew = False
+        n = len(funcs)
+        for a in range(n):
+            for b in range(a + 1, n):
+                j = join_params(funcs[a], funcs[b])
+                if j not in seen:
+                    funcs.append(j)
+                    seen.add(j)
+                    grew = True
+    return SillDictionary(d.m, tuple(funcs))
+
+
+@st.composite
+def _field_and_points(draw):
+    m = draw(st.integers(1, 3))
+    n_logistic = draw(st.integers(1, 5))
+    logistics = tuple(
+        ConjLogistic(
+            draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)),
+            draw(st.lists(st.floats(0.5, 10.0), min_size=m, max_size=m)),
+        )
+        for _ in range(n_logistic)
+    )
+    size = m * n_logistic
+    W = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    n_points = draw(st.integers(1, 5))
+    y = draw(st.lists(_coord, min_size=m * n_points, max_size=m * n_points))
+    d = SillDictionary(m, logistics)
+    return SpannedField(d, np.reshape(W, (m, n_logistic))), np.reshape(y, (n_points, m))
+
+
+@_settings
+@given(_grid_dictionary())
+def test_join_completion_matches_pairwise_loop_on_grid(d):
+    assert join_completion(d).to_dict() == _pairwise_join_completion(d).to_dict()
+
+
+@_settings
+@given(_field_and_points())
+def test_join_completion_matches_pairwise_loop_on_uniform_centers(case):
+    d = case[0].dictionary
+    assert join_completion(d).to_dict() == _pairwise_join_completion(d).to_dict()
+
+
+def test_join_completion_keeps_repeated_originals():
+    f = ConjLogistic([0.0, 1.0], [2.0, 2.0])
+    g = ConjLogistic([1.0, 0.0], [3.0, 1.0])
+    d = SillDictionary(2, (f, g, f, join_params(f, g), g))
+    completed = join_completion(d)
+    assert completed.logistics[:5] == d.logistics
+    assert completed.to_dict() == _pairwise_join_completion(d).to_dict()
+
+
+_FORMS = (
+    lie_derivative_exact,
+    lie_approx_intermediate,
+    lie_approx_linear,
+    error_term_linearization,
+    error_term_bilinear,
+)
+
+
+@_settings
+@given(_field_and_points())
+def test_lie_forms_batch_matches_single_points(case):
+    sf, Y = case
+    for fn in _FORMS:
+        for l in range(sf.dictionary.n_logistic):
+            batch = fn(l, sf, Y)
+            assert batch.shape == (Y.shape[0],)
+            for p, y in enumerate(Y):
+                single = fn(l, sf, y)
+                assert type(single) is float
+                assert batch[p] == single
+
+
+@_settings
+@given(_field_and_points())
+def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
+    sf, Y = case
+    d, W = sf.dictionary, sf.W
+    delta = hyperplane_distance(Y, d).min()
+    assume(delta > 0)
+    rep = compute_bounds(sf, Y, delta=delta)
+    n = d.n_logistic
+    exact, inter, linear, bilinear = (
+        np.stack([fn(l, sf, Y) for l in range(n)], -1)
+        for fn in (lie_derivative_exact, lie_approx_intermediate, lie_approx_linear,
+                   error_term_bilinear)
+    )
+    gap = np.abs(exact - linear)
+    l = int(np.argmax(gap.max(axis=0)))
+    nu = np.abs(d.alpha[l][:, None] * W).sum()
+    rebuilt = {
+        "residual_max": gap[:, l].max(),
+        "residual_mean": gap[:, l].mean(),
+        "bar_B1": np.abs(exact - inter)[:, l].max(),
+        "bar_B2": nu / 2.0 ** (d.m + 1),
+        "tilde_B1": nu / 2.0 ** (2 * d.m + 1),
+    }
+    for name, value in rebuilt.items():
+        assert getattr(rep, name) == pytest.approx(value, rel=1e-15, abs=0.0), name
+    # the unweighted reference sum is exact + bilinear, up to the rounding
+    # of that addition
+    scale = np.abs(exact[:, l]) + np.abs(bilinear[:, l]) + np.abs(linear[:, l])
+    tilde_B2 = np.abs(exact + bilinear - linear)[:, l].max()
+    assert rep.tilde_B2 == pytest.approx(tilde_B2, rel=1e-15, abs=4 * EPS * scale.max())
+    combined = min(rep.bar_B1 + rep.bar_B2, rep.tilde_B1 + rep.tilde_B2)
+    assert rep.B == pytest.approx(combined, rel=1e-15, abs=0.0)
