@@ -3,8 +3,9 @@
 
 The ground truth is a field spanned by the dictionary's own logistics, so
 the only approximation is how well the lifted coordinates close under the
-generator.  The fitted linear model is integrated in the lifted space and
-compared against a direct Runge-Kutta integration of the true field.
+generator.  The fitted linear model is stepped in the lifted space with its
+exact propagator and compared against a direct Runge-Kutta integration of
+the true field.
 """
 
 import numpy as np

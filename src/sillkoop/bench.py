@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure import SpannedField
-from .regression import SnapshotSet, Trajectory, _rk4
+from .regression import SnapshotSet, Trajectory
 
 __all__ = [
     "VectorField",
@@ -70,18 +70,30 @@ class PolynomialDictionary:
 
 
 def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
-    """Classical fourth-order Runge-Kutta; row 0 is y0.
+    """Classical fourth-order Runge-Kutta at fixed dt; row 0 is y0.
 
-    Non-finite evaluations truncate the trajectory and set the divergence
-    flag, mirroring the lifted-model integrator.
+    A non-finite state truncates the trajectory and sets the divergence
+    flag; overflow on an unstable field is reported through that flag,
+    not a warning.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    y0 = np.array(y0, dtype=float)
-    rows, diverged = _rk4(F.fn, y0, dt, steps, y0.shape)
-    return Trajectory(np.vstack([y0, rows]), diverged)
+    x = np.array(y0, dtype=float)
+    y = np.empty((steps + 1, *x.shape))
+    y[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            k1 = F.fn(x)
+            k2 = F.fn(x + 0.5 * dt * k1)
+            k3 = F.fn(x + 0.5 * dt * k2)
+            k4 = F.fn(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(x).all():
+                return Trajectory(y[:i], True)
+            y[i] = x
+    return Trajectory(y, False)
 
 
 def spanned_field(sf: SpannedField) -> VectorField:

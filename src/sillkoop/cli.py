@@ -37,7 +37,8 @@ from .closure import (
 from .dictionary import (
     ConjLogistic,
     SillDictionary,
-    _write_atomic,
+    _write_csv,
+    _write_json,
     check_total_order,
     join_completion,
     load_dictionary,
@@ -62,15 +63,6 @@ from .stats import (
 )
 
 _RNG_NAME = "pcg64"
-
-
-def _write_json(path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path, header: str, rows) -> None:
-    lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _need(cfg: dict, key: str, kind, desc: str, least=None):
@@ -127,37 +119,33 @@ def _residual_summary(rep, snaps) -> dict:
 # commands
 
 
-def cmd_fit(cfg, outdir, seed):
+def _fit_command(cfg, outdir, mode):
+    """Body of fit (CT generator) and edmd (DT operator)."""
     csv_path = _need(cfg, "snapshots_csv", str, "snapshot CSV path")
     man_path = _need(cfg, "snapshots_manifest", str, "snapshot manifest path")
     dict_path = _need(cfg, "dictionary", str, "dictionary JSON path")
     ridge = _need(cfg, "ridge", float, "ridge penalty")
     snaps = load_snapshots(csv_path, man_path)
+    if snaps.mode != mode:
+        command, other = ("fit", "edmd") if mode == "CT" else ("edmd", "fit")
+        raise ValueError(
+            f"{command} expects {mode} snapshots; use the {other} command for "
+            f"{snaps.mode} data"
+        )
     d = load_dictionary(dict_path)
-    if snaps.mode == "CT":
-        model = fit_generator(snaps, d, ridge)
-    else:
-        raise ValueError("fit expects CT snapshots; use the edmd command for DT data")
+    model = (fit_generator if mode == "CT" else fit_edmd)(snaps, d, ridge)
     rep = residual(model, snaps)
     save_model(model, os.path.join(outdir, "model.json"))
     _write_json(os.path.join(outdir, "residual_summary.json"), _residual_summary(rep, snaps))
     return {"outputs": ["model.json", "residual_summary.json"]}
+
+
+def cmd_fit(cfg, outdir, seed):
+    return _fit_command(cfg, outdir, "CT")
 
 
 def cmd_edmd(cfg, outdir, seed):
-    csv_path = _need(cfg, "snapshots_csv", str, "snapshot CSV path")
-    man_path = _need(cfg, "snapshots_manifest", str, "snapshot manifest path")
-    dict_path = _need(cfg, "dictionary", str, "dictionary JSON path")
-    ridge = _need(cfg, "ridge", float, "ridge penalty")
-    snaps = load_snapshots(csv_path, man_path)
-    if snaps.mode != "DT":
-        raise ValueError("edmd expects DT snapshots; use the fit command for CT data")
-    d = load_dictionary(dict_path)
-    model = fit_edmd(snaps, d, ridge)
-    rep = residual(model, snaps)
-    save_model(model, os.path.join(outdir, "model.json"))
-    _write_json(os.path.join(outdir, "residual_summary.json"), _residual_summary(rep, snaps))
-    return {"outputs": ["model.json", "residual_summary.json"]}
+    return _fit_command(cfg, outdir, "DT")
 
 
 def cmd_predict(cfg, outdir, seed):
@@ -352,7 +340,7 @@ _COMMANDS = {
 _DESCRIPTIONS = {
     "fit": "fit a CT generator from snapshot CSV + dictionary JSON",
     "edmd": "fit a DT operator from snapshot CSV + dictionary JSON",
-    "predict": "integrate a fitted CT model from an initial measurement",
+    "predict": "step a fitted CT model with its exact propagator",
     "closure": "closure bounds and fitted residuals across steepness scales",
     "theorem1": "steepness-decay sweep of the product-approximation error",
     "stats": "logistic moment sweep, error-rate table, conjunctive bound",

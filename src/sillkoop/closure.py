@@ -240,13 +240,11 @@ def _lie_forms(sf: SpannedField, y):
     """
     d, W = sf.dictionary, sf.W
     y = _check_point(y, d.m)
-    lam = _coordinate_sigmoids(y[..., None, :], d)  # (..., N_L, m)
+    lam = _coordinate_sigmoids(y[..., None, :], d.mu, d.alpha)  # (..., N_L, m)
     lam_all = conj_values(y, d)  # (..., N_L)
-    # the joins of all N_L^2 pairs (l, j), row-major, as one dictionary
+    # the joins of all N_L^2 pairs (l, j) as (N_L, N_L, m) parameter arrays
     mu, alpha = _join(d.mu[:, None], d.alpha[:, None], d.mu, d.alpha)
-    pairs = map(ConjLogistic, mu.reshape(-1, d.m), alpha.reshape(-1, d.m))
-    joins = SillDictionary(d.m, tuple(pairs))
-    lam_star = conj_values(y, joins).reshape(lam_all.shape + (d.n_logistic,))
+    lam_star = np.prod(_coordinate_sigmoids(y[..., None, None, :], mu, alpha), axis=-1)
     off, on = d.alpha * (1.0 - lam), d.alpha * lam
     coeff = d.alpha @ W  # coeff[l, j] = sum_i alpha_li W_ij
     return (

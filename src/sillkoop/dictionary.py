@@ -67,7 +67,7 @@ class ScalarLogisticParams:
 
 def eval_scalar_logistic(y_i, p: ScalarLogisticParams):
     """Scalar logistic 1 / (1 + exp(-alpha * (y_i - mu)))."""
-    return _coordinate_sigmoids(np.asarray(y_i, dtype=float), p)
+    return _coordinate_sigmoids(np.asarray(y_i, dtype=float), p.mu, p.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +217,9 @@ def _check_point(y, m: int) -> np.ndarray:
     return y
 
 
-def _coordinate_sigmoids(y, f: ConjLogistic):
+def _coordinate_sigmoids(y, mu, alpha):
     """Per-coordinate factors lambda_i(y_i), broadcast like eval_conjunctive."""
-    return stable_sigmoid(f.alpha * (y - f.mu))
+    return stable_sigmoid(alpha * (y - mu))
 
 
 def eval_conjunctive(y, f: ConjLogistic):
@@ -230,7 +230,7 @@ def eval_conjunctive(y, f: ConjLogistic):
     y: eval_conjunctive(y[..., None, :], d) has shape (..., N_L).
     """
     y = _check_point(y, f.m)
-    out = np.prod(_coordinate_sigmoids(y, f), axis=-1)
+    out = np.prod(_coordinate_sigmoids(y, f.mu, f.alpha), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -263,7 +263,7 @@ def grad_conjunctive(y, f: ConjLogistic):
     (..., N_L, m), one gradient row per logistic.
     """
     y = _check_point(y, f.m)
-    lam = _coordinate_sigmoids(y, f)
+    lam = _coordinate_sigmoids(y, f.mu, f.alpha)
     full = np.prod(lam, axis=-1, keepdims=True)
     return f.alpha * (1.0 - lam) * full
 
@@ -366,8 +366,19 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
+def _write_json(path, obj) -> None:
+    """The JSON artifact format: sorted keys, two-space indent, final newline."""
+    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """The CSV artifact format: header line, then str() of each field."""
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
 def save_dictionary(d: SillDictionary, path) -> None:
-    _write_atomic(path, json.dumps(d.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_json(path, d.to_dict())
 
 
 def load_dictionary(path) -> SillDictionary:

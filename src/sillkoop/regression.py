@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .dictionary import SillDictionary, _write_atomic, grad_conjunctive, lift
+from .dictionary import SillDictionary, _write_csv, _write_json, grad_conjunctive, lift
 
 __all__ = [
     "SnapshotSet",
@@ -180,24 +181,32 @@ def solve_koopman_ls(G, A, ridge: float):
     return kt.T
 
 
+def _target(s: SnapshotSet, d: SillDictionary):
+    """Regression target of each snapshot, shape (r, N).
+
+    CT snapshots map to the lifted derivatives, DT snapshots to the lifted
+    successors psi(y+).
+    """
+    if s.m != d.m:
+        raise ValueError(f"snapshots have m={s.m}, dictionary has m={d.m}")
+    return lift_derivatives(s, d) if s.mode == CT else lift(s.D, d)
+
+
+def _fit(s: SnapshotSet, d: SillDictionary, ridge: float, mode: str) -> KoopmanModel:
+    if s.mode != mode:
+        raise ValueError(f"a {mode} fit requires {mode} snapshots, got {s.mode}")
+    A = _target(s, d).T
+    return KoopmanModel(solve_koopman_ls(lift(s.Y, d).T, A, ridge), d, mode, ridge)
+
+
 def fit_generator(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> KoopmanModel:
     """Fit the CT generator approximation from (y, dy/dt) snapshots."""
-    if s.mode != CT:
-        raise ValueError("fit_generator requires CT snapshots")
-    G = lift(s.Y, d).T
-    A = lift_derivatives(s, d).T
-    return KoopmanModel(solve_koopman_ls(G, A, ridge), d, CT, ridge)
+    return _fit(s, d, ridge, CT)
 
 
 def fit_edmd(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> KoopmanModel:
     """Fit the DT operator approximation from (y, y+) snapshots."""
-    if s.mode != DT:
-        raise ValueError("fit_edmd requires DT snapshots")
-    if s.m != d.m:
-        raise ValueError(f"snapshots have m={s.m}, dictionary has m={d.m}")
-    G = lift(s.Y, d).T
-    A = lift(s.D, d).T
-    return KoopmanModel(solve_koopman_ls(G, A, ridge), d, DT, ridge)
+    return _fit(s, d, ridge, DT)
 
 
 def project_state(z, d: SillDictionary):
@@ -209,11 +218,14 @@ def project_state(z, d: SillDictionary):
 
 
 def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory:
-    """Integrate dz/dt = K z from z0 = lift(y0) and project each step.
+    """Step dz/dt = K z from z0 = lift(y0) with its exact propagator.
 
-    Classical fourth-order Runge-Kutta at fixed step dt (global error
-    O(dt^4)); the state stays in the lifted space for the whole horizon.
-    A non-finite state stops the integration and flags the trajectory.
+    The flow of the lifted linear system over one step is expm(K dt), so
+    each row is z_k = expm(K dt)^k z0 projected onto the measurements:
+    there is no step-size error, and dt only sets where the trajectory is
+    sampled.  A non-finite state (the model itself is unstable) stops the
+    trajectory and flags it; overflow is reported through that flag, not
+    a warning.
     """
     if model.mode != CT:
         raise ValueError("predict_ct requires a CT model")
@@ -221,37 +233,23 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
         raise ValueError("dt must be positive")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
+    n = horizon / dt
+    if not np.isfinite(n):
+        raise ValueError(f"horizon / dt = {n} is not a finite step count")
+    steps = int(round(n))
     y0 = np.asarray(y0, dtype=float)
-    steps = int(round(horizon / dt))
-    K = model.K
     d = model.dictionary
-    rows, diverged = _rk4(
-        lambda z: K @ z, lift(y0, d), dt, steps, y0.shape, lambda z: project_state(z, d)
-    )
-    return Trajectory(np.vstack([y0, rows]), diverged)
-
-
-def _rk4(rhs, x, dt: float, steps: int, row_shape, keep=None):
-    """Classical fourth-order Runge-Kutta for dx/dt = rhs(x) at fixed dt.
-
-    keep(x) of every accepted step (x itself when keep is None) is written
-    into a preallocated (steps, *row_shape) array; returns its filled
-    prefix, and whether a non-finite state stopped the integration early.
-    Overflow on an unstable system is reported through that flag, not a
-    warning.
-    """
-    rows = np.empty((steps, *row_shape))
+    z = lift(y0, d)
+    y = np.empty((steps + 1, d.m))
+    y[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * dt * k1)
-            k3 = rhs(x + 0.5 * dt * k2)
-            k4 = rhs(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all():
-                return rows[:i], True
-            rows[i] = x if keep is None else keep(x)
-    return rows, False
+        step = expm(dt * model.K)
+        for i in range(1, steps + 1):
+            z = step @ z
+            if not np.isfinite(z).all():
+                return Trajectory(y[:i], True)
+            y[i] = z[1 : 1 + d.m]
+    return Trajectory(y, False)
 
 
 def residual(model: KoopmanModel, s: SnapshotSet) -> ResidualReport:
@@ -264,13 +262,7 @@ def residual(model: KoopmanModel, s: SnapshotSet) -> ResidualReport:
     if model.mode != s.mode:
         raise ValueError(f"model mode {model.mode} does not match snapshots {s.mode}")
     d = model.dictionary
-    if s.m != d.m:
-        raise ValueError(f"snapshots have m={s.m}, dictionary has m={d.m}")
-    if s.mode == CT:
-        target = lift_derivatives(s, d)
-    else:
-        target = lift(s.D, d)
-    R = target - lift(s.Y, d) @ model.K.T
+    R = _target(s, d) - lift(s.Y, d) @ model.K.T
     norms = np.linalg.norm(R, axis=1)
     return ResidualReport(
         matrix=R,
@@ -293,12 +285,9 @@ def save_snapshots(s: SnapshotSet, csv_path, manifest_path) -> None:
     """Write `y1..ym,d1..dm` rows plus the {"mode", "dt"} sidecar."""
     m = s.m
     header = ",".join([f"y{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)])
-    lines = [header]
-    for yi, di in zip(s.Y, s.D):
-        lines.append(",".join(_format(v) for v in np.concatenate([yi, di])))
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
-    manifest = {"mode": s.mode, "dt": s.dt}
-    _write_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    rows = ([_format(v) for v in np.concatenate([yi, di])] for yi, di in zip(s.Y, s.D))
+    _write_csv(csv_path, header, rows)
+    _write_json(manifest_path, {"mode": s.mode, "dt": s.dt})
 
 
 def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
@@ -339,7 +328,7 @@ def save_model(model: KoopmanModel, path) -> None:
         "dictionary": model.dictionary.to_dict(),
         "K": model.K.ravel().tolist(),
     }
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_json(path, obj)
 
 
 def load_model(path) -> KoopmanModel:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .dictionary import _write_atomic, stable_sigmoid
+from .dictionary import _write_csv, stable_sigmoid
 from .errors import QuadratureError
 
 __all__ = [
@@ -328,20 +328,13 @@ def moment_sweep(a_values, quad_points: int, samples: int, seed: int):
 
 
 def write_moment_csv(reports, path) -> None:
-    lines = ["a,expectation,variance,mc_expectation,mc_stderr,samples,seed"]
-    for r in reports:
-        lines.append(
-            f"{r.a!r},{r.expectation!r},{r.variance!r},"
-            f"{r.mc_expectation!r},{r.mc_stderr!r},{r.samples},{r.seed}"
-        )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    header = "a,expectation,variance,mc_expectation,mc_stderr,samples,seed"
+    floats = ("a", "expectation", "variance", "mc_expectation", "mc_stderr")
+    rows = [[repr(getattr(r, k)) for k in floats] + [r.samples, r.seed] for r in reports]
+    _write_csv(path, header, rows)
 
 
 def write_error_rate_csv(rows, path) -> None:
-    lines = ["m,rate_linear,rate_bilinear,mc_linear,mc_bilinear"]
-    for r in rows:
-        lines.append(
-            f"{r.m},{r.rate_linear!r},{r.rate_bilinear!r},"
-            f"{r.mc_linear!r},{r.mc_bilinear!r}"
-        )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    header = "m,rate_linear,rate_bilinear,mc_linear,mc_bilinear"
+    floats = ("rate_linear", "rate_bilinear", "mc_linear", "mc_bilinear")
+    _write_csv(path, header, [[r.m] + [repr(getattr(r, k)) for k in floats] for r in rows])

@@ -213,6 +213,19 @@ def test_predict_divergence_exits_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon, dt", [(1.0, 1e-320), (1e308, 1e-10)])
+def test_predict_non_finite_step_count_exits_2(tmp_path, capsys, horizon, dt):
+    d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
+    model_path = tmp_path / "model.json"
+    save_model(KoopmanModel(np.zeros((3, 3)), d, "CT"), model_path)
+    cfg = _write_config(
+        tmp_path / "predict.json",
+        {"model": str(model_path), "y0": [1.0], "horizon": horizon, "dt": dt},
+    )
+    assert _run(["predict", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "bad-input: horizon / dt = inf is not a finite step count" in capsys.readouterr().err
+
+
 def _closure_config(tmp_path, W=None):
     W = W if W is not None else [[0.8, -0.5, 0.3], [-0.4, 0.6, 0.7]]
     return _write_config(

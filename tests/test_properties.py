@@ -8,12 +8,18 @@ closure: idempotent, closed under join, originals first, and member for
 member the result of the pairwise loop it replaced.  The closure forms,
 computed for all logistics in one pass, must agree with their one-point
 calls, and the bounds with the per-logistic forms they summarise.
+Snapshot and model files must round-trip bit for bit, and saving what was
+loaded must rewrite the same bytes.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sillkoop.closure import (
     SpannedField,
@@ -39,7 +45,15 @@ from sillkoop.dictionary import (
     lift_jacobian,
     stable_sigmoid,
 )
-from sillkoop.regression import SnapshotSet, lift_derivatives
+from sillkoop.regression import (
+    KoopmanModel,
+    SnapshotSet,
+    lift_derivatives,
+    load_model,
+    load_snapshots,
+    save_model,
+    save_snapshots,
+)
 
 EPS = np.finfo(float).eps
 _settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -265,3 +279,67 @@ def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
     assert rep.tilde_B2 == pytest.approx(tilde_B2, rel=1e-15, abs=4 * EPS * scale.max())
     combined = min(rep.bar_B1 + rep.bar_B2, rep.tilde_B1 + rep.tilde_B2)
     assert rep.B == pytest.approx(combined, rel=1e-15, abs=0.0)
+
+
+# every finite float, signed zeros and subnormals included
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@st.composite
+def _snapshot_sets(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    Y = draw(arrays(float, shape, elements=_finite))
+    D = draw(arrays(float, shape, elements=_finite))
+    if draw(st.booleans()):
+        return SnapshotSet(Y, D, "CT")
+    return SnapshotSet(Y, D, "DT", dt=draw(_positive))
+
+
+@_settings
+@given(_snapshot_sets())
+def test_snapshot_files_roundtrip_bit_exactly(s):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, man_path = Path(tmp) / "s.csv", Path(tmp) / "s.json"
+        save_snapshots(s, csv_path, man_path)
+        first = csv_path.read_bytes(), man_path.read_bytes()
+        loaded = load_snapshots(csv_path, man_path)
+        save_snapshots(loaded, csv_path, man_path)
+        assert (csv_path.read_bytes(), man_path.read_bytes()) == first
+    assert np.array_equal(_bits(loaded.Y), _bits(s.Y))
+    assert np.array_equal(_bits(loaded.D), _bits(s.D))
+    assert loaded.mode == s.mode
+    assert loaded.dt is None if s.dt is None else _bits(loaded.dt) == _bits(s.dt)
+
+
+@st.composite
+def _models(draw):
+    m, n_logistic = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mu = draw(arrays(float, (n_logistic, m), elements=_finite))
+    alpha = draw(arrays(float, (n_logistic, m), elements=_positive))
+    d = SillDictionary(m, tuple(map(ConjLogistic, mu, alpha)))
+    K = draw(arrays(float, (d.size, d.size), elements=_finite))
+    ridge = draw(st.one_of(st.just(0.0), _positive))
+    return KoopmanModel(K, d, draw(st.sampled_from(["CT", "DT"])), ridge)
+
+
+@_settings
+@given(_models())
+def test_model_file_roundtrips_bit_exactly(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        first = path.read_bytes()
+        loaded = load_model(path)
+        save_model(loaded, path)
+        assert path.read_bytes() == first
+    assert np.array_equal(_bits(loaded.K), _bits(model.K))
+    for name in ("mu", "alpha"):
+        assert np.array_equal(
+            _bits(getattr(loaded.dictionary, name)), _bits(getattr(model.dictionary, name))
+        )
+    assert (loaded.mode, _bits(loaded.ridge)) == (model.mode, _bits(model.ridge))

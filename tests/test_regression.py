@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sillkoop.bench import VectorField, rk4_integrate
 from sillkoop.dictionary import ConjLogistic, SillDictionary, lift
 from sillkoop.regression import (
     KoopmanModel,
@@ -226,6 +227,32 @@ def test_predict_keeps_only_the_measurement_rows():
         tracemalloc.stop()
     assert traj.y.shape == (10_001, 2)
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("rate", [-10.0, -1e4])
+def test_predict_stiff_stable_model_decays(rate):
+    # at dt = 0.5 RK4 amplifies the mode e^(rate t) by 13.7 (rate -10) or
+    # overflows (rate -1e4) per step; the exact propagator decays it
+    d = SillDictionary(1, (ConjLogistic([0.0], [1.0]),))
+    K = np.zeros((3, 3))
+    K[1, 1] = rate
+    traj = predict_ct(KoopmanModel(K, d, "CT"), [1.0], horizon=20.0, dt=0.5)
+    assert not traj.diverged
+    assert traj.y.shape == (41, 1)
+    assert np.isfinite(traj.y).all()
+    assert (np.diff(traj.y[:, 0]) <= 0).all() and traj.y[-1, 0] < 1e-80
+    np.testing.assert_allclose(traj.y[:, 0], np.exp(rate * 0.5 * np.arange(41)), rtol=1e-12)
+
+
+def test_predict_matches_rk4_on_the_lifted_field():
+    d = _dictionary(seed=30)
+    model = fit_generator(_ct_snapshots(d, seed=31), d, ridge=1e-8)
+    K, y0 = model.K, np.array([0.4, -0.9])
+    lifted = VectorField("lifted", d.size, lambda z: K @ z, ((-10.0, 10.0),) * d.size)
+    ref = rk4_integrate(lifted, lift(y0, d), dt=1e-3, steps=1000)
+    traj = predict_ct(model, y0, horizon=1.0, dt=1e-3)
+    assert not traj.diverged and not ref.diverged
+    np.testing.assert_allclose(traj.y, ref.y[:, 1 : 1 + d.m], rtol=0, atol=1e-9)
 
 
 def test_residual_zero_model_equals_lifted_derivatives():
