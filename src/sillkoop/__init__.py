@@ -76,6 +76,7 @@ from .stats import (
     expected_error_rates,
     expected_logistic,
     mc_conjunctive,
+    mc_conjunctive_table,
     moment_sweep,
     product_cdf,
     product_pdf,

@@ -56,7 +56,7 @@ from .regression import (
 )
 from .stats import (
     expected_error_rates,
-    mc_conjunctive,
+    mc_conjunctive_table,
     moment_sweep,
     write_error_rate_csv,
     write_moment_csv,
@@ -235,24 +235,35 @@ def cmd_theorem1(cfg, outdir, seed):
     return {"outputs": ["decay.csv", "decay_fit.json"]}
 
 
+def _radius(val, key: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < np.inf:
+        raise ValueError(
+            f"config key '{key}' needs positive finite interval radii, got {val!r}"
+        )
+    return float(val)
+
+
 def cmd_stats(cfg, outdir, seed):
     a_values = _need(cfg, "a_values", list, "interval radii for the moment sweep")
+    a_values = [_radius(a, "a_values") for a in a_values]
     quad_points = _need(cfg, "quad_points", int, "quadrature subdivision limit", 100)
     samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1)
     m_values = _need(cfg, "m_values", list, "measurement dimensions for rate table")
+    m_values = [
+        _need({"m_values": m}, "m_values", int, "measurement dimensions", 1)
+        for m in m_values
+    ]
     rate_a = _optional(cfg, "rate_a", float, "interval radius for the rate table", 2.0)
+    rate_a = _radius(rate_a, "rate_a")
     reports = moment_sweep(a_values, quad_points, samples, seed)
     write_moment_csv(reports, os.path.join(outdir, "moments.csv"))
     rows = expected_error_rates(m_values, rate_a, samples=samples, seed=seed)
     write_error_rate_csv(rows, os.path.join(outdir, "error_rates.csv"))
-    conj_rows = []
-    for i, m in enumerate(m_values):
-        est, stderr = mc_conjunctive(int(m), rate_a, samples, seed + 1000 + i)
-        conj_rows.append([int(m), repr(est), repr(stderr), repr(2.0 ** -int(m))])
+    conj = mc_conjunctive_table(m_values, rate_a, samples, seed + 1000)
     _write_csv(
         os.path.join(outdir, "conjunctive.csv"),
         "m,estimate,stderr,bound",
-        conj_rows,
+        [[m, repr(est), repr(se), repr(2.0**-m)] for m, (est, se) in zip(m_values, conj)],
     )
     return {"outputs": ["moments.csv", "error_rates.csv", "conjunctive.csv"]}
 

@@ -373,8 +373,15 @@ def _bounds(sf: SpannedField, sample_grid, clip: float, delta: float, alpha_scal
     ), bar_B1, bar_B2
 
 
+MAX_GRID_ROWS = 1_000_000
+
+
 def lattice_grid(box, points_per_dim: int) -> np.ndarray:
-    """Uniform lattice over a box [(lo, hi), ...], shape (p^m, m)."""
+    """Uniform lattice over a box [(lo, hi), ...], shape (p^m, m).
+
+    p^m may not exceed MAX_GRID_ROWS (10^6); the count is checked before
+    any row is allocated.
+    """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.ndim != 2 or box.shape[1] != 2:
         raise ValueError("box must be a list of (lo, hi) pairs")
@@ -382,6 +389,9 @@ def lattice_grid(box, points_per_dim: int) -> np.ndarray:
         raise ValueError("need at least two points per dimension")
     if not np.all(box[:, 1] > box[:, 0]):
         raise ValueError("box bounds must satisfy lo < hi")
+    rows = int(points_per_dim) ** box.shape[0]
+    if rows > MAX_GRID_ROWS:
+        raise ValueError(f"a {rows}-point lattice is above the limit of {MAX_GRID_ROWS}")
     axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)

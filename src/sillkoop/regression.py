@@ -40,6 +40,7 @@ __all__ = [
 
 CT = "CT"
 DT = "DT"
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,8 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     there is no step-size error, and dt only sets where the trajectory is
     sampled.  A non-finite state (the model itself is unstable) stops the
     trajectory and flags it; overflow is reported through that flag, not
-    a warning.
+    a warning.  A step count round(horizon / dt) above MAX_STEPS (10^7) is
+    rejected before anything is allocated.
     """
     if model.mode != CT:
         raise ValueError("predict_ct requires a CT model")
@@ -237,6 +239,8 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     if not np.isfinite(n):
         raise ValueError(f"horizon / dt = {n} is not a finite step count")
     steps = int(round(n))
+    if steps > MAX_STEPS:
+        raise ValueError(f"horizon / dt = {steps} steps exceeds the limit of {MAX_STEPS}")
     y0 = np.asarray(y0, dtype=float)
     d = model.dictionary
     z = lift(y0, d)

@@ -12,17 +12,26 @@ cross-checked by Monte Carlo.
 Every Monte Carlo statistic is one call of a single estimator: in blocks
 of at most 2^20 samples it draws a first factor, then multiplies in
 random logistics sigma(X(Y - Z)) one at a time, each drawn as one (3, k)
-block of U(-a, a) values (rows X, Y, Z).  Draws come from numpy's PCG64
-generator seeded explicitly, so every estimate is a pure function of its
-parameters and seed.  Per estimator, seed and draws per block:
+block of U(-a, a) values (rows X, Y, Z), and reads the product after the
+factor counts it reports.  Draws come from numpy's PCG64 generator seeded
+explicitly, so every estimate is a pure function of its parameters and
+seed.  Per estimator, seed and draws per block:
 
 * expected_logistic: seed ``seed``; one random logistic.
-* mc_conjunctive(m): seed ``seed``; m random logistics (the first factor
-  is 1 and draws nothing).
-* expected_error_rates, row m: seed ``[seed, m]``; one (4, k) block of
-  alpha, w, y, z for |alpha w| sigma(alpha (y - z)), then 2m random
-  logistics; the linearization term is read after m of them, the
-  bilinear term after all 2m.
+* mc_conjunctive_table(m_values): seed ``seed``; max(m) random logistics
+  (the first factor is 1 and draws nothing), row m read after m of them.
+  mc_conjunctive(m) is the one-row table.
+* expected_error_rates(m_values): seed ``seed``; one (4, k) block of
+  alpha, w, y, z for |alpha w| sigma(alpha (y - z)), then 2 max(m) random
+  logistics; row m reads the linearization term after m of them and the
+  bilinear term after 2m.
+
+The rows of a table share one sample path, so comparisons across m are
+paired, and the linear term at m = 2k is the bilinear term at m = k bit
+for bit.  (Before, each error-rate row m had its own path seeded with
+``[seed, m]``, and the stats command seeded conjunctive row i with
+``seed + 1000 + i``; it now seeds the conjunctive table with
+``seed + 1000``.)
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ __all__ = [
     "product_pdf_normalization",
     "expected_logistic",
     "mc_conjunctive",
+    "mc_conjunctive_table",
     "expected_error_rates",
     "moment_sweep",
     "write_moment_csv",
@@ -61,8 +71,8 @@ class UniformIntervalSpec:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("interval radius a must be positive")
+        if not 0 < self.a < np.inf:
+            raise ValueError("interval radius a must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -210,16 +220,21 @@ def _weighted_logistic(rng, a: float, k: int):
     return np.abs(alpha * w) * stable_sigmoid(alpha * (y - z))
 
 
-def _mc_products(first, a: float, n: int, samples: int, seed):
+def _mc_products(first, a: float, rows, samples: int, seed):
     """MC mean, variance and standard error of first * (j random logistics).
 
     Each block of at most _CHUNK samples draws first(rng, a, k) and then
-    the n factors one at a time, so row j of each returned length-(n + 1)
-    array describes the product after j factors.  One sample has no
-    spread to estimate, so its standard error is inf.
+    max(rows) factors one at a time, summing the product only after the
+    factor counts listed in rows; entry i of each returned array describes
+    the product after rows[i] factors.  One sample has no spread to
+    estimate, so its standard error is inf.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    rows = np.asarray(rows, dtype=int)
+    n = int(rows.max())
+    read = np.zeros(n + 1, dtype=bool)
+    read[rows] = True
     rng = np.random.default_rng(seed)
     s1 = np.zeros(n + 1)
     s2 = np.zeros(n + 1)
@@ -230,16 +245,26 @@ def _mc_products(first, a: float, n: int, samples: int, seed):
         for j in range(n + 1):
             if j:
                 prod *= _random_logistic(rng, a, k)
-            s1[j] += prod.sum()
-            s2[j] += (prod * prod).sum()
+            if read[j]:
+                s1[j] += prod.sum()
+                s2[j] += (prod * prod).sum()
         left -= k
-    mean = s1 / samples
-    var = np.maximum(s2 / samples - mean * mean, 0.0)
+    mean = s1[rows] / samples
+    var = np.maximum(s2[rows] / samples - mean * mean, 0.0)
     if samples > 1:
         stderr = np.sqrt(var * samples / (samples - 1) / samples)
     else:
-        stderr = np.full(n + 1, np.inf)
+        stderr = np.full(rows.shape, np.inf)
     return mean, var, stderr
+
+
+def _dimensions(m_values) -> list:
+    """m_values as ints of at least 1; 1.5 or 0 is an error, not a row."""
+    values = list(m_values)
+    ms = [int(m) for m in values]
+    if ms != values or min(ms, default=1) < 1:
+        raise ValueError(f"m values must be integers of at least 1, got {values}")
+    return ms
 
 
 def expected_logistic(
@@ -258,7 +283,7 @@ def expected_logistic(
     UniformIntervalSpec(a)
     e1 = _lotus(a, stable_sigmoid, 0.5, quad_points)
     e2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2, 0.25, quad_points)
-    mean, _, stderr = _mc_products(_random_logistic, a, 0, samples, seed)
+    mean, _, stderr = _mc_products(_random_logistic, a, [0], samples, seed)
     return MomentReport(
         a=float(a),
         expectation=float(e1),
@@ -270,16 +295,30 @@ def expected_logistic(
     )
 
 
+def mc_conjunctive_table(m_values, a: float, samples: int, seed: int):
+    """Mean and standard error of a product of m random logistics, per m.
+
+    Each mean estimates E[Lambda] for m coordinates, which tracks 1/2^m.
+    Every row reads the same sample path (seed ``seed``, max(m) factors
+    per block), so the rows are paired; returns one (mean, stderr) pair
+    per entry of m_values.
+    """
+    ms = _dimensions(m_values)
+    UniformIntervalSpec(a)
+    if not ms:
+        return []
+    mean, _, stderr = _mc_products(lambda rng, a, k: np.ones(k), a, ms, samples, seed)
+    return list(zip(mean.tolist(), stderr.tolist()))
+
+
 def mc_conjunctive(m: int, a: float, samples: int, seed: int):
     """Mean and standard error of a product of m independent random logistics.
 
-    The mean estimates E[Lambda] for m coordinates, which tracks 1/2^m.
+    The one-row mc_conjunctive_table: the mean estimates E[Lambda] for m
+    coordinates, which tracks 1/2^m.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    UniformIntervalSpec(a)
-    mean, _, stderr = _mc_products(lambda rng, a, k: np.ones(k), a, m, samples, seed)
-    return float(mean[m]), float(stderr[m])
+    (row,) = mc_conjunctive_table([m], a, samples, seed)
+    return row
 
 
 def expected_error_rates(
@@ -294,27 +333,28 @@ def expected_error_rates(
     The analytic columns are 1/2^(m+1) and 1/2^(2m+1); their ratio is
     exactly 2^m.  The MC columns halve (respectively quarter) per unit m,
     confirming the exponential decrease in the measurement dimension.
+    Every row reads one sample path seeded with ``seed``, drawing
+    2 max(m) logistic factors per block.
     """
+    ms = _dimensions(m_values)
     UniformIntervalSpec(a)
-    rows = []
-    for m in m_values:
-        m = int(m)
-        if m < 1:
-            raise ValueError("all m values must be at least 1")
-        # the linearization term carries m logistic factors, the bilinear
-        # term 2m; signed means vanish by the symmetry of w, so the rows
-        # hold the mean absolute per-term magnitudes
-        mean, _, _ = _mc_products(_weighted_logistic, a, 2 * m, samples, [seed, m])
-        rows.append(
-            ErrorRateRow(
-                m=m,
-                rate_linear=2.0 ** -(m + 1),
-                rate_bilinear=2.0 ** -(2 * m + 1),
-                mc_linear=float(mean[m]),
-                mc_bilinear=float(mean[2 * m]),
-            )
+    if not ms:
+        return []
+    # the linearization term carries m logistic factors, the bilinear term
+    # 2m; signed means vanish by the symmetry of w, so the rows hold the
+    # mean absolute per-term magnitudes
+    rows = [j for m in ms for j in (m, 2 * m)]
+    mean, _, _ = _mc_products(_weighted_logistic, a, rows, samples, seed)
+    return [
+        ErrorRateRow(
+            m=m,
+            rate_linear=2.0 ** -(m + 1),
+            rate_bilinear=2.0 ** -(2 * m + 1),
+            mc_linear=lin,
+            mc_bilinear=bil,
         )
-    return rows
+        for m, (lin, bil) in zip(ms, mean.reshape(-1, 2).tolist())
+    ]
 
 
 def moment_sweep(a_values, quad_points: int, samples: int, seed: int):

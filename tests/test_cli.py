@@ -4,10 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sillkoop import stats
 from sillkoop.bench import builtin_fields, make_snapshots
 from sillkoop.cli import main
 from sillkoop.dictionary import ConjLogistic, SillDictionary, save_dictionary
-from sillkoop.regression import KoopmanModel, load_model, save_model, save_snapshots
+from sillkoop.regression import (
+    MAX_STEPS,
+    KoopmanModel,
+    load_model,
+    save_model,
+    save_snapshots,
+)
 
 
 def _write_config(path, obj):
@@ -226,6 +233,20 @@ def test_predict_non_finite_step_count_exits_2(tmp_path, capsys, horizon, dt):
     assert "bad-input: horizon / dt = inf is not a finite step count" in capsys.readouterr().err
 
 
+def test_predict_past_step_limit_exits_2(tmp_path, capsys):
+    d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
+    model_path = tmp_path / "model.json"
+    save_model(KoopmanModel(np.zeros((3, 3)), d, "CT"), model_path)
+    cfg = _write_config(
+        tmp_path / "predict.json",
+        {"model": str(model_path), "y0": [1.0], "horizon": MAX_STEPS + 1, "dt": 1.0},
+    )
+    out = tmp_path / "out"
+    assert _run(["predict", "--config", cfg, "--out", out]) == 2
+    assert f"exceeds the limit of {MAX_STEPS}" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def _closure_config(tmp_path, W=None):
     W = W if W is not None else [[0.8, -0.5, 0.3], [-0.4, 0.6, 0.7]]
     return _write_config(
@@ -399,6 +420,32 @@ def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
     cfg = _write_config(tmp_path / "stats.json", {**base, **settings})
     assert _run(["stats", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        pytest.param({"a_values": [1.0, 0.0]}, id="zero-radius"),
+        pytest.param({"a_values": [1.0, float("inf")]}, id="infinite-radius"),
+        pytest.param({"rate_a": -1.0}, id="negative-rate-a"),
+        pytest.param({"rate_a": float("nan")}, id="nan-rate-a"),
+        pytest.param({"m_values": [1, 0]}, id="zero-m"),
+        pytest.param({"m_values": [1.5, 2]}, id="fractional-m"),
+    ],
+)
+def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys, settings):
+    def computed(*args, **kwargs):
+        raise AssertionError("stats computed before its config was checked")
+
+    # quadrature and Monte Carlo both run through these two
+    monkeypatch.setattr(stats, "_lotus", computed)
+    monkeypatch.setattr(stats, "_mc_products", computed)
+    base = {"a_values": [1.0], "quad_points": 200, "samples": 10, "m_values": [1, 2]}
+    cfg = _write_config(tmp_path / "stats.json", {**base, **settings})
+    out = tmp_path / "o"
+    assert _run(["stats", "--config", cfg, "--out", out]) == 2
+    assert "bad-input" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def _example1_config(tmp_path, degrees=(3,)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sillkoop.closure import (
+    MAX_GRID_ROWS,
     ClosureReport,
     DecayFit,
     SpannedField,
@@ -440,3 +441,15 @@ def test_lattice_grid_validation():
         lattice_grid([(1.0, 0.0)], 3)
     with pytest.raises(ValueError):
         lattice_grid([(0.0, 1.0)], 1)
+
+
+def test_lattice_grid_caps_rows_before_allocating(monkeypatch):
+    def allocated(*args, **kwargs):
+        raise AssertionError("lattice allocated before its size was checked")
+
+    monkeypatch.setattr(np, "meshgrid", allocated)
+    side = int(np.sqrt(MAX_GRID_ROWS)) + 1
+    with pytest.raises(ValueError, match="above the limit"):
+        lattice_grid([(0.0, 1.0), (0.0, 1.0)], side)
+    with pytest.raises(ValueError, match="above the limit"):
+        half_cell_shift([(0.0, 1.0)] * 3, 101)

@@ -9,7 +9,10 @@ member the result of the pairwise loop it replaced.  The closure forms,
 computed for all logistics in one pass, must agree with their one-point
 calls, and the bounds with the per-logistic forms they summarise.
 Snapshot and model files must round-trip bit for bit, and saving what was
-loaded must rewrite the same bytes.
+loaded must rewrite the same bytes.  The Monte Carlo tables read every row
+off one sample path: within one block a row of the conjunctive table is
+the one-row estimate, and the linear error term at m = 2k is the bilinear
+term at m = k.
 """
 
 import tempfile
@@ -54,6 +57,7 @@ from sillkoop.regression import (
     save_model,
     save_snapshots,
 )
+from sillkoop.stats import expected_error_rates, mc_conjunctive, mc_conjunctive_table
 
 EPS = np.finfo(float).eps
 _settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -343,3 +347,34 @@ def test_model_file_roundtrips_bit_exactly(model):
             _bits(getattr(loaded.dictionary, name)), _bits(getattr(model.dictionary, name))
         )
     assert (loaded.mode, _bits(loaded.ridge)) == (model.mode, _bits(model.ridge))
+
+
+_mc_case = st.fixed_dictionaries(
+    {
+        "m_values": st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        "a": st.floats(0.1, 8.0),
+        "samples": st.integers(1, 2_000),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+
+@_settings
+@given(_mc_case)
+def test_conjunctive_table_rows_equal_one_row_estimates(case):
+    # all samples fit in one block (2^20), where the extra factors a longer
+    # table draws come after row m's and cannot move it
+    args = (case["a"], case["samples"], case["seed"])
+    table = mc_conjunctive_table(case["m_values"], *args)
+    assert table == [mc_conjunctive(m, *args) for m in case["m_values"]]
+
+
+@_settings
+@given(_mc_case)
+def test_error_rate_linear_at_2k_is_bilinear_at_k(case):
+    ks = case["m_values"]
+    rows = expected_error_rates(
+        ks + [2 * k for k in ks], case["a"], samples=case["samples"], seed=case["seed"]
+    )
+    for i in range(len(ks)):
+        assert rows[len(ks) + i].mc_linear == rows[i].mc_bilinear

@@ -10,6 +10,7 @@ from sillkoop.stats import (
     expected_error_rates,
     expected_logistic,
     mc_conjunctive,
+    mc_conjunctive_table,
     moment_sweep,
     product_cdf,
     product_pdf,
@@ -25,6 +26,9 @@ def test_interval_spec_requires_positive_radius():
         UniformIntervalSpec(0.0)
     with pytest.raises(ValueError):
         UniformIntervalSpec(-1.0)
+    for a in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            UniformIntervalSpec(a)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
@@ -223,6 +227,10 @@ def test_mc_sample_count_validation():
         mc_conjunctive(0, 1.0, 100, seed=0)
     with pytest.raises(ValueError):
         expected_error_rates([0], 1.0, samples=100, seed=0)
+    with pytest.raises(ValueError):
+        expected_error_rates([1.5], 1.0, samples=100, seed=0)
+    with pytest.raises(ValueError):
+        mc_conjunctive_table([2, 0], 1.0, 100, seed=0)
 
 
 def test_error_rates_reject_zero_samples():
@@ -230,30 +238,39 @@ def test_error_rates_reject_zero_samples():
         expected_error_rates([1], 2.0, samples=0, seed=0)
 
 
-def _reference_conjunctive(m, a, samples, seed):
-    # the draw layout the estimator must keep, written out loop by loop;
-    # m = 1 is also the logistic-moment loop (1 * sigma is exactly sigma)
+def _reference_conjunctive(m_values, a, samples, seed):
+    # the draw layout the estimator must keep, written out loop by loop: one
+    # path per table, max(m) logistics per block, row m read after m of
+    # them; m = 1 alone is also the logistic-moment loop (1 * sigma is
+    # exactly sigma)
     rng = np.random.default_rng(seed)
-    s1 = s2 = 0.0
+    s1 = dict.fromkeys(m_values, 0.0)
+    s2 = dict.fromkeys(m_values, 0.0)
     left = samples
     while left:
         k = min(left, _CHUNK)
         prod = np.ones(k)
-        for _ in range(m):
+        for j in range(1, max(m_values) + 1):
             u = rng.uniform(-a, a, size=(3, k))
             prod *= stable_sigmoid(u[0] * (u[1] - u[2]))
-        s1 += prod.sum()
-        s2 += (prod * prod).sum()
+            if j in s1:
+                s1[j] += prod.sum()
+                s2[j] += (prod * prod).sum()
         left -= k
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0)
-    stderr = np.sqrt(var * samples / (samples - 1) / samples) if samples > 1 else np.inf
-    return float(mean), float(stderr)
+    rows = []
+    for m in m_values:
+        mean = s1[m] / samples
+        var = max(s2[m] / samples - mean * mean, 0.0)
+        stderr = np.sqrt(var * samples / (samples - 1) / samples) if samples > 1 else np.inf
+        rows.append((float(mean), float(stderr)))
+    return rows
 
 
-def _reference_error_terms(m, a, samples, seed):
-    rng = np.random.default_rng([seed, m])
-    s_lin = s_bil = 0.0
+def _reference_error_terms(m_values, a, samples, seed):
+    # one path seeded with seed; 2 max(m) logistics per block, the linear
+    # term of row m read after m of them and the bilinear term after 2m
+    rng = np.random.default_rng(seed)
+    sums = dict.fromkeys([j for m in m_values for j in (m, 2 * m)], 0.0)
     left = samples
     while left:
         k = min(left, _CHUNK)
@@ -261,26 +278,32 @@ def _reference_error_terms(m, a, samples, seed):
         w = rng.uniform(-a, a, k)
         yz = rng.uniform(-a, a, size=(2, k))
         term = np.abs(alpha * w) * stable_sigmoid(alpha * (yz[0] - yz[1]))
-        for j in range(2 * m):
+        for j in range(1, 2 * max(m_values) + 1):
             u = rng.uniform(-a, a, size=(3, k))
             term = term * stable_sigmoid(u[0] * (u[1] - u[2]))
-            if j == m - 1:
-                s_lin += term.sum()
-        s_bil += term.sum()
+            if j in sums:
+                sums[j] += term.sum()
         left -= k
-    return float(s_lin / samples), float(s_bil / samples)
+    return [(float(sums[m] / samples), float(sums[2 * m] / samples)) for m in m_values]
 
 
 @pytest.mark.parametrize(
-    "m, seed, samples", [(1, 0, 1), (2, 3, 1_000), (3, 7, 30_000), (1, 5, _CHUNK + 777)]
+    "m, seed, samples",
+    [(1, 0, 1), (2, 3, 1_000), (3, 7, 30_000), (1, 5, _CHUNK + 777), (3, 5, _CHUNK + 777)],
 )
 def test_mc_estimators_match_reference_draw_layout(m, seed, samples):
+    # tables over m, ..., 1, so rows come out of order and several share a path
     a = 2.0
-    assert mc_conjunctive(m, a, samples, seed) == _reference_conjunctive(m, a, samples, seed)
-    (row,) = expected_error_rates([m], a, samples=samples, seed=seed)
-    assert (row.mc_linear, row.mc_bilinear) == _reference_error_terms(m, a, samples, seed)
+    m_values = list(range(m, 0, -1))
+    expected = _reference_conjunctive(m_values, a, samples, seed)
+    assert mc_conjunctive_table(m_values, a, samples, seed) == expected
+    rows = expected_error_rates(m_values, a, samples=samples, seed=seed)
+    assert [(r.mc_linear, r.mc_bilinear) for r in rows] == _reference_error_terms(
+        m_values, a, samples, seed
+    )
+    assert mc_conjunctive(m, a, samples, seed) == _reference_conjunctive([m], a, samples, seed)[0]
     rep = expected_logistic(a, samples=samples, seed=seed)
-    assert (rep.mc_expectation, rep.mc_stderr) == _reference_conjunctive(1, a, samples, seed)
+    assert (rep.mc_expectation, rep.mc_stderr) == _reference_conjunctive([1], a, samples, seed)[0]
 
 
 def test_product_pdf_matches_defining_convolution():
