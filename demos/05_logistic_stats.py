@@ -19,14 +19,15 @@ from sillkoop import (
 )
 
 print("logistic moments under U(-a, a) parameter sampling")
-print("\n   a    integral(g)   E[lambda]    Var[lambda]   MC E      3*stderr")
+print("\n   a    integral(g)   E[lambda]    Var[lambda]   quad err   MC E      3*stderr")
 for rep in moment_sweep([1.0, 2.0, 4.0, 8.0], quad_points=200, samples=200_000, seed=0):
     norm = product_pdf_normalization(rep.a)
     print(
         f"  {rep.a:4.1f}  {norm:.10f}  {rep.expectation:.8f}  {rep.variance:.6f}"
-        f"   {rep.mc_expectation:.6f}  {3 * rep.mc_stderr:.1e}"
+        f"   {rep.quad_error:.1e}    {rep.mc_expectation:.6f}  {3 * rep.mc_stderr:.1e}"
     )
-print("the expectation is 1/2 at every radius; the variance climbs toward 1/4")
+print("the expectation is 1/2 at every radius; the variance climbs toward 1/4;")
+print("quad err is |fine - coarse| between two fixed Gauss-Legendre rules")
 
 print("\nconjunctive expectation against the 1/2^m envelope (a = 2, 200k samples)")
 print("   m    E[Lambda]   1/2^m")

@@ -8,9 +8,9 @@ config, the seed, and library versions.  Outputs are written atomically
 config and seed reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 bad input, 3 numerical failure (trajectory
-divergence, quadrature non-convergence, least-squares solver failure, or a
-fitted residual above its closure bound).  Errors print as a single line
-on stderr.
+divergence, a moment whose two quadrature rules disagree, least-squares
+solver failure, or a fitted residual above its closure bound).  Errors
+print as a single line on stderr.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .regression import (
     save_model,
 )
 from .stats import (
+    MAX_QUAD_POINTS,
     expected_error_rates,
     mc_conjunctive_table,
     moment_sweep,
@@ -65,7 +66,7 @@ from .stats import (
 _RNG_NAME = "pcg64"
 
 
-def _need(cfg: dict, key: str, kind, desc: str, least=None):
+def _need(cfg: dict, key: str, kind, desc: str, least=None, most=None):
     if key not in cfg:
         raise ValueError(f"config missing required key '{key}' ({desc})")
     val = cfg[key]
@@ -78,6 +79,8 @@ def _need(cfg: dict, key: str, kind, desc: str, least=None):
             raise ValueError(f"config key '{key}' must be an integer ({desc})")
         if least is not None and val < least:
             raise ValueError(f"config key '{key}' must be at least {least} ({desc})")
+        if most is not None and val > most:
+            raise ValueError(f"config key '{key}' must be at most {most} ({desc})")
         return val
     if not isinstance(val, kind):
         raise ValueError(f"config key '{key}' must be {kind.__name__} ({desc})")
@@ -246,7 +249,10 @@ def _radius(val, key: str) -> float:
 def cmd_stats(cfg, outdir, seed):
     a_values = _need(cfg, "a_values", list, "interval radii for the moment sweep")
     a_values = [_radius(a, "a_values") for a in a_values]
-    quad_points = _need(cfg, "quad_points", int, "quadrature subdivision limit", 100)
+    quad_points = _need(
+        cfg, "quad_points", int, "Gauss-Legendre nodes of the coarse rule",
+        least=100, most=MAX_QUAD_POINTS,
+    )
     samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1)
     m_values = _need(cfg, "m_values", list, "measurement dimensions for rate table")
     m_values = [

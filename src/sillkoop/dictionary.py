@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "ScalarLogisticParams",
@@ -43,13 +42,18 @@ __all__ = [
 
 
 def stable_sigmoid(z):
-    """1 / (1 + exp(-z)) without overflow for any finite z.
+    """1 / (1 + exp(-z)) for any z, saturating instead of failing.
 
-    scipy.special.expit never exponentiates a positive argument, so
-    arguments with magnitude far beyond 700 saturate cleanly to 0 or 1
-    instead of overflowing.  A 0-d input returns a Python float.
+    The formula keeps full relative accuracy in both tails: for z far
+    below 0 the result is 1 / exp(-z) to within a couple of ulp, not a
+    difference of nearly equal numbers.  Where exp(-z) overflows (z below
+    about -709.78) the result is exactly 0.0, and for large positive z
+    exactly 1.0; the overflow is expected, so it raises no warning.  NaN
+    passes through.  A 0-d input returns a Python float.
     """
-    out = expit(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-z))
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,7 +16,7 @@ class IncomparableCentersError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within its refinement limit."""
+    """A quadrature rule and its check rule with twice the panels disagree."""
 
 
 class ClosureBoundError(RuntimeError):

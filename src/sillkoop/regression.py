@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dictionary import SillDictionary, _write_csv, _write_json, grad_conjunctive, lift
 
@@ -241,6 +240,8 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     steps = int(round(n))
     if steps > MAX_STEPS:
         raise ValueError(f"horizon / dt = {steps} steps exceeds the limit of {MAX_STEPS}")
+    from scipy.linalg import expm  # ~0.3 s to import; only predict needs it
+
     y0 = np.asarray(y0, dtype=float)
     d = model.dictionary
     z = lift(y0, d)

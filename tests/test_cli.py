@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import expit
 
 from sillkoop import stats
 from sillkoop.bench import builtin_fields, make_snapshots
@@ -247,6 +252,47 @@ def test_predict_past_step_limit_exits_2(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_cli_import_loads_no_scipy_subpackage_and_predict_still_agrees(tmp_path):
+    # a fresh interpreter, as the console script starts: importing the CLI
+    # must not load scipy.integrate, scipy.special or scipy.linalg (together
+    # most of a second); predict loads scipy.linalg itself
+    d = SillDictionary(
+        2, (ConjLogistic([-0.4, 0.3], [2.0, 3.0]), ConjLogistic([0.5, -0.2], [3.0, 2.0]))
+    )
+    K = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 5)) - 2.0 * np.eye(5)
+    model_path = tmp_path / "model.json"
+    save_model(KoopmanModel(K, d, "CT"), model_path)
+    y0, horizon, dt = np.array([0.3, -0.7]), 2.0, 0.05
+    cfg = _write_config(
+        tmp_path / "predict.json",
+        {"model": str(model_path), "y0": y0.tolist(), "horizon": horizon, "dt": dt},
+    )
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "import sillkoop.cli\n"
+        "print(sorted({'scipy.integrate', 'scipy.special', 'scipy.linalg'} & set(sys.modules)))\n"
+        f"sys.exit(sillkoop.cli.main(['predict', '--config', {cfg!r}, '--out', {str(out)!r}]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # the propagator and lift as they were computed with expit and expm
+    z = np.concatenate([[1.0], y0, [np.prod(expit(f.alpha * (y0 - f.mu))) for f in d.logistics]])
+    step = expm(dt * K)
+    ref = [y0]
+    for _ in range(round(horizon / dt)):
+        z = step @ z
+        ref.append(z[1:3])
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(rows[:, 0], dt * np.arange(len(ref)), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(rows[:, 1:], ref, rtol=0.0, atol=1e-9)
+
+
 def _closure_config(tmp_path, W=None):
     W = W if W is not None else [[0.8, -0.5, 0.3], [-0.4, 0.6, 0.7]]
     return _write_config(
@@ -413,6 +459,10 @@ def test_stats_seeded_reruns_identical(tmp_path):
         pytest.param({"samples": 0}, "sample", id="zero-samples-empty"),
         pytest.param({"samples": -3}, "sample", id="negative-samples-empty"),
         pytest.param({"quad_points": 5}, "quad_points", id="few-quad-points-empty"),
+        pytest.param(
+            {"quad_points": stats.MAX_QUAD_POINTS + 1}, "quad_points",
+            id="many-quad-points-empty",
+        ),
     ],
 )
 def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
@@ -445,6 +495,16 @@ def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
     out = tmp_path / "o"
     assert _run(["stats", "--config", cfg, "--out", out]) == 2
     assert "bad-input" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_stats_unresolved_quadrature_exits_3(tmp_path, monkeypatch, capsys):
+    # a logistic that swings hundreds of times over the support is beyond
+    # both Gauss-Legendre rules, so the moment sweep stops before any CSV
+    monkeypatch.setattr(stats, "stable_sigmoid", lambda z: 0.5 + 0.5 * np.sin(1e3 * z))
+    out = tmp_path / "o"
+    assert _run(["stats", "--config", _stats_config(tmp_path), "--out", out]) == 3
+    assert "numerical: quadrature on" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sillkoop.dictionary import (
     lift_jacobian,
     load_dictionary,
     save_dictionary,
+    stable_sigmoid,
 )
 
 
@@ -43,6 +45,18 @@ def test_scalar_logistic_huge_positive_argument():
     v = eval_scalar_logistic(500.0, ScalarLogisticParams(0.0, 10.0))
     assert v == 1.0 or (0.0 < v <= 1.0)
     assert np.isfinite(v)
+
+
+def test_sigmoid_saturates_exactly_and_passes_nan_without_warnings():
+    z = [-np.inf, -1e308, -0.0, 0.0, 1e308, np.inf, np.nan]
+    expected = [0.0, 0.0, 0.5, 0.5, 1.0, 1.0, np.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = stable_sigmoid(np.array(z))
+        scalars = [stable_sigmoid(v) for v in z]
+    np.testing.assert_array_equal(batch, expected)
+    np.testing.assert_array_equal(scalars, expected)
+    assert all(type(v) is float for v in scalars)
 
 
 def test_scalar_logistic_monotone_increasing():

@@ -3,9 +3,10 @@
 The whole-dictionary calls (conj_values, lift_derivatives, the order
 check) must agree with the one-logistic and one-point forms they are
 built from, the analytic Jacobian with finite differences, and the
-sigmoid must keep its range and symmetry.  Join completion must be a
-closure: idempotent, closed under join, originals first, and member for
-member the result of the pairwise loop it replaced.  The closure forms,
+sigmoid must keep its range and symmetry and stay within 2 ulp of the
+exact logistic.  Join completion must be a closure: idempotent, closed
+under join, originals first, and member for member the result of the
+pairwise loop it replaced.  The closure forms,
 computed for all logistics in one pass, must agree with their one-point
 calls, and the bounds with the per-logistic forms they summarise.
 Snapshot and model files must round-trip bit for bit, and saving what was
@@ -16,11 +17,12 @@ term at m = k.
 """
 
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -113,6 +115,27 @@ def test_sigmoid_range_and_symmetry(zs):
     assert np.all((s >= 0.0) & (s <= 1.0))
     np.testing.assert_allclose(stable_sigmoid(-z), 1.0 - s, rtol=0.0, atol=2 * EPS)
     assert isinstance(stable_sigmoid(zs[0]), float)
+
+
+def _exact_sigmoid(z: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return 1 / (1 + (-Decimal(z)).exp())
+
+
+@_settings
+@given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40))
+@example([-700.0, -40.0, -36.8, -1.0, 0.0, 1.0, 40.0, 700.0])
+def test_sigmoid_within_two_ulp_of_exact_logistic(zs):
+    # relative accuracy everywhere on [-700, 700], the far left tail
+    # included: a 0.5 (1 + tanh(z / 2)) kernel rounds sigma(-40) ~ 4e-18 to
+    # 0.0; the reference is the logistic correctly rounded at 40 digits,
+    # since 1 / (1 + math.exp(-z)) carries ~1.2 ulp of error itself
+    batch = stable_sigmoid(np.asarray(zs))
+    for z, s in zip(zs, batch):
+        exact = _exact_sigmoid(z)
+        for got in (s, stable_sigmoid(z)):
+            assert abs(Decimal(float(got)) - exact) <= Decimal(2 * EPS) * exact
 
 
 @_settings

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit
 
+from sillkoop import stats
 from sillkoop.dictionary import stable_sigmoid
+from sillkoop.errors import QuadratureError
 from sillkoop.stats import (
     _CHUNK,
+    MAX_QUAD_POINTS,
     ErrorRateRow,
     UniformIntervalSpec,
     expected_error_rates,
@@ -122,6 +126,53 @@ def test_expected_logistic_rejects_few_quad_points():
         expected_logistic(1.0, 50)
 
 
+def _adaptive_lotus(a, fn, inner_coeff):
+    # the moments as computed before the fixed rule: analytic mass on the
+    # 1e-8 a^2 sliver, adaptive quad on each half in log coordinates
+    eps, hi = 1e-8 * a * a, 2.0 * a * a
+    total = inner_coeff * 2.0 * (eps * np.log(hi / eps) + eps * eps / (2.0 * hi)) / hi
+    for sign in (1.0, -1.0):
+        def integrand(t):
+            z = sign * np.exp(t)
+            return product_pdf(z, a) * fn(z) * np.exp(t)
+
+        res = quad(
+            integrand, np.log(eps), np.log(hi), limit=200, epsabs=1e-13, epsrel=1e-12,
+            full_output=1,
+        )
+        assert len(res) == 3, res[3]  # a fourth entry is quad's failure message
+        total += res[0]
+    return total
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
+def test_moments_match_adaptive_quadrature(a):
+    e1 = _adaptive_lotus(a, expit, 0.5)
+    e2 = _adaptive_lotus(a, lambda z: expit(z) ** 2, 0.25)
+    rep = expected_logistic(a, 200, samples=10, seed=0)
+    assert abs(rep.expectation - e1) < 1e-14
+    assert abs(rep.variance - (e2 - e1 * e1)) < 1e-14
+    assert 0.0 <= rep.quad_error < 1e-13
+    norm = _adaptive_lotus(a, lambda z: 1.0, 1.0)
+    assert abs(product_pdf_normalization(a) - norm) < 1e-13
+
+
+def test_unresolved_integrand_raises_quadrature_error():
+    # cos(1000 z) swings ~300 times over the support; the coarse and the
+    # check rule land on different values, so neither is trusted
+    with pytest.raises(QuadratureError, match="did not converge"):
+        stats._lotus(1.0, lambda z: np.cos(1e3 * z), 1.0, 100)
+
+
+def test_quad_points_limit_checked_before_any_rule_runs(monkeypatch):
+    def ran(*args):
+        raise AssertionError("a quadrature rule ran past the quad_points limit")
+
+    monkeypatch.setattr(stats, "_gauss_legendre", ran)
+    with pytest.raises(ValueError, match="quad_points"):
+        expected_logistic(1.0, MAX_QUAD_POINTS + 1, samples=10)
+
+
 def test_mc_expected_logistic_deterministic():
     r1 = expected_logistic(2.0, samples=50_000, seed=42)
     r2 = expected_logistic(2.0, samples=50_000, seed=42)
@@ -203,12 +254,15 @@ def test_moment_csv_layout(tmp_path):
     path = tmp_path / "moments.csv"
     write_moment_csv(reports, path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "a,expectation,variance,mc_expectation,mc_stderr,samples,seed"
+    assert lines[0] == (
+        "a,expectation,variance,quad_error,mc_expectation,mc_stderr,samples,seed"
+    )
     assert len(lines) == 3
     # values round-trip through repr
     first = lines[1].split(",")
     assert float(first[0]) == 1.0
-    assert int(first[5]) == 1_000
+    assert float(first[3]) == reports[0].quad_error
+    assert int(first[6]) == 1_000
 
 
 def test_error_rate_csv_layout(tmp_path):
