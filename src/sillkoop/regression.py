@@ -2,10 +2,10 @@
 
 Fits the N x N matrix K that best maps lifted measurements psi(y) to their
 targets: d(psi)/dt in continuous time (assembled from measured derivatives
-through the dictionary Jacobian) or psi(y+) in discrete time.  The solver
-is ridge-regularized least squares; with ridge = 0 it returns the
-minimum-norm solution, so rank-deficient lift Gram matrices are handled
-without failure.
+through the dictionary Jacobian) or psi(y+) in discrete time.  One SVD of
+the lift solves the ridge-regularized least squares for every ridge; at
+ridge = 0 it returns the minimum-norm solution, so rank-deficient lifts
+are handled without failure.
 
 Models are immutable after construction and safe to share across threads.
 """
@@ -161,10 +161,13 @@ def lift_derivatives(s: SnapshotSet, d: SillDictionary):
 def solve_koopman_ls(G, A, ridge: float):
     """Minimize ||A - K G||_F^2 + ridge ||K||_F^2 over K.
 
-    G and A are N x r with one lifted sample per column.  With ridge > 0
-    the normal equations K (G G^T + ridge I) = A G^T are solved directly;
-    at ridge = 0 the minimum-norm least-squares solution is returned, so
-    rank deficiency (r < N or collinear lifts) is well defined.
+    G and A are N x r with one lifted sample per column.  One SVD
+    G^T = U diag(s) V^T gives K^T = V diag(f) U^T A^T with filter factors
+    f = s / (s^2 + ridge), zeroed at or below s_max * eps * max(N, r), the
+    default rcond cutoff of numpy's least squares.  ridge = 0 gives the
+    minimum-norm solution, so rank deficiency (r < N or collinear lifts) is
+    well defined; ridge > 0, which must be finite, gives the exact ridge
+    solution without the normal equations' squared condition number.
     """
     G = np.asarray(G, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -172,13 +175,12 @@ def solve_koopman_ls(G, A, ridge: float):
         raise ValueError(f"G and A must share shape, got {G.shape} and {A.shape}")
     if not (np.isfinite(G).all() and np.isfinite(A).all()):
         raise ValueError("non-finite data in least-squares system")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
-    if ridge > 0:
-        gram = G @ G.T + ridge * np.eye(G.shape[0])
-        return np.linalg.solve(gram, G @ A.T).T
-    kt, *_ = np.linalg.lstsq(G.T, A.T, rcond=None)
-    return kt.T
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and non-negative, got {ridge}")
+    U, s, Vt = np.linalg.svd(G.T, full_matrices=False)
+    keep = s > s[0] * np.finfo(float).eps * max(G.shape)
+    f = np.divide(s, s * s + ridge, out=np.zeros_like(s), where=keep)
+    return ((Vt.T * f) @ (U.T @ A.T)).T
 
 
 def _target(s: SnapshotSet, d: SillDictionary):

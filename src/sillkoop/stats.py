@@ -145,12 +145,12 @@ def product_pdf(z, a: float):
     return float(out[0]) if scalar else out
 
 
-def _mass_zero_to(u: float, a: float) -> float:
-    """Analytic integral of the product density from 0 to u, 0 <= u <= 2a^2."""
+def _mass_zero_to(u, a: float):
+    """Analytic mass of the product density on [0, u], elementwise, 0 <= u <= 2a^2."""
     hi = 2.0 * a * a
-    if u == 0.0:
-        return 0.0
-    return (u * np.log(hi / u) + u * u / (2.0 * hi)) / hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = (u * np.log(hi / u) + u * u / (2.0 * hi)) / hi
+    return np.where(u == 0.0, 0.0, mass)
 
 
 def product_cdf(z, a: float):
@@ -159,11 +159,7 @@ def product_cdf(z, a: float):
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    hi = 2.0 * a * a
-    clipped = np.clip(np.abs(z), 0.0, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half = (clipped * np.log(hi / clipped) + clipped**2 / (2.0 * hi)) / hi
-    half = np.where(clipped == 0.0, 0.0, half)
+    half = _mass_zero_to(np.clip(np.abs(z), 0.0, 2.0 * a * a), a)
     out = np.where(z >= 0, 0.5 + half, 0.5 - half)
     return float(out[0]) if scalar else out
 
@@ -245,7 +241,7 @@ def _weighted_logistic(rng, a: float, k: int):
 
 
 def _mc_products(first, a: float, rows, samples: int, seed):
-    """MC mean, variance and standard error of first * (j random logistics).
+    """MC mean and standard error of first * (j random logistics).
 
     Each block of at most _CHUNK samples draws first(rng, a, k) and then
     max(rows) factors one at a time, summing the product only after the
@@ -279,7 +275,7 @@ def _mc_products(first, a: float, rows, samples: int, seed):
         stderr = np.sqrt(var * samples / (samples - 1) / samples)
     else:
         stderr = np.full(rows.shape, np.inf)
-    return mean, var, stderr
+    return mean, stderr
 
 
 def _dimensions(m_values) -> list:
@@ -308,7 +304,7 @@ def expected_logistic(
     UniformIntervalSpec(a)
     e1, err1 = _lotus(a, stable_sigmoid, 0.5, quad_points)
     e2, err2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2, 0.25, quad_points)
-    mean, _, stderr = _mc_products(_random_logistic, a, [0], samples, seed)
+    mean, stderr = _mc_products(_random_logistic, a, [0], samples, seed)
     return MomentReport(
         a=float(a),
         expectation=float(e1),
@@ -333,7 +329,7 @@ def mc_conjunctive_table(m_values, a: float, samples: int, seed: int):
     UniformIntervalSpec(a)
     if not ms:
         return []
-    mean, _, stderr = _mc_products(lambda rng, a, k: np.ones(k), a, ms, samples, seed)
+    mean, stderr = _mc_products(lambda rng, a, k: np.ones(k), a, ms, samples, seed)
     return list(zip(mean.tolist(), stderr.tolist()))
 
 
@@ -370,7 +366,7 @@ def expected_error_rates(
     # 2m; signed means vanish by the symmetry of w, so the rows hold the
     # mean absolute per-term magnitudes
     rows = [j for m in ms for j in (m, 2 * m)]
-    mean, _, _ = _mc_products(_weighted_logistic, a, rows, samples, seed)
+    mean, _ = _mc_products(_weighted_logistic, a, rows, samples, seed)
     return [
         ErrorRateRow(
             m=m,

@@ -184,9 +184,28 @@ def test_fit_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     assert _run(["fit", "--config", cfg, "--out", tmp_path / "out"]) == 3
     assert "numerical: SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ridge", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_fit_non_finite_ridge_exits_2(tmp_path, capsys, ridge):
+    csv_path, man_path = _ct_snapshot_files(tmp_path)
+    dict_path, _ = _dictionary_file(tmp_path)
+    cfg = _write_config(
+        tmp_path / "fit.json",
+        {
+            "snapshots_csv": csv_path,
+            "snapshots_manifest": man_path,
+            "dictionary": dict_path,
+            "ridge": ridge,  # written as the JSON extensions Infinity / NaN
+        },
+    )
+    out = tmp_path / "out"
+    assert _run(["fit", "--config", cfg, "--out", out]) == 2
+    assert "bad-input: ridge must be finite" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
 
 
 def test_predict_writes_trajectory(tmp_path):

@@ -401,6 +401,47 @@ def test_closure_experiment_zero_field():
         assert r.B == 0.0
 
 
+def _seeded_lattice_field(seed):
+    """8 logistics at distinct quarter-cell offsets of the 13^2 lattice.
+
+    alpha ~ U(6, 8) per coordinate and W ~ U(-0.8, 0.8), built like the
+    benchmark's m = 2 closure config.
+    """
+    rng = np.random.default_rng(seed)
+    cell = 5.6 / 12
+    picks = rng.choice(12 * 12, size=8, replace=False)
+    mu = -2.8 + cell * (np.stack(np.unravel_index(picks, (12, 12)), axis=1) + 0.25)
+    alpha = rng.uniform(6.0, 8.0, size=(8, 2))
+    W = rng.uniform(-0.8, 0.8, size=(2, 8))
+    d = SillDictionary(2, tuple(ConjLogistic(c, a) for c, a in zip(mu, alpha)))
+    return SpannedField(d, W)
+
+
+# Outcomes of the per-function bound check over scales 1-64 at ridge 0.
+# Seed 4 fails it: its fit is ill-conditioned and generalises badly between
+# lattice points.  A change of outcome here is a change in the solver or
+# the bounds, and has to be explained, not re-seeded.
+@pytest.mark.parametrize(
+    "seed, exceeds", [(0, False), (1, False), (2, False), (3, False), (4, True)]
+)
+def test_seeded_random_fields_keep_their_bound_check_outcome(seed, exceeds):
+    def run():
+        return closure_experiment(
+            _seeded_lattice_field(seed),
+            lattice_grid(_REFERENCE_BOX, 13),
+            [1, 2, 4, 8, 64],
+            ridge=0.0,
+            delta=0.96 * (5.6 / 12) / 4,
+            holdout_grid=half_cell_shift(_REFERENCE_BOX, 13),
+        )
+
+    if exceeds:
+        with pytest.raises(ClosureBoundError, match="exceeds"):
+            run()
+    else:
+        assert len(run()) == 5
+
+
 def test_lattice_grid_shape_and_shift():
     box = [(-1.0, 1.0), (0.0, 2.0)]
     g = lattice_grid(box, 3)

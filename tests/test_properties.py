@@ -13,7 +13,10 @@ Snapshot and model files must round-trip bit for bit, and saving what was
 loaded must rewrite the same bytes.  The Monte Carlo tables read every row
 off one sample path: within one block a row of the conjunctive table is
 the one-row estimate, and the linear error term at m = 2k is the bilinear
-term at m = k.
+term at m = k.  The one-SVD least-squares solve must match the lstsq and
+normal-equation solvers it replaced on well-conditioned lifts, and on
+rank-deficient lifts return the minimum-norm solution, zero on the null
+space of the lift.
 """
 
 import tempfile
@@ -22,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -58,6 +62,7 @@ from sillkoop.regression import (
     load_snapshots,
     save_model,
     save_snapshots,
+    solve_koopman_ls,
 )
 from sillkoop.stats import expected_error_rates, mc_conjunctive, mc_conjunctive_table
 
@@ -370,6 +375,69 @@ def test_model_file_roundtrips_bit_exactly(model):
             _bits(getattr(loaded.dictionary, name)), _bits(getattr(model.dictionary, name))
         )
     assert (loaded.mode, _bits(loaded.ridge)) == (model.mode, _bits(model.ridge))
+
+
+# The two solvers the SVD replaced, kept as references.
+def _normal_equations_solve(G, A, ridge):
+    gram = G @ G.T + ridge * np.eye(G.shape[0])
+    return np.linalg.solve(gram, G @ A.T).T
+
+
+def _lstsq_solve(G, A):
+    kt, *_ = np.linalg.lstsq(G.T, A.T, rcond=None)
+    return kt.T
+
+
+def _assert_close(K, ref):
+    np.testing.assert_allclose(K, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+
+
+def _lift_with_singular_values(rng, n, r, s):
+    """n x r matrix with singular values s, singular vectors drawn by rng."""
+    Q1, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    Q2, _ = np.linalg.qr(rng.standard_normal((r, len(s))))
+    return (Q1 * s) @ Q2.T
+
+
+_solver_case = st.fixed_dictionaries(
+    {
+        "n": st.integers(1, 8),
+        "extra": st.integers(0, 20),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+
+@_settings
+@given(_solver_case, st.floats(1e-10, 1e2))
+def test_svd_solve_matches_both_replaced_solvers_when_well_conditioned(case, ridge):
+    n, rng = case["n"], np.random.default_rng(case["seed"])
+    r = n + case["extra"]
+    G = _lift_with_singular_values(rng, n, r, rng.uniform(1.0, 10.0, n))
+    A = rng.standard_normal((n, r))
+    _assert_close(solve_koopman_ls(G, A, 0.0), _lstsq_solve(G, A))
+    _assert_close(solve_koopman_ls(G, A, ridge), _normal_equations_solve(G, A, ridge))
+
+
+@_settings
+@given(_solver_case, st.booleans())
+def test_svd_solve_is_min_norm_and_zero_on_null_space_when_rank_deficient(
+    case, duplicate
+):
+    n, rng = case["n"] + 1, np.random.default_rng(case["seed"])
+    if duplicate:
+        # enough samples, but one dictionary function repeats another
+        G = rng.standard_normal((n, n + case["extra"]))
+        G[-1] = G[0]
+    else:
+        # fewer samples than dictionary functions
+        G = rng.standard_normal((n, int(rng.integers(1, n))))
+    A = rng.standard_normal(G.shape)
+    K = solve_koopman_ls(G, A, 0.0)
+    _assert_close(K, _lstsq_solve(G, A))
+    null = scipy.linalg.null_space(G.T)
+    assert null.shape[1] >= 1
+    assert np.abs(K @ null).max() <= 1e-9 * np.abs(K).max()
 
 
 _mc_case = st.fixed_dictionaries(
