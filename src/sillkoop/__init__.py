@@ -55,17 +55,14 @@ from .regression import (
 from .closure import (
     ClosureReport,
     DecayFit,
+    LieForms,
     SpannedField,
     closure_experiment,
     compute_bounds,
-    error_term_bilinear,
-    error_term_linearization,
     half_cell_shift,
     hyperplane_distance,
     lattice_grid,
-    lie_approx_intermediate,
-    lie_approx_linear,
-    lie_derivative_exact,
+    lie_forms,
     product_approx_decay,
     product_approx_error,
 )

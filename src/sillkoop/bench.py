@@ -33,7 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VectorField:
-    """A closed-form field dy/dt = fn(y) on a declared domain box."""
+    """A closed-form field dy/dt = fn(y) on a declared domain box.
+
+    fn takes a point (m,) or a batch (..., m) and returns the field at
+    every point in an array of the same shape.
+    """
 
     name: str
     m: int
@@ -48,9 +52,12 @@ class VectorField:
         object.__setattr__(self, "domain", box)
 
     def eval(self, y):
-        out = np.asarray(self.fn(np.asarray(y, dtype=float)), dtype=float)
-        if out.shape != (self.m,):
-            raise ValueError(f"{self.name}: field returned shape {out.shape}")
+        y = np.asarray(y, dtype=float)
+        out = np.asarray(self.fn(y), dtype=float)
+        if y.shape[-1:] != (self.m,) or out.shape != y.shape:
+            raise ValueError(
+                f"{self.name}: field returned shape {out.shape} for points of shape {y.shape}"
+            )
         return out
 
 
@@ -114,12 +121,14 @@ def spanned_field(sf: SpannedField) -> VectorField:
 
 
 def make_snapshots(F: VectorField, points) -> SnapshotSet:
-    """CT snapshots with derivatives evaluated exactly from the field."""
+    """CT snapshots with derivatives evaluated exactly from the field.
+
+    The field is called once, on the whole (P, m) batch of points.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != F.m:
         raise ValueError(f"points must have {F.m} columns, got {pts.shape}")
-    D = np.stack([F.eval(p) for p in pts])
-    return SnapshotSet(pts, D, "CT")
+    return SnapshotSet(pts, F.eval(pts), "CT")
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,8 @@ def _logistic_growth(y):
 
 
 def _van_der_pol(y):
-    return np.array([y[1], (1.0 - y[0] ** 2) * y[1] - y[0]])
+    y1, y2 = y[..., 0], y[..., 1]
+    return np.stack([y2, (1.0 - y1**2) * y2 - y1], axis=-1)
 
 
 def builtin_fields():

@@ -275,7 +275,10 @@ def cmd_stats(cfg, outdir, seed):
 
 
 def cmd_example1(cfg, outdir, seed):
-    degrees = _need(cfg, "degrees", list, "polynomial dictionary degrees")
+    degrees = [
+        _need({"degrees": n}, "degrees", int, "polynomial dictionary degrees", 1)
+        for n in _need(cfg, "degrees", list, "polynomial dictionary degrees")
+    ]
     fit_range = _need(cfg, "fit_range", list, "sampling interval [lo, hi]")
     fit_points = _need(cfg, "fit_points", int, "sample count over fit_range")
     lo, hi = float(fit_range[0]), float(fit_range[1])
@@ -283,10 +286,10 @@ def cmd_example1(cfg, outdir, seed):
     rows = []
     slopes = {}
     for n in degrees:
-        res = polynomial_residual_growth(int(n), y)
-        slopes[str(int(n))] = res.growth_slope
+        res = polynomial_residual_growth(n, y)
+        slopes[str(n)] = res.growth_slope
         for gy, gr, ratio in zip(res.growth_y, res.growth_residual, res.growth_ratio):
-            rows.append([int(n), repr(float(gy)), repr(float(gr)), repr(float(ratio))])
+            rows.append([n, repr(float(gy)), repr(float(gr)), repr(float(ratio))])
     _write_csv(
         os.path.join(outdir, "example1_poly.csv"),
         "n,y,residual,residual_over_y_pow",

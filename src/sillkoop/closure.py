@@ -15,9 +15,8 @@ This module quantifies that chain of approximations:
 * end-to-end experiments that fit a generator to a spanned field and
   compare its true residual against the bounds across steepness scales.
 
-The forms of all field logistics come from one array pass (one
-evaluation each of the per-coordinate factors, the dictionary and the
-N_L^2 pairwise joins); the public per-logistic functions read a column.
+The forms of all field logistics come from one array pass, lie_forms,
+as the named (..., N_L) fields of a LieForms.
 
 Maxima over the measurement region are taken over a user-supplied finite
 grid that keeps a positive distance delta from the center hyperplanes
@@ -54,11 +53,8 @@ __all__ = [
     "product_approx_error",
     "hyperplane_distance",
     "product_approx_decay",
-    "lie_derivative_exact",
-    "lie_approx_intermediate",
-    "lie_approx_linear",
-    "error_term_linearization",
-    "error_term_bilinear",
+    "LieForms",
+    "lie_forms",
     "compute_bounds",
     "closure_experiment",
     "lattice_grid",
@@ -231,12 +227,46 @@ def product_approx_decay(f: ConjLogistic, g: ConjLogistic, grid, scales) -> Deca
     return DecayFit(scales, max_errors, float(slope), float(intercept))
 
 
-def _lie_forms(sf: SpannedField, y):
-    """Every Lie-derivative form of every field logistic, in one pass.
+@dataclass(frozen=True)
+class LieForms:
+    """Every Lie-derivative form of every field logistic, each (..., N_L).
 
-    Returns the exact, intermediate, linear, linearization, bilinear and
-    reference (sum_{i,j} alpha_li W_ij Lambda_l Lambda_j) sums, each of
-    shape (..., N_L) with column l for logistic l.
+    Column l belongs to logistic l, with lambda_li(y_i) its i-th
+    coordinate factor, Lambda the conjunctive logistics and Lambda_star_lj
+    the join of logistics l and j:
+
+    * exact: sum_{i,j} alpha_li W_ij (1 - lambda_li(y_i)) Lambda_l(y)
+      Lambda_j(y), the d/dt of logistic l along the spanned field;
+      identical to grad Lambda_l . F(y) by the chain rule.
+    * intermediate: the exact sum with each product Lambda_l Lambda_j
+      replaced by its join Lambda_star_lj.
+    * linear: sum_{i,j} alpha_li W_ij Lambda_star_lj(y), linear in the
+      completed dictionary.  This is what a single row of a Koopman
+      matrix can represent once the joins are dictionary members, so it
+      is the model-facing approximation.
+    * linearization: sum_{i,j} alpha_li W_ij lambda_li(y_i)
+      Lambda_star_lj(y); exactly the gap linear - intermediate, since the
+      (1 - lambda) and lambda weighted sums add to the unweighted one.
+    * bilinear: sum_{i,j} alpha_li W_ij lambda_li(y_i) Lambda_l(y)
+      Lambda_j(y).
+    * reference: sum_{i,j} alpha_li W_ij Lambda_l(y) Lambda_j(y).
+
+    Each sum is computed on its own, none as a difference of the others.
+    """
+
+    exact: np.ndarray
+    intermediate: np.ndarray
+    linear: np.ndarray
+    linearization: np.ndarray
+    bilinear: np.ndarray
+    reference: np.ndarray
+
+
+def lie_forms(sf: SpannedField, y) -> LieForms:
+    """The LieForms of all field logistics at y, shape (m,) or (..., m).
+
+    One array pass: one evaluation each of the per-coordinate factors,
+    the dictionary and the N_L^2 pairwise joins.
     """
     d, W = sf.dictionary, sf.W
     y = _check_point(y, d.m)
@@ -247,60 +277,14 @@ def _lie_forms(sf: SpannedField, y):
     lam_star = np.prod(_coordinate_sigmoids(y[..., None, None, :], mu, alpha), axis=-1)
     off, on = d.alpha * (1.0 - lam), d.alpha * lam
     coeff = d.alpha @ W  # coeff[l, j] = sum_i alpha_li W_ij
-    return (
-        np.einsum("...li,ij,...j->...l", off, W, lam_all) * lam_all,
-        np.einsum("...li,ij,...lj->...l", off, W, lam_star),
-        np.einsum("lj,...lj->...l", coeff, lam_star),
-        np.einsum("...li,ij,...lj->...l", on, W, lam_star),
-        np.einsum("...li,ij,...j->...l", on, W, lam_all) * lam_all,
-        np.einsum("lj,...j->...l", coeff, lam_all) * lam_all,
+    return LieForms(
+        exact=np.einsum("...li,ij,...j->...l", off, W, lam_all) * lam_all,
+        intermediate=np.einsum("...li,ij,...lj->...l", off, W, lam_star),
+        linear=np.einsum("lj,...lj->...l", coeff, lam_star),
+        linearization=np.einsum("...li,ij,...lj->...l", on, W, lam_star),
+        bilinear=np.einsum("...li,ij,...j->...l", on, W, lam_all) * lam_all,
+        reference=np.einsum("lj,...j->...l", coeff, lam_all) * lam_all,
     )
-
-
-def _form(k: int, l: int, sf: SpannedField, y):
-    """Column l of the k-th _lie_forms sum; a float at a single point."""
-    n = sf.dictionary.n_logistic
-    if not 0 <= l < n:
-        raise IndexError(f"logistic index {l} out of range for N_L={n}")
-    out = _lie_forms(sf, y)[k][..., l]
-    return float(out) if out.ndim == 0 else out
-
-
-def lie_derivative_exact(l: int, sf: SpannedField, y):
-    """d/dt of logistic l along the spanned field, as the bilinear sum.
-
-    sum_{i,j} alpha_li W_ij (1 - lambda_li(y_i)) Lambda_l(y) Lambda_j(y);
-    identical to grad Lambda_l . F(y) by the chain rule.
-    """
-    return _form(0, l, sf, y)
-
-
-def lie_approx_intermediate(l: int, sf: SpannedField, y):
-    """The bilinear sum with each product Lambda_l Lambda_j replaced by its join."""
-    return _form(1, l, sf, y)
-
-
-def lie_approx_linear(l: int, sf: SpannedField, y):
-    """sum_{i,j} alpha_li W_ij Lambda_star_lj(y): linear in the completed dictionary.
-
-    This is what a single row of a Koopman matrix can represent once the
-    joins are dictionary members, so it is the model-facing approximation.
-    """
-    return _form(2, l, sf, y)
-
-
-def error_term_linearization(l: int, sf: SpannedField, y):
-    """sum_{i,j} alpha_li W_ij lambda_li(y_i) Lambda_star_lj(y).
-
-    Exactly the gap lie_approx_linear - lie_approx_intermediate, since the
-    (1 - lambda) and lambda weighted sums add to the unweighted one.
-    """
-    return _form(3, l, sf, y)
-
-
-def error_term_bilinear(l: int, sf: SpannedField, y):
-    """sum_{i,j} alpha_li W_ij lambda_li(y_i) Lambda_l(y) Lambda_j(y)."""
-    return _form(4, l, sf, y)
 
 
 def compute_bounds(
@@ -349,15 +333,15 @@ def _bounds(sf: SpannedField, sample_grid, clip: float, delta: float, alpha_scal
             f"grid point {bad} is within {delta} of a center hyperplane "
             f"(distance {dist.min():.3g})"
         )
-    exact, inter, linear, _, _, reference = _lie_forms(sf, pts)
+    forms = lie_forms(sf, pts)
     # grid maxima of |sum|: the signed maxima would not dominate the
     # absolute gaps they are meant to bound
-    bar_B1 = np.abs(exact - inter).max(axis=0)
-    tilde_B2 = np.abs(reference - linear).max(axis=0)
+    bar_B1 = np.abs(forms.exact - forms.intermediate).max(axis=0)
+    tilde_B2 = np.abs(forms.reference - forms.linear).max(axis=0)
     nu_sum = np.minimum(np.abs(d.alpha[:, :, None] * sf.W), clip).sum(axis=(1, 2))
     bar_B2 = nu_sum / 2.0 ** (d.m + 1)
     tilde_B1 = nu_sum / 2.0 ** (2 * d.m + 1)
-    gap = np.abs(exact - linear)
+    gap = np.abs(forms.exact - forms.linear)
     worst = int(np.argmax(gap.max(axis=0)))
     b = min(bar_B1[worst] + bar_B2[worst], tilde_B1[worst] + tilde_B2[worst])
     return ClosureReport(
@@ -409,18 +393,18 @@ def closure_experiment(
     grid,
     alpha_scales,
     *,
+    holdout_grid,
     ridge: float = 0.0,
     a=None,
     delta: float = 1e-3,
-    holdout_grid=None,
     check_bounds: bool = True,
 ):
     """Fit a generator to the spanned field at each steepness scale.
 
     Per scale: the dictionary is steepness-scaled and join-completed, a CT
     model is fitted to exact snapshots of the scaled field on the training
-    grid, and the model's residual is measured on a held-out grid (the
-    training grid shifted by half a cell unless one is supplied).  The
+    grid, and the model's residual is measured on holdout_grid (for a
+    lattice, half_cell_shift gives the half-cell holdout).  The
     analytic bounds are evaluated on the held-out grid and paired with the
     measured residuals in one report per scale.
 
@@ -428,10 +412,7 @@ def closure_experiment(
     the held-out grid is required to stay below its bar_B1 + bar_B2 bound.
     """
     pts = _as_grid(grid, sf.dictionary.m)
-    if holdout_grid is None:
-        held = _default_holdout(pts)
-    else:
-        held = _as_grid(holdout_grid, sf.dictionary.m)
+    held = _as_grid(holdout_grid, sf.dictionary.m)
     scales = np.asarray(alpha_scales, dtype=float)
     if scales.ndim != 1 or scales.size < 1 or not np.all(scales > 0):
         raise ValueError("alpha_scales must be positive")
@@ -455,20 +436,6 @@ def closure_experiment(
             )
         )
     return reports
-
-
-def _default_holdout(pts: np.ndarray) -> np.ndarray:
-    """Shift each dimension by half its smallest positive grid spacing."""
-    shift = np.empty(pts.shape[1])
-    for i in range(pts.shape[1]):
-        coords = np.unique(pts[:, i])
-        if coords.size < 2:
-            raise ValueError(
-                f"cannot infer a cell size along dimension {i}; "
-                "supply holdout_grid explicitly"
-            )
-        shift[i] = np.diff(coords).min() / 2.0
-    return pts + shift
 
 
 def _check_per_function(sf_s, rep, bar_B1, bar_B2):

@@ -107,8 +107,8 @@ class KoopmanModel:
             raise ValueError("K contains non-finite entries")
         if self.mode not in (CT, DT):
             raise ValueError(f"mode must be 'CT' or 'DT', got {self.mode!r}")
-        if not self.ridge >= 0:
-            raise ValueError("ridge must be non-negative")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and non-negative, got {self.ridge}")
         K.setflags(write=False)
         object.__setattr__(self, "K", K)
 
@@ -228,8 +228,11 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     sampled.  A non-finite state (the model itself is unstable) stops the
     trajectory and flags it; overflow is reported through that flag, not
     a warning.  A step count round(horizon / dt) above MAX_STEPS (10^7) is
-    rejected before anything is allocated.
+    rejected before anything is allocated, and so is a non-finite y0.
     """
+    y0 = np.asarray(y0, dtype=float)
+    if not np.isfinite(y0).all():
+        raise ValueError("y0 contains non-finite entries")
     if model.mode != CT:
         raise ValueError("predict_ct requires a CT model")
     if not dt > 0:
@@ -244,7 +247,6 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
         raise ValueError(f"horizon / dt = {steps} steps exceeds the limit of {MAX_STEPS}")
     from scipy.linalg import expm  # ~0.3 s to import; only predict needs it
 
-    y0 = np.asarray(y0, dtype=float)
     d = model.dictionary
     z = lift(y0, d)
     y = np.empty((steps + 1, d.m))

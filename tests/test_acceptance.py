@@ -19,10 +19,7 @@ from sillkoop.closure import (
     half_cell_shift,
     hyperplane_distance,
     lattice_grid,
-    lie_approx_intermediate,
-    lie_approx_linear,
-    lie_derivative_exact,
-    error_term_linearization,
+    lie_forms,
     product_approx_decay,
     product_approx_error,
 )
@@ -121,10 +118,11 @@ def test_criterion_2_identity_chain():
             for i in range(m)
             for j in range(nl)
         )
-        exact = lie_derivative_exact(l, sf, y)
-        inter = lie_approx_intermediate(l, sf, y)
-        linear = lie_approx_linear(l, sf, y)
-        err_lin = error_term_linearization(l, sf, y)
+        forms = lie_forms(sf, y)
+        exact = forms.exact[:, l]
+        inter = forms.intermediate[:, l]
+        linear = forms.linear[:, l]
+        err_lin = forms.linearization[:, l]
         scale1 = np.maximum(np.maximum(np.abs(exact), np.abs(inter)), 1.0)
         scale2 = np.maximum(np.maximum(np.abs(linear), np.abs(inter)), 1.0)
         r1 = np.abs(exact - (inter + correction)) / scale1

@@ -14,7 +14,7 @@ from sillkoop.bench import (
     spanned_field,
 )
 from sillkoop.closure import SpannedField
-from sillkoop.dictionary import ConjLogistic, SillDictionary
+from sillkoop.dictionary import ConjLogistic, SillDictionary, conj_values
 from sillkoop.regression import load_snapshots, save_snapshots
 
 
@@ -91,6 +91,29 @@ def test_make_snapshots_exact_derivatives():
     assert s.mode == "CT"
     assert s.r == 7
     np.testing.assert_array_equal(s.D, pts**3)
+
+
+def test_make_snapshots_rows_match_single_point_evals():
+    rng = np.random.default_rng(3)
+    vdp = builtin_fields()[2]
+    pts = rng.uniform(-3, 3, size=(500, 2))
+    s = make_snapshots(vdp, pts)
+    np.testing.assert_array_equal(s.D, np.stack([vdp.eval(p) for p in pts]))
+    d = SillDictionary(
+        2, tuple(ConjLogistic(rng.uniform(-2, 2, 2), rng.uniform(1, 6, 2)) for _ in range(12))
+    )
+    W = rng.normal(0.0, 0.5, (2, 12))
+    F = spanned_field(SpannedField(d, W))
+    s = make_snapshots(F, pts)
+    # the batch matmul may sum in another order: 1e-15 relative to the
+    # magnitude of the summands, since the sum itself can cancel
+    magnitude = conj_values(pts, d) @ np.abs(W).T
+    assert (np.abs(s.D - np.stack([F.eval(p) for p in pts])) <= 1e-15 * magnitude).all()
+    # a field that ignores the batch axis is caught, not broadcast
+    with pytest.raises(ValueError, match="returned shape"):
+        make_snapshots(_zero_field(), pts)
+    with pytest.raises(ValueError, match="returned shape"):
+        _zero_field().eval(pts)
 
 
 def test_snapshots_roundtrip_through_csv(tmp_path):

@@ -271,6 +271,39 @@ def test_predict_past_step_limit_exits_2(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_predict_non_finite_y0_exits_2(tmp_path, capsys):
+    d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
+    model_path = tmp_path / "model.json"
+    save_model(KoopmanModel(np.zeros((3, 3)), d, "CT"), model_path)
+    cfg = _write_config(
+        tmp_path / "predict.json",
+        {"model": str(model_path), "y0": [float("nan")], "horizon": 1.0, "dt": 0.1},
+    )
+    out = tmp_path / "out"
+    assert _run(["predict", "--config", cfg, "--out", out]) == 2
+    assert "bad-input: y0 contains non-finite entries" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_model_with_infinite_ridge_rejected(tmp_path, capsys):
+    d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
+    with pytest.raises(ValueError, match="ridge must be finite"):
+        KoopmanModel(np.zeros((3, 3)), d, "CT", float("inf"))
+    model_path = tmp_path / "model.json"
+    save_model(KoopmanModel(np.zeros((3, 3)), d, "CT"), model_path)
+    obj = json.loads(model_path.read_text())
+    obj["ridge"] = float("inf")  # written as the JSON extension Infinity
+    model_path.write_text(json.dumps(obj))
+    cfg = _write_config(
+        tmp_path / "predict.json",
+        {"model": str(model_path), "y0": [1.0], "horizon": 1.0, "dt": 0.1},
+    )
+    out = tmp_path / "out"
+    assert _run(["predict", "--config", cfg, "--out", out]) == 2
+    assert "bad-input: ridge must be finite" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_cli_import_loads_no_scipy_subpackage_and_predict_still_agrees(tmp_path):
     # a fresh interpreter, as the console script starts: importing the CLI
     # must not load scipy.integrate, scipy.special or scipy.linalg (together
@@ -560,6 +593,15 @@ def test_example1_missing_degrees_rejected(tmp_path, capsys):
     path = _write_config(tmp_path / "bad.json", cfg)
     assert _run(["example1", "--config", path, "--out", tmp_path / "o"]) == 2
     assert "degrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degrees", [[1.5, 2], [True, 2], [0, 2]], ids=["float", "bool", "zero"])
+def test_example1_bad_degree_exits_2(tmp_path, capsys, degrees):
+    out = tmp_path / "o"
+    path = _example1_config(tmp_path, degrees)
+    assert _run(["example1", "--config", path, "--out", out]) == 2
+    assert "bad-input: config key 'degrees'" in capsys.readouterr().err
+    assert not (out / "example1_poly.csv").exists()
 
 
 def test_complete_dictionary_closes_pairs(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,14 @@ from sillkoop.closure import (
     MAX_GRID_ROWS,
     ClosureReport,
     DecayFit,
+    LieForms,
     SpannedField,
     closure_experiment,
     compute_bounds,
-    error_term_bilinear,
-    error_term_linearization,
     half_cell_shift,
     hyperplane_distance,
     lattice_grid,
-    lie_approx_intermediate,
-    lie_approx_linear,
-    lie_derivative_exact,
+    lie_forms,
     product_approx_decay,
     product_approx_error,
 )
@@ -174,47 +173,33 @@ def _single_logistic_field(alpha=4.0, w=1.5, mu=0.3):
 
 def test_lie_forms_at_shared_center():
     alpha, w, mu = 4.0, 1.5, 0.3
-    sf = _single_logistic_field(alpha, w, mu)
-    y = [mu]
-    assert lie_derivative_exact(0, sf, y) == pytest.approx(alpha * w / 8, rel=1e-13)
-    assert lie_approx_intermediate(0, sf, y) == pytest.approx(alpha * w / 4, rel=1e-13)
-    assert lie_approx_linear(0, sf, y) == pytest.approx(alpha * w / 2, rel=1e-13)
-    assert error_term_linearization(0, sf, y) == pytest.approx(alpha * w / 4, rel=1e-13)
-    assert error_term_bilinear(0, sf, y) == pytest.approx(alpha * w / 8, rel=1e-13)
+    forms = lie_forms(_single_logistic_field(alpha, w, mu), [mu])
+    assert forms.exact[0] == pytest.approx(alpha * w / 8, rel=1e-13)
+    assert forms.intermediate[0] == pytest.approx(alpha * w / 4, rel=1e-13)
+    assert forms.linear[0] == pytest.approx(alpha * w / 2, rel=1e-13)
+    assert forms.linearization[0] == pytest.approx(alpha * w / 4, rel=1e-13)
+    assert forms.bilinear[0] == pytest.approx(alpha * w / 8, rel=1e-13)
 
 
 def test_lie_forms_zero_field():
     rng = np.random.default_rng(5)
     d = SillDictionary(2, (ConjLogistic([0.0, 0.0], [2.0, 2.0]),))
     sf = SpannedField(d, np.zeros((2, 1)))
-    y = rng.uniform(-2, 2, 2)
-    for fn in (
-        lie_derivative_exact,
-        lie_approx_intermediate,
-        lie_approx_linear,
-        error_term_linearization,
-        error_term_bilinear,
-    ):
-        assert fn(0, sf, y) == 0.0
+    forms = lie_forms(sf, rng.uniform(-2, 2, 2))
+    for f in fields(LieForms):
+        assert getattr(forms, f.name)[0] == 0.0, f.name
 
 
 def test_lie_forms_saturate_far_above_centers():
-    sf = _single_logistic_field()
-    y = [60.0]
-    assert abs(lie_derivative_exact(0, sf, y)) < 1e-60
-    assert abs(lie_approx_intermediate(0, sf, y)) < 1e-60
+    forms = lie_forms(_single_logistic_field(), [60.0])
+    assert abs(forms.exact[0]) < 1e-60
+    assert abs(forms.intermediate[0]) < 1e-60
 
 
 def test_error_terms_vanish_far_below_centers():
-    sf = _single_logistic_field()
-    assert abs(error_term_linearization(0, sf, [-60.0])) < 1e-60
-    assert abs(error_term_bilinear(0, sf, [-60.0])) < 1e-60
-
-
-def test_lie_index_out_of_range():
-    sf = _single_logistic_field()
-    with pytest.raises(IndexError):
-        lie_derivative_exact(1, sf, [0.0])
+    forms = lie_forms(_single_logistic_field(), [-60.0])
+    assert abs(forms.linearization[0]) < 1e-60
+    assert abs(forms.bilinear[0]) < 1e-60
 
 
 def test_exact_lie_matches_chain_rule():
@@ -226,7 +211,7 @@ def test_exact_lie_matches_chain_rule():
         l = int(rng.integers(0, sf.dictionary.n_logistic))
         f = sf.dictionary.logistics[l]
         chain = float(grad_conjunctive(y, f) @ sf.evaluate(y))
-        exact = lie_derivative_exact(l, sf, y)
+        exact = lie_forms(sf, y).exact[l]
         assert abs(chain - exact) <= 1e-12 * max(abs(exact), abs(chain), 1.0)
 
 
@@ -245,8 +230,9 @@ def test_identity_chain_exact_vs_intermediate():
             for i in range(d.m)
             for j in range(d.n_logistic)
         )
-        lhs = lie_derivative_exact(l, sf, y)
-        rhs = lie_approx_intermediate(l, sf, y) + corr
+        forms = lie_forms(sf, y)
+        lhs = forms.exact[l]
+        rhs = forms.intermediate[l] + corr
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -256,8 +242,9 @@ def test_identity_chain_linear_vs_intermediate():
         sf = _random_field(rng)
         y = rng.uniform(-3, 3, sf.dictionary.m)
         l = int(rng.integers(0, sf.dictionary.n_logistic))
-        lhs = lie_approx_linear(l, sf, y)
-        rhs = lie_approx_intermediate(l, sf, y) + error_term_linearization(l, sf, y)
+        forms = lie_forms(sf, y)
+        lhs = forms.linear[l]
+        rhs = forms.intermediate[l] + forms.linearization[l]
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -273,14 +260,9 @@ def test_compute_bounds_reports_worst_function_grid_maxima():
     sf = _reference_field()
     pts = half_cell_shift(_REFERENCE_BOX, 9)
     rep = compute_bounds(sf, pts, delta=0.17)
-    gaps = []
-    inter_gaps = []
-    for l in range(sf.dictionary.n_logistic):
-        exact = np.asarray(lie_derivative_exact(l, sf, pts))
-        inter = np.asarray(lie_approx_intermediate(l, sf, pts))
-        linear = np.asarray(lie_approx_linear(l, sf, pts))
-        gaps.append(np.abs(exact - linear).max())
-        inter_gaps.append(np.abs(exact - inter).max())
+    forms = lie_forms(sf, pts)
+    gaps = np.abs(forms.exact - forms.linear).max(axis=0)
+    inter_gaps = np.abs(forms.exact - forms.intermediate).max(axis=0)
     worst = int(np.argmax(gaps))
     assert rep.residual_max == pytest.approx(gaps[worst], rel=1e-15)
     assert rep.bar_B1 == pytest.approx(inter_gaps[worst], rel=1e-15)
@@ -357,16 +339,6 @@ def test_closure_experiment_residual_decays():
         assert r.residual_max <= r.bar_B1 + r.bar_B2
 
 
-def test_closure_experiment_default_holdout_matches_half_cell():
-    sf = _reference_field()
-    train = lattice_grid(_REFERENCE_BOX, 9)
-    a = closure_experiment(sf, train, [1.0], delta=0.17)
-    b = closure_experiment(
-        sf, train, [1.0], holdout_grid=half_cell_shift(_REFERENCE_BOX, 9), delta=0.17
-    )
-    assert a[0].residual_max == pytest.approx(b[0].residual_max, rel=1e-12)
-
-
 def test_closure_experiment_flags_bound_violation():
     # under-steep dictionary on a coarse lattice: at scale 4 the fit's
     # held-out residual overshoots the per-function analytic budget
@@ -393,8 +365,9 @@ def test_closure_experiment_flags_bound_violation():
 def test_closure_experiment_zero_field():
     d = SillDictionary(2, (ConjLogistic([0.25, 0.25], [2.0, 2.0]),))
     sf = SpannedField(d, np.zeros((2, 1)))
+    box = [(-2, 2), (-2, 2)]
     reports = closure_experiment(
-        sf, lattice_grid([(-2, 2), (-2, 2)], 5), [1, 2], delta=0.2
+        sf, lattice_grid(box, 5), [1, 2], holdout_grid=half_cell_shift(box, 5), delta=0.2
     )
     for r in reports:
         assert r.residual_max < 1e-12

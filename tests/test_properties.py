@@ -7,8 +7,8 @@ sigmoid must keep its range and symmetry and stay within 2 ulp of the
 exact logistic.  Join completion must be a closure: idempotent, closed
 under join, originals first, and member for member the result of the
 pairwise loop it replaced.  The closure forms,
-computed for all logistics in one pass, must agree with their one-point
-calls, and the bounds with the per-logistic forms they summarise.
+computed for all logistics in one pass, must agree bit for bit with their
+one-point calls, and the bounds with the per-logistic forms they summarise.
 Snapshot and model files must round-trip bit for bit, and saving what was
 loaded must rewrite the same bytes.  The Monte Carlo tables read every row
 off one sample path: within one block a row of the conjunctive table is
@@ -20,6 +20,7 @@ space of the lift.
 """
 
 import tempfile
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -31,14 +32,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sillkoop.closure import (
+    LieForms,
     SpannedField,
     compute_bounds,
-    error_term_bilinear,
-    error_term_linearization,
     hyperplane_distance,
-    lie_approx_intermediate,
-    lie_approx_linear,
-    lie_derivative_exact,
+    lie_forms,
 )
 
 from sillkoop.dictionary import (
@@ -255,27 +253,18 @@ def test_join_completion_keeps_repeated_originals():
     assert completed.to_dict() == _pairwise_join_completion(d).to_dict()
 
 
-_FORMS = (
-    lie_derivative_exact,
-    lie_approx_intermediate,
-    lie_approx_linear,
-    error_term_linearization,
-    error_term_bilinear,
-)
-
-
 @_settings
 @given(_field_and_points())
 def test_lie_forms_batch_matches_single_points(case):
     sf, Y = case
-    for fn in _FORMS:
-        for l in range(sf.dictionary.n_logistic):
-            batch = fn(l, sf, Y)
-            assert batch.shape == (Y.shape[0],)
-            for p, y in enumerate(Y):
-                single = fn(l, sf, y)
-                assert type(single) is float
-                assert batch[p] == single
+    n = sf.dictionary.n_logistic
+    batch = lie_forms(sf, Y)
+    for p, y in enumerate(Y):
+        single = lie_forms(sf, y)
+        for f in fields(LieForms):
+            b, one = getattr(batch, f.name), getattr(single, f.name)
+            assert b.shape == (Y.shape[0], n) and one.shape == (n,)
+            assert np.array_equal(b[p], one), f.name
 
 
 @_settings
@@ -286,11 +275,9 @@ def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
     delta = hyperplane_distance(Y, d).min()
     assume(delta > 0)
     rep = compute_bounds(sf, Y, delta=delta)
-    n = d.n_logistic
+    forms = lie_forms(sf, Y)
     exact, inter, linear, bilinear = (
-        np.stack([fn(l, sf, Y) for l in range(n)], -1)
-        for fn in (lie_derivative_exact, lie_approx_intermediate, lie_approx_linear,
-                   error_term_bilinear)
+        forms.exact, forms.intermediate, forms.linear, forms.bilinear
     )
     gap = np.abs(exact - linear)
     l = int(np.argmax(gap.max(axis=0)))
