@@ -11,7 +11,7 @@ y^(n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +20,18 @@ from .regression import SnapshotSet, Trajectory
 
 __all__ = [
     "VectorField",
-    "PolynomialDictionary",
     "PolynomialGrowthResult",
     "rk4_integrate",
     "spanned_field",
     "make_snapshots",
     "polynomial_residual_growth",
     "builtin_fields",
-    "corpus_manifest",
 ]
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """A closed-form field dy/dt = fn(y) on a declared domain box.
+    """A closed-form field dy/dt = fn(y) on R^m.
 
     fn takes a point (m,) or a batch (..., m) and returns the field at
     every point in an array of the same shape.
@@ -42,14 +40,6 @@ class VectorField:
     name: str
     m: int
     fn: callable
-    domain: tuple
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        box = tuple((float(lo), float(hi)) for lo, hi in self.domain)
-        if len(box) != self.m or any(hi <= lo for lo, hi in box):
-            raise ValueError("domain must list one (lo, hi) pair per dimension")
-        object.__setattr__(self, "domain", box)
 
     def eval(self, y):
         y = np.asarray(y, dtype=float)
@@ -59,21 +49,6 @@ class VectorField:
                 f"{self.name}: field returned shape {out.shape} for points of shape {y.shape}"
             )
         return out
-
-
-@dataclass(frozen=True)
-class PolynomialDictionary:
-    """Scalar monomial basis {1, y, y^2, ..., y^degree}."""
-
-    degree: int
-
-    def __post_init__(self):
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError("degree must be a positive integer")
-        object.__setattr__(self, "degree", int(self.degree))
-
-    def design_matrix(self, y):
-        return np.vander(np.asarray(y, dtype=float), self.degree + 1, increasing=True)
 
 
 def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
@@ -106,18 +81,9 @@ def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
 def spanned_field(sf: SpannedField) -> VectorField:
     """Wrap a dictionary-spanned field as a benchmark VectorField.
 
-    The domain box extends two units beyond the extreme centers in every
-    dimension; the field itself is bounded by the row sums of |W|.
+    The field is sf.evaluate, bounded by the row sums of |W|.
     """
-    mus = sf.dictionary.mu
-    box = tuple((float(lo) - 2.0, float(hi) + 2.0) for lo, hi in zip(mus.min(0), mus.max(0)))
-    return VectorField(
-        name="spanned-logistic",
-        m=sf.dictionary.m,
-        fn=sf.evaluate,
-        domain=box,
-        params={"n_logistic": sf.dictionary.n_logistic},
-    )
+    return VectorField("spanned-logistic", sf.dictionary.m, sf.evaluate)
 
 
 def make_snapshots(F: VectorField, points) -> SnapshotSet:
@@ -157,11 +123,12 @@ def polynomial_residual_growth(n: int, y_values, growth_points=None) -> Polynomi
     least-squares residual over the sampled interval cannot cancel the
     leading term; evaluated far outside, it grows like y^(n+1).
     """
-    basis = PolynomialDictionary(n)
+    if int(n) != n or n < 1:
+        raise ValueError("degree must be a positive integer")
     y = np.asarray(y_values, dtype=float)
     if y.ndim != 1 or y.size < n + 2:
         raise ValueError("need a 1-D sample grid with more points than coefficients")
-    V = basis.design_matrix(y)
+    V = np.vander(y, int(n) + 1, increasing=True)
     target = n * y ** (n + 1)
     coeffs, *_ = np.linalg.lstsq(V, target, rcond=None)
     sample_residual = target - V @ coeffs
@@ -199,29 +166,7 @@ def _van_der_pol(y):
 def builtin_fields():
     """The benchmark corpus: two scalar fields and a planar limit cycle."""
     return [
-        VectorField("quadratic", 1, _quadratic, ((-2.0, 2.0),)),
-        VectorField("logistic-growth", 1, _logistic_growth, ((-0.5, 1.5),)),
-        VectorField(
-            "van-der-pol",
-            2,
-            _van_der_pol,
-            ((-3.0, 3.0), (-3.0, 3.0)),
-            params={"mu": 1.0},
-        ),
+        VectorField("quadratic", 1, _quadratic),
+        VectorField("logistic-growth", 1, _logistic_growth),
+        VectorField("van-der-pol", 2, _van_der_pol),
     ]
-
-
-def corpus_manifest(fields=None) -> dict:
-    """JSON-ready description of the field corpus: name, m, domain, params."""
-    fields = builtin_fields() if fields is None else fields
-    return {
-        "fields": [
-            {
-                "name": f.name,
-                "m": f.m,
-                "domain": [list(pair) for pair in f.domain],
-                "params": f.params,
-            }
-            for f in fields
-        ]
-    }

@@ -56,6 +56,7 @@ from .regression import (
 )
 from .stats import (
     MAX_QUAD_POINTS,
+    UniformIntervalSpec,
     expected_error_rates,
     mc_conjunctive_table,
     moment_sweep,
@@ -69,27 +70,43 @@ _RNG_NAME = "pcg64"
 def _need(cfg: dict, key: str, kind, desc: str, least=None, most=None):
     if key not in cfg:
         raise ValueError(f"config missing required key '{key}' ({desc})")
-    val = cfg[key]
+    return _checked(cfg[key], kind, f"config key '{key}'", desc, least, most)
+
+
+def _checked(val, kind, where: str, desc: str, least=None, most=None):
+    """val as kind, where [kind] is a list of kind, to any depth.
+
+    The one rule for config values: a float is any JSON number, an int an
+    integer within [least, most], and neither is ever a bool or a string,
+    alone or inside a list.
+    """
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ValueError(f"{where} must be a list ({desc})")
+        return [
+            _checked(v, kind[0], f"{where}[{i}]", desc, least, most)
+            for i, v in enumerate(val)
+        ]
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ValueError(f"config key '{key}' must be a number ({desc})")
+            raise ValueError(f"{where} must be a number ({desc})")
         return float(val)
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
-            raise ValueError(f"config key '{key}' must be an integer ({desc})")
+            raise ValueError(f"{where} must be an integer ({desc})")
         if least is not None and val < least:
-            raise ValueError(f"config key '{key}' must be at least {least} ({desc})")
+            raise ValueError(f"{where} must be at least {least} ({desc})")
         if most is not None and val > most:
-            raise ValueError(f"config key '{key}' must be at most {most} ({desc})")
+            raise ValueError(f"{where} must be at most {most} ({desc})")
         return val
     if not isinstance(val, kind):
-        raise ValueError(f"config key '{key}' must be {kind.__name__} ({desc})")
+        raise ValueError(f"{where} must be {kind.__name__} ({desc})")
     return val
 
 
 def _grid_spec(cfg: dict):
     grid = _need(cfg, "grid", dict, "grid settings object")
-    box = _need(grid, "box", list, "list of [lo, hi] pairs")
+    box = _need(grid, "box", [[float]], "list of [lo, hi] pairs")
     points = _need(grid, "points_per_dim", int, "lattice points per dimension")
     delta = _need(grid, "delta", float, "hyperplane clearance")
     if delta <= 0:
@@ -106,7 +123,11 @@ def _optional(cfg: dict, key: str, kind, desc: str, default):
 def _logistic_from(obj: dict, label: str) -> ConjLogistic:
     if not isinstance(obj, dict) or "mu" not in obj or "alpha" not in obj:
         raise ValueError(f"{label} must be an object with 'mu' and 'alpha' arrays")
-    return ConjLogistic(obj["mu"], obj["alpha"])
+    mu, alpha = (
+        _checked(obj[k], [float], f"config key '{label}.{k}'", "logistic parameters")
+        for k in ("mu", "alpha")
+    )
+    return ConjLogistic(mu, alpha)
 
 
 def _residual_summary(rep, snaps) -> dict:
@@ -153,10 +174,10 @@ def cmd_edmd(cfg, outdir, seed):
 
 def cmd_predict(cfg, outdir, seed):
     model = load_model(_need(cfg, "model", str, "model JSON path"))
-    y0 = _need(cfg, "y0", list, "initial measurement vector")
+    y0 = _need(cfg, "y0", [float], "initial measurement vector")
     horizon = _need(cfg, "horizon", float, "integration horizon")
     dt = _need(cfg, "dt", float, "integration step")
-    traj = predict_ct(model, np.asarray(y0, dtype=float), horizon, dt)
+    traj = predict_ct(model, y0, horizon, dt)
     m = model.dictionary.m
     header = "t," + ",".join(f"y{i + 1}" for i in range(m))
     rows = [
@@ -180,14 +201,14 @@ def _spanned_field_from(cfg) -> SpannedField:
     logistics = tuple(
         _logistic_from(e, f"logistics[{k}]") for k, e in enumerate(entries)
     )
-    W = np.asarray(_need(cfg, "W", list, "m x N_L weight matrix"), dtype=float)
+    W = _need(cfg, "W", [[float]], "m x N_L weight matrix")
     return SpannedField(SillDictionary(m, logistics), W)
 
 
 def cmd_closure(cfg, outdir, seed):
     sf = _spanned_field_from(cfg)
     box, points, delta = _grid_spec(cfg)
-    scales = _need(cfg, "alpha_scales", list, "steepness scale factors")
+    scales = _need(cfg, "alpha_scales", [float], "steepness scale factors")
     ridge = _need(cfg, "ridge", float, "ridge penalty")
     a = _optional(cfg, "nu_clip_a", float, "clip for the per-term nu bound", None)
     train = lattice_grid(box, points)
@@ -210,7 +231,7 @@ def cmd_theorem1(cfg, outdir, seed):
     f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f")
     g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g")
     box, points, delta = _grid_spec(cfg)
-    scales = _need(cfg, "scales", list, "steepness scale factors")
+    scales = _need(cfg, "scales", [float], "steepness scale factors")
     pair = SillDictionary(f.m, (f, g))
     grid = lattice_grid(box, points)
     keep = hyperplane_distance(grid, pair) >= delta
@@ -238,29 +259,17 @@ def cmd_theorem1(cfg, outdir, seed):
     return {"outputs": ["decay.csv", "decay_fit.json"]}
 
 
-def _radius(val, key: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < np.inf:
-        raise ValueError(
-            f"config key '{key}' needs positive finite interval radii, got {val!r}"
-        )
-    return float(val)
-
-
 def cmd_stats(cfg, outdir, seed):
-    a_values = _need(cfg, "a_values", list, "interval radii for the moment sweep")
-    a_values = [_radius(a, "a_values") for a in a_values]
+    a_values = _need(cfg, "a_values", [float], "interval radii for the moment sweep")
     quad_points = _need(
         cfg, "quad_points", int, "Gauss-Legendre nodes of the coarse rule",
         least=100, most=MAX_QUAD_POINTS,
     )
     samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1)
-    m_values = _need(cfg, "m_values", list, "measurement dimensions for rate table")
-    m_values = [
-        _need({"m_values": m}, "m_values", int, "measurement dimensions", 1)
-        for m in m_values
-    ]
+    m_values = _need(cfg, "m_values", [int], "measurement dimensions for rate table", 1)
     rate_a = _optional(cfg, "rate_a", float, "interval radius for the rate table", 2.0)
-    rate_a = _radius(rate_a, "rate_a")
+    for a in a_values + [rate_a]:
+        UniformIntervalSpec(a)
     reports = moment_sweep(a_values, quad_points, samples, seed)
     write_moment_csv(reports, os.path.join(outdir, "moments.csv"))
     rows = expected_error_rates(m_values, rate_a, samples=samples, seed=seed)
@@ -275,13 +284,19 @@ def cmd_stats(cfg, outdir, seed):
 
 
 def cmd_example1(cfg, outdir, seed):
-    degrees = [
-        _need({"degrees": n}, "degrees", int, "polynomial dictionary degrees", 1)
-        for n in _need(cfg, "degrees", list, "polynomial dictionary degrees")
-    ]
-    fit_range = _need(cfg, "fit_range", list, "sampling interval [lo, hi]")
+    degrees = _need(cfg, "degrees", [int], "polynomial dictionary degrees", 1)
+    fit_range = _need(cfg, "fit_range", [float], "sampling interval [lo, hi]")
     fit_points = _need(cfg, "fit_points", int, "sample count over fit_range")
-    lo, hi = float(fit_range[0]), float(fit_range[1])
+    sill = _need(cfg, "sill", dict, "bounded-box SILL comparison spec")
+    centers = _need(sill, "centers", [float], "logistic centers")
+    alpha = _need(sill, "alpha", float, "shared steepness")
+    box = _need(sill, "box", [float], "bounded interval [lo, hi]")
+    points = _need(sill, "points", int, "sample count over the box")
+    ridge = _need(sill, "ridge", float, "ridge penalty")
+    d = SillDictionary(
+        1, tuple(ConjLogistic([c], [alpha]) for c in centers)
+    )
+    lo, hi = fit_range[0], fit_range[1]
     y = np.linspace(lo, hi, fit_points)
     rows = []
     slopes = {}
@@ -295,16 +310,7 @@ def cmd_example1(cfg, outdir, seed):
         "n,y,residual,residual_over_y_pow",
         rows,
     )
-    sill = _need(cfg, "sill", dict, "bounded-box SILL comparison spec")
-    centers = _need(sill, "centers", list, "logistic centers")
-    alpha = _need(sill, "alpha", float, "shared steepness")
-    box = _need(sill, "box", list, "bounded interval [lo, hi]")
-    points = _need(sill, "points", int, "sample count over the box")
-    ridge = _need(sill, "ridge", float, "ridge penalty")
-    d = SillDictionary(
-        1, tuple(ConjLogistic([float(c)], [alpha]) for c in centers)
-    )
-    grid = np.linspace(float(box[0]), float(box[1]), points)[:, None]
+    grid = np.linspace(box[0], box[1], points)[:, None]
     snaps = SnapshotSet(grid, grid**2, "CT")
     model = fit_generator(snaps, join_completion(d), ridge)
     rep = residual(model, snaps)
@@ -312,7 +318,7 @@ def cmd_example1(cfg, outdir, seed):
         os.path.join(outdir, "example1_summary.json"),
         {
             "growth_slopes": slopes,
-            "sill_box": [float(box[0]), float(box[1])],
+            "sill_box": [box[0], box[1]],
             "sill_residual_max": rep.max_row_norm,
             "sill_residual_mean": rep.mean_row_norm,
         },

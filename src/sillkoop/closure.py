@@ -266,7 +266,10 @@ def lie_forms(sf: SpannedField, y) -> LieForms:
     """The LieForms of all field logistics at y, shape (m,) or (..., m).
 
     One array pass: one evaluation each of the per-coordinate factors,
-    the dictionary and the N_L^2 pairwise joins.
+    the dictionary and the N_L^2 pairwise joins.  Every sum is a matmul
+    over i, then a sum over the last axis j, the same per point whatever
+    the batch shape, so lie_forms(sf, Y)[p] is lie_forms(sf, Y[p]) bit
+    for bit.
     """
     d, W = sf.dictionary, sf.W
     y = _check_point(y, d.m)
@@ -275,15 +278,17 @@ def lie_forms(sf: SpannedField, y) -> LieForms:
     # the joins of all N_L^2 pairs (l, j) as (N_L, N_L, m) parameter arrays
     mu, alpha = _join(d.mu[:, None], d.alpha[:, None], d.mu, d.alpha)
     lam_star = np.prod(_coordinate_sigmoids(y[..., None, None, :], mu, alpha), axis=-1)
-    off, on = d.alpha * (1.0 - lam), d.alpha * lam
+    # (..., N_L, N_L): off[l, j] = sum_i alpha_li (1 - lambda_li) W_ij
+    off, on = (d.alpha * (1.0 - lam)) @ W, (d.alpha * lam) @ W
     coeff = d.alpha @ W  # coeff[l, j] = sum_i alpha_li W_ij
+    pair = lam_all[..., None, :]  # Lambda_j for every l
     return LieForms(
-        exact=np.einsum("...li,ij,...j->...l", off, W, lam_all) * lam_all,
-        intermediate=np.einsum("...li,ij,...lj->...l", off, W, lam_star),
-        linear=np.einsum("lj,...lj->...l", coeff, lam_star),
-        linearization=np.einsum("...li,ij,...lj->...l", on, W, lam_star),
-        bilinear=np.einsum("...li,ij,...j->...l", on, W, lam_all) * lam_all,
-        reference=np.einsum("lj,...j->...l", coeff, lam_all) * lam_all,
+        exact=(off * pair).sum(-1) * lam_all,
+        intermediate=(off * lam_star).sum(-1),
+        linear=(coeff * lam_star).sum(-1),
+        linearization=(on * lam_star).sum(-1),
+        bilinear=(on * pair).sum(-1) * lam_all,
+        reference=(coeff * pair).sum(-1) * lam_all,
     )
 
 

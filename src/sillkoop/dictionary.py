@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ScalarLogisticParams",
     "ConjLogistic",
     "SillDictionary",
     "OrderCheckResult",
     "stable_sigmoid",
-    "eval_scalar_logistic",
     "eval_conjunctive",
     "conj_values",
     "lift",
@@ -55,23 +53,6 @@ def stable_sigmoid(z):
     with np.errstate(over="ignore"):
         out = 1.0 / (1.0 + np.exp(-z))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class ScalarLogisticParams:
-    """Center and steepness of one scalar logistic.
-
-    alpha may carry any sign here; dictionary construction (ConjLogistic)
-    is where strict positivity is enforced.
-    """
-
-    mu: float
-    alpha: float
-
-
-def eval_scalar_logistic(y_i, p: ScalarLogisticParams):
-    """Scalar logistic 1 / (1 + exp(-alpha * (y_i - mu)))."""
-    return _coordinate_sigmoids(np.asarray(y_i, dtype=float), p.mu, p.alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,8 @@ ValueError or a subclass of it; numerical failures raise RuntimeError
 subclasses so callers can tell the two apart.
 """
 
+__all__ = ["IncomparableCentersError", "QuadratureError", "ClosureBoundError"]
+
 
 class IncomparableCentersError(ValueError):
     """Two conjunctive logistics admit no dominance order.

@@ -28,7 +28,6 @@ __all__ = [
     "solve_koopman_ls",
     "fit_generator",
     "fit_edmd",
-    "project_state",
     "predict_ct",
     "residual",
     "save_snapshots",
@@ -209,14 +208,6 @@ def fit_generator(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> Koop
 def fit_edmd(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> KoopmanModel:
     """Fit the DT operator approximation from (y, y+) snapshots."""
     return _fit(s, d, ridge, DT)
-
-
-def project_state(z, d: SillDictionary):
-    """Measurement block of a lifted vector: components 1..m."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != d.size:
-        raise ValueError(f"expected lifted vectors of length {d.size}, got {z.shape}")
-    return z[..., 1 : 1 + d.m]
 
 
 def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory:

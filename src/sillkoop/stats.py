@@ -23,7 +23,6 @@ seed.  Per estimator, seed and draws per block:
 * expected_logistic: seed ``seed``; one random logistic.
 * mc_conjunctive_table(m_values): seed ``seed``; max(m) random logistics
   (the first factor is 1 and draws nothing), row m read after m of them.
-  mc_conjunctive(m) is the one-row table.
 * expected_error_rates(m_values): seed ``seed``; one (4, k) block of
   alpha, w, y, z for |alpha w| sigma(alpha (y - z)), then 2 max(m) random
   logistics; row m reads the linearization term after m of them and the
@@ -31,10 +30,7 @@ seed.  Per estimator, seed and draws per block:
 
 The rows of a table share one sample path, so comparisons across m are
 paired, and the linear term at m = 2k is the bilinear term at m = k bit
-for bit.  (Before, each error-rate row m had its own path seeded with
-``[seed, m]``, and the stats command seeded conjunctive row i with
-``seed + 1000 + i``; it now seeds the conjunctive table with
-``seed + 1000``.)
+for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ __all__ = [
     "product_cdf",
     "product_pdf_normalization",
     "expected_logistic",
-    "mc_conjunctive",
     "mc_conjunctive_table",
     "expected_error_rates",
     "moment_sweep",
@@ -180,10 +175,11 @@ def _outer_quad(fn, lo: float, hi: float, quad_points: int):
     The substitution z = e^t turns the logarithmic endpoint growth of the
     product density into a smooth function of t, which a fixed rule of
     ceil(quad_points / 50) equal 50-node Gauss-Legendre panels integrates
-    to about 1e-15, the accuracy of numpy's leggauss weights.  A rule with twice the panels runs alongside; the
-    finer value is returned with |fine - coarse| as the error estimate,
-    and a disagreement above 1e-13 + 1e-12 |fine| raises QuadratureError.
-    fn takes and returns arrays.
+    to about 1e-15, the accuracy of numpy's leggauss weights.  A rule with
+    twice the panels runs alongside; the finer value is returned with
+    |fine - coarse| as the error estimate, and a disagreement above
+    1e-13 + 1e-12 |fine| raises QuadratureError.  fn takes and returns
+    arrays.
     """
     panels = -(-quad_points // _PANEL_NODES.size)
     t0, t1 = math.log(lo), math.log(hi)
@@ -198,15 +194,15 @@ def _outer_quad(fn, lo: float, hi: float, quad_points: int):
     return fine, err
 
 
-def _lotus(a: float, fn, inner_coeff: float, quad_points: int):
+def _lotus(a: float, fn, quad_points: int):
     """Integral of product_pdf * fn, with the singular sliver handled analytically.
 
     The interval |z| <= eps = 1e-8 a^2 carries analytic mass; fn is
-    replaced there by its symmetric average at 0 (inner_coeff), which for
-    the logistic and its square is exact to O(eps^2).  Each half of the
-    rest, [eps, 2a^2] and its mirror, is one _outer_quad call whose
-    coarse rule has at least quad_points nodes.  Returns the integral and the
-    sum of the two halves' error estimates.
+    replaced there by fn(0), which for a smooth fn such as the logistic
+    and its square is its symmetric average over the sliver to O(eps^2).
+    Each half of the rest, [eps, 2a^2] and its mirror, is one _outer_quad
+    call whose coarse rule has at least quad_points nodes.  Returns the
+    integral and the sum of the two halves' error estimates.
     """
     if not 100 <= quad_points <= MAX_QUAD_POINTS:
         raise ValueError(
@@ -216,12 +212,12 @@ def _lotus(a: float, fn, inner_coeff: float, quad_points: int):
     hi = 2.0 * a * a
     pos, err_pos = _outer_quad(lambda u: product_pdf(u, a) * fn(u), eps, hi, quad_points)
     neg, err_neg = _outer_quad(lambda u: product_pdf(-u, a) * fn(-u), eps, hi, quad_points)
-    return pos + neg + inner_coeff * 2.0 * _mass_zero_to(eps, a), err_pos + err_neg
+    return pos + neg + fn(0.0) * 2.0 * _mass_zero_to(eps, a), err_pos + err_neg
 
 
 def product_pdf_normalization(a: float, quad_points: int = 200) -> float:
     """Integral of the product density over its support; equals 1."""
-    return _lotus(a, lambda z: 1.0, 1.0, quad_points)[0]
+    return _lotus(a, lambda z: 1.0, quad_points)[0]
 
 
 def _random_logistic(rng, a: float, k: int):
@@ -302,8 +298,8 @@ def expected_logistic(
     sampled draws so the two routes can be compared.
     """
     UniformIntervalSpec(a)
-    e1, err1 = _lotus(a, stable_sigmoid, 0.5, quad_points)
-    e2, err2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2, 0.25, quad_points)
+    e1, err1 = _lotus(a, stable_sigmoid, quad_points)
+    e2, err2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2, quad_points)
     mean, stderr = _mc_products(_random_logistic, a, [0], samples, seed)
     return MomentReport(
         a=float(a),
@@ -331,16 +327,6 @@ def mc_conjunctive_table(m_values, a: float, samples: int, seed: int):
         return []
     mean, stderr = _mc_products(lambda rng, a, k: np.ones(k), a, ms, samples, seed)
     return list(zip(mean.tolist(), stderr.tolist()))
-
-
-def mc_conjunctive(m: int, a: float, samples: int, seed: int):
-    """Mean and standard error of a product of m independent random logistics.
-
-    The one-row mc_conjunctive_table: the mean estimates E[Lambda] for m
-    coordinates, which tracks 1/2^m.
-    """
-    (row,) = mc_conjunctive_table([m], a, samples, seed)
-    return row
 
 
 def expected_error_rates(

@@ -43,7 +43,7 @@ from sillkoop.regression import (
 from sillkoop.stats import (
     expected_logistic,
     expected_error_rates,
-    mc_conjunctive,
+    mc_conjunctive_table,
     product_pdf_normalization,
 )
 
@@ -228,7 +228,7 @@ def test_criterion_6_conjunctive_expectation_bound():
     details = []
     ok = True
     for m in range(1, 7):
-        est, stderr = mc_conjunctive(m, 2.0, 1_000_000, seed=m)
+        est, stderr = mc_conjunctive_table([m], 2.0, 1_000_000, seed=m)[0]
         ok = ok and est <= 2.0**-m + 3 * stderr
         details.append(f"m={m}: {est:.5f}")
     elapsed = time.time() - t0

@@ -604,6 +604,55 @@ def test_example1_bad_degree_exits_2(tmp_path, capsys, degrees):
     assert not (out / "example1_poly.csv").exists()
 
 
+def _predict_config(tmp_path):
+    d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
+    model_path = tmp_path / "model.json"
+    save_model(KoopmanModel(np.zeros((3, 3)), d, "CT"), model_path)
+    return _write_config(
+        tmp_path / "predict.json",
+        {"model": str(model_path), "y0": [1.0], "horizon": 1.0, "dt": 0.1},
+    )
+
+
+_CONFIGS = {
+    "closure": _closure_config,
+    "theorem1": lambda tmp_path: _theorem1_config(tmp_path, [1.0, 1.2]),
+    "example1": _example1_config,
+    "predict": _predict_config,
+}
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        pytest.param("closure", ["alpha_scales"], [True, "2", 4], id="closure-scales"),
+        pytest.param("closure", ["logistics", 0, "mu"], ["-1.225", 0.525], id="closure-mu"),
+        pytest.param("closure", ["logistics", 2, "alpha", 1], True, id="closure-alpha"),
+        pytest.param("closure", ["W", 0, 0], "0.8", id="closure-W"),
+        pytest.param("closure", ["grid", "box", 1, 0], "-2.8", id="closure-box"),
+        pytest.param("theorem1", ["scales"], [True, "2", 4, 8], id="theorem1-scales"),
+        pytest.param("theorem1", ["g", "mu"], ["1.0", 1.2], id="theorem1-mu"),
+        pytest.param("example1", ["fit_range"], ["-10", True], id="example1-fit-range"),
+        pytest.param("example1", ["sill", "centers", 0], "-1.2", id="example1-centers"),
+        pytest.param("example1", ["sill", "box"], [False, 2.0], id="example1-box"),
+        pytest.param("predict", ["y0"], ["1.0"], id="predict-y0"),
+    ],
+)
+def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path, value):
+    # every config number, scalar or nested, passes the one rule _need applies
+    cfg = json.loads(Path(_CONFIGS[command](tmp_path)).read_text())
+    *parents, last = path
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    out = tmp_path / "o"
+    bad = _write_config(tmp_path / "bad.json", cfg)
+    assert _run([command, "--config", bad, "--out", out]) == 2
+    assert "bad-input: config key" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_complete_dictionary_closes_pairs(tmp_path):
     d = SillDictionary(
         2,

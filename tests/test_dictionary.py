@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import warnings
@@ -5,15 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+import sillkoop
 from sillkoop.dictionary import (
     ConjLogistic,
-    ScalarLogisticParams,
     SillDictionary,
     check_total_order,
     conj_values,
     dominates,
     eval_conjunctive,
-    eval_scalar_logistic,
     grad_conjunctive,
     join_completion,
     join_params,
@@ -26,23 +26,23 @@ from sillkoop.dictionary import (
 
 
 def test_scalar_logistic_center_value():
-    assert eval_scalar_logistic(0.0, ScalarLogisticParams(0.0, 5.0)) == pytest.approx(0.5)
+    assert eval_conjunctive([0.0], ConjLogistic([0.0], [5.0])) == pytest.approx(0.5)
 
 
 def test_scalar_logistic_ln3_value():
     # exp(-ln 3) = 1/3 forces 1 / (1 + 1/3) = 0.75
-    p = ScalarLogisticParams(0.0, math.log(3.0))
-    assert eval_scalar_logistic(1.0, p) == pytest.approx(0.75, rel=1e-14)
+    f = ConjLogistic([0.0], [math.log(3.0)])
+    assert eval_conjunctive([1.0], f) == pytest.approx(0.75, rel=1e-14)
 
 
 def test_scalar_logistic_deep_saturation_no_overflow():
-    v = eval_scalar_logistic(-200.0, ScalarLogisticParams(0.0, 10.0))
+    v = eval_conjunctive([-200.0], ConjLogistic([0.0], [10.0]))
     assert np.isfinite(v)
     assert 0.0 <= v <= 1e-300
 
 
 def test_scalar_logistic_huge_positive_argument():
-    v = eval_scalar_logistic(500.0, ScalarLogisticParams(0.0, 10.0))
+    v = eval_conjunctive([500.0], ConjLogistic([0.0], [10.0]))
     assert v == 1.0 or (0.0 < v <= 1.0)
     assert np.isfinite(v)
 
@@ -60,16 +60,10 @@ def test_sigmoid_saturates_exactly_and_passes_nan_without_warnings():
 
 
 def test_scalar_logistic_monotone_increasing():
-    p = ScalarLogisticParams(0.3, 2.0)
+    f = ConjLogistic([0.3], [2.0])
     ys = np.linspace(-4, 4, 101)
-    vals = eval_scalar_logistic(ys, p)
+    vals = eval_conjunctive(ys[:, None], f)
     assert np.all(np.diff(vals) > 0)
-
-
-def test_scalar_params_allow_negative_alpha():
-    # the sampling-statistics code constructs these with either sign
-    v = eval_scalar_logistic(1.0, ScalarLogisticParams(0.0, -2.0))
-    assert 0.0 < v < 0.5
 
 
 def test_conjunctive_center_is_quarter():
@@ -401,3 +395,14 @@ def test_dictionary_from_dict_missing_fields():
         SillDictionary.from_dict({"m": 2})
     with pytest.raises(ValueError):
         SillDictionary.from_dict({"logistics": []})
+
+
+@pytest.mark.parametrize(
+    "module", ["dictionary", "regression", "closure", "stats", "bench", "errors"]
+)
+def test_package_exports_each_module_all(module):
+    # a module's __all__ is the one list of its public names
+    mod = importlib.import_module(f"sillkoop.{module}")
+    assert mod.__all__
+    for name in mod.__all__:
+        assert getattr(sillkoop, name) is getattr(mod, name), name

@@ -62,7 +62,7 @@ from sillkoop.regression import (
     save_snapshots,
     solve_koopman_ls,
 )
-from sillkoop.stats import expected_error_rates, mc_conjunctive, mc_conjunctive_table
+from sillkoop.stats import expected_error_rates, mc_conjunctive_table
 
 EPS = np.finfo(float).eps
 _settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -253,10 +253,7 @@ def test_join_completion_keeps_repeated_originals():
     assert completed.to_dict() == _pairwise_join_completion(d).to_dict()
 
 
-@_settings
-@given(_field_and_points())
-def test_lie_forms_batch_matches_single_points(case):
-    sf, Y = case
+def _assert_lie_forms_batch_matches_single_points(sf, Y):
     n = sf.dictionary.n_logistic
     batch = lie_forms(sf, Y)
     for p, y in enumerate(Y):
@@ -265,6 +262,41 @@ def test_lie_forms_batch_matches_single_points(case):
             b, one = getattr(batch, f.name), getattr(single, f.name)
             assert b.shape == (Y.shape[0], n) and one.shape == (n,)
             assert np.array_equal(b[p], one), f.name
+
+
+# summed over j in another order for the batch than for one point, this
+# case moves linearization by 6.9e-18
+_BATCH_ORDER_CASE = (
+    SpannedField(
+        SillDictionary(
+            2, (ConjLogistic([0.0, 0.0], [1.0, 1.0]), ConjLogistic([0.0, 1.0], [1.0, 2.0]))
+        ),
+        np.array([[0.0, 1.0], [1.0, 0.25]]),
+    ),
+    np.zeros((2, 2)),
+)
+
+
+@_settings
+@given(_field_and_points())
+@example(_BATCH_ORDER_CASE)
+def test_lie_forms_batch_matches_single_points(case):
+    _assert_lie_forms_batch_matches_single_points(*case)
+
+
+def test_lie_forms_batch_matches_single_points_on_seeded_fields():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        m, n, P = rng.integers(1, 4), rng.integers(1, 6), rng.integers(1, 6)
+        d = SillDictionary(
+            m,
+            tuple(
+                ConjLogistic(rng.uniform(-2.0, 2.0, m), rng.uniform(0.5, 10.0, m))
+                for _ in range(n)
+            ),
+        )
+        sf = SpannedField(d, rng.uniform(-1.0, 1.0, (m, n)))
+        _assert_lie_forms_batch_matches_single_points(sf, rng.uniform(-4.0, 4.0, (P, m)))
 
 
 @_settings
@@ -444,7 +476,7 @@ def test_conjunctive_table_rows_equal_one_row_estimates(case):
     # table draws come after row m's and cannot move it
     args = (case["a"], case["samples"], case["seed"])
     table = mc_conjunctive_table(case["m_values"], *args)
-    assert table == [mc_conjunctive(m, *args) for m in case["m_values"]]
+    assert table == [mc_conjunctive_table([m], *args)[0] for m in case["m_values"]]
 
 
 @_settings

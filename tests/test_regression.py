@@ -15,7 +15,6 @@ from sillkoop.regression import (
     load_model,
     load_snapshots,
     predict_ct,
-    project_state,
     residual,
     save_model,
     save_snapshots,
@@ -156,25 +155,6 @@ def test_edmd_underdetermined_min_norm_is_finite():
     assert np.isfinite(model.K).all()
 
 
-def test_project_state_roundtrip():
-    d = _dictionary()
-    rng = np.random.default_rng(19)
-    y = rng.uniform(-2, 2, size=d.m)
-    np.testing.assert_array_equal(project_state(lift(y, d), d), y)
-
-
-def test_project_state_ignores_constant_and_logistic_components():
-    d = _dictionary()
-    e0 = np.zeros(d.size)
-    e0[0] = 1.0
-    np.testing.assert_array_equal(project_state(e0, d), np.zeros(d.m))
-    y = np.array([0.4, -1.1])
-    z = lift(y, d)
-    z_perturbed = z.copy()
-    z_perturbed[1 + d.m :] += 7.0
-    np.testing.assert_array_equal(project_state(z_perturbed, d), y)
-
-
 def test_predict_zero_generator_is_constant():
     d = _dictionary()
     model = KoopmanModel(np.zeros((d.size, d.size)), d, "CT")
@@ -248,7 +228,7 @@ def test_predict_matches_rk4_on_the_lifted_field():
     d = _dictionary(seed=30)
     model = fit_generator(_ct_snapshots(d, seed=31), d, ridge=1e-8)
     K, y0 = model.K, np.array([0.4, -0.9])
-    lifted = VectorField("lifted", d.size, lambda z: K @ z, ((-10.0, 10.0),) * d.size)
+    lifted = VectorField("lifted", d.size, lambda z: K @ z)
     ref = rk4_integrate(lifted, lift(y0, d), dt=1e-3, steps=1000)
     traj = predict_ct(model, y0, horizon=1.0, dt=1e-3)
     assert not traj.diverged and not ref.diverged

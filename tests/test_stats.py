@@ -13,7 +13,6 @@ from sillkoop.stats import (
     UniformIntervalSpec,
     expected_error_rates,
     expected_logistic,
-    mc_conjunctive,
     mc_conjunctive_table,
     moment_sweep,
     product_cdf,
@@ -161,7 +160,7 @@ def test_unresolved_integrand_raises_quadrature_error():
     # cos(1000 z) swings ~300 times over the support; the coarse and the
     # check rule land on different values, so neither is trusted
     with pytest.raises(QuadratureError, match="did not converge"):
-        stats._lotus(1.0, lambda z: np.cos(1e3 * z), 1.0, 100)
+        stats._lotus(1.0, lambda z: np.cos(1e3 * z), 100)
 
 
 def test_quad_points_limit_checked_before_any_rule_runs(monkeypatch):
@@ -196,24 +195,24 @@ def test_quadrature_and_mc_agree():
 
 
 def test_expected_conjunctive_m1_near_half():
-    est = mc_conjunctive(1, 2.0, 200_000, seed=2)[0]
+    est = mc_conjunctive_table([1], 2.0, 200_000, seed=2)[0][0]
     assert abs(est - 0.5) < 5e-3
 
 
 def test_expected_conjunctive_m4_tracks_sixteenth():
-    est, stderr = mc_conjunctive(4, 2.0, 200_000, seed=3)
+    est, stderr = mc_conjunctive_table([4], 2.0, 200_000, seed=3)[0]
     assert abs(est - 1.0 / 16.0) <= 3 * stderr
     assert est <= 1.0 / 16.0 + 3 * stderr
 
 
 def test_expected_conjunctive_single_sample_in_range():
-    est = mc_conjunctive(1, 2.0, samples=1, seed=0)[0]
+    est = mc_conjunctive_table([1], 2.0, samples=1, seed=0)[0][0]
     assert 0.0 < est < 1.0
 
 
 def test_conjunctive_bound_sweep():
     for m in range(1, 7):
-        est, stderr = mc_conjunctive(m, 2.0, 100_000, seed=m)
+        est, stderr = mc_conjunctive_table([m], 2.0, 100_000, seed=m)[0]
         assert est <= 2.0**-m + 3 * stderr
 
 
@@ -278,7 +277,7 @@ def test_mc_sample_count_validation():
     with pytest.raises(ValueError):
         expected_logistic(1.0, samples=0, seed=0)
     with pytest.raises(ValueError):
-        mc_conjunctive(0, 1.0, 100, seed=0)
+        mc_conjunctive_table([0], 1.0, 100, seed=0)
     with pytest.raises(ValueError):
         expected_error_rates([0], 1.0, samples=100, seed=0)
     with pytest.raises(ValueError):
@@ -355,7 +354,8 @@ def test_mc_estimators_match_reference_draw_layout(m, seed, samples):
     assert [(r.mc_linear, r.mc_bilinear) for r in rows] == _reference_error_terms(
         m_values, a, samples, seed
     )
-    assert mc_conjunctive(m, a, samples, seed) == _reference_conjunctive([m], a, samples, seed)[0]
+    one_row = mc_conjunctive_table([m], a, samples, seed)[0]
+    assert one_row == _reference_conjunctive([m], a, samples, seed)[0]
     rep = expected_logistic(a, samples=samples, seed=seed)
     assert (rep.mc_expectation, rep.mc_stderr) == _reference_conjunctive([1], a, samples, seed)[0]
 
