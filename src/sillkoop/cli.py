@@ -37,6 +37,8 @@ from .closure import (
 from .dictionary import (
     ConjLogistic,
     SillDictionary,
+    _checked,
+    _logistic_from,
     _write_csv,
     _write_json,
     check_total_order,
@@ -73,37 +75,6 @@ def _need(cfg: dict, key: str, kind, desc: str, least=None, most=None):
     return _checked(cfg[key], kind, f"config key '{key}'", desc, least, most)
 
 
-def _checked(val, kind, where: str, desc: str, least=None, most=None):
-    """val as kind, where [kind] is a list of kind, to any depth.
-
-    The one rule for config values: a float is any JSON number, an int an
-    integer within [least, most], and neither is ever a bool or a string,
-    alone or inside a list.
-    """
-    if isinstance(kind, list):
-        if not isinstance(val, list):
-            raise ValueError(f"{where} must be a list ({desc})")
-        return [
-            _checked(v, kind[0], f"{where}[{i}]", desc, least, most)
-            for i, v in enumerate(val)
-        ]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ValueError(f"{where} must be a number ({desc})")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ValueError(f"{where} must be an integer ({desc})")
-        if least is not None and val < least:
-            raise ValueError(f"{where} must be at least {least} ({desc})")
-        if most is not None and val > most:
-            raise ValueError(f"{where} must be at most {most} ({desc})")
-        return val
-    if not isinstance(val, kind):
-        raise ValueError(f"{where} must be {kind.__name__} ({desc})")
-    return val
-
-
 def _grid_spec(cfg: dict):
     grid = _need(cfg, "grid", dict, "grid settings object")
     box = _need(grid, "box", [[float]], "list of [lo, hi] pairs")
@@ -114,20 +85,17 @@ def _grid_spec(cfg: dict):
     return box, points, delta
 
 
+def _interval(cfg: dict, key: str, desc: str):
+    bounds = _need(cfg, key, [float], f"{desc} [lo, hi]")
+    if len(bounds) != 2:
+        raise ValueError(f"config key '{key}' must be [lo, hi], got {len(bounds)} entries")
+    return bounds
+
+
 def _optional(cfg: dict, key: str, kind, desc: str, default):
     if key not in cfg or cfg[key] is None:
         return default
     return _need(cfg, key, kind, desc)
-
-
-def _logistic_from(obj: dict, label: str) -> ConjLogistic:
-    if not isinstance(obj, dict) or "mu" not in obj or "alpha" not in obj:
-        raise ValueError(f"{label} must be an object with 'mu' and 'alpha' arrays")
-    mu, alpha = (
-        _checked(obj[k], [float], f"config key '{label}.{k}'", "logistic parameters")
-        for k in ("mu", "alpha")
-    )
-    return ConjLogistic(mu, alpha)
 
 
 def _residual_summary(rep, snaps) -> dict:
@@ -180,9 +148,8 @@ def cmd_predict(cfg, outdir, seed):
     traj = predict_ct(model, y0, horizon, dt)
     m = model.dictionary.m
     header = "t," + ",".join(f"y{i + 1}" for i in range(m))
-    rows = [
-        [repr(k * dt)] + [repr(float(v)) for v in row] for k, row in enumerate(traj.y)
-    ]
+    # tolist gives Python floats, whose repr is the shortest round trip
+    rows = [[repr(k * dt)] + list(map(repr, row)) for k, row in enumerate(traj.y.tolist())]
     _write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
     _write_json(
         os.path.join(outdir, "predict_summary.json"),
@@ -199,7 +166,7 @@ def _spanned_field_from(cfg) -> SpannedField:
     m = _need(cfg, "m", int, "measurement dimension")
     entries = _need(cfg, "logistics", list, "list of {mu, alpha} objects")
     logistics = tuple(
-        _logistic_from(e, f"logistics[{k}]") for k, e in enumerate(entries)
+        _logistic_from(e, f"logistics[{k}]", "config") for k, e in enumerate(entries)
     )
     W = _need(cfg, "W", [[float]], "m x N_L weight matrix")
     return SpannedField(SillDictionary(m, logistics), W)
@@ -228,8 +195,8 @@ def cmd_closure(cfg, outdir, seed):
 
 
 def cmd_theorem1(cfg, outdir, seed):
-    f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f")
-    g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g")
+    f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f", "config")
+    g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g", "config")
     box, points, delta = _grid_spec(cfg)
     scales = _need(cfg, "scales", [float], "steepness scale factors")
     pair = SillDictionary(f.m, (f, g))
@@ -285,18 +252,17 @@ def cmd_stats(cfg, outdir, seed):
 
 def cmd_example1(cfg, outdir, seed):
     degrees = _need(cfg, "degrees", [int], "polynomial dictionary degrees", 1)
-    fit_range = _need(cfg, "fit_range", [float], "sampling interval [lo, hi]")
+    lo, hi = _interval(cfg, "fit_range", "sampling interval")
     fit_points = _need(cfg, "fit_points", int, "sample count over fit_range")
     sill = _need(cfg, "sill", dict, "bounded-box SILL comparison spec")
     centers = _need(sill, "centers", [float], "logistic centers")
     alpha = _need(sill, "alpha", float, "shared steepness")
-    box = _need(sill, "box", [float], "bounded interval [lo, hi]")
+    box = _interval(sill, "box", "bounded interval")
     points = _need(sill, "points", int, "sample count over the box")
     ridge = _need(sill, "ridge", float, "ridge penalty")
     d = SillDictionary(
         1, tuple(ConjLogistic([c], [alpha]) for c in centers)
     )
-    lo, hi = fit_range[0], fit_range[1]
     y = np.linspace(lo, hi, fit_points)
     rows = []
     slopes = {}

@@ -34,8 +34,9 @@ from .dictionary import (
     ConjLogistic,
     SillDictionary,
     _check_point,
-    _coordinate_sigmoids,
-    _join,
+    _gather,
+    _product,
+    _sigmoid_table,
     conj_values,
     dominates,
     eval_conjunctive,
@@ -166,11 +167,9 @@ def hyperplane_distance(y, d: SillDictionary):
     that coordinate; this is the measure-zero set where the product
     approximation error cannot be reduced by steepening.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != d.m:
-        raise ValueError(f"expected points with last dimension {d.m}, got {y.shape}")
-    gaps = np.abs(y[..., None, :] - d.mu)
-    out = gaps.min(axis=(-2, -1))
+    y = _check_point(y, d.m)
+    # each distinct center once: the table column's coordinate of y
+    out = np.abs(y[..., d.table_coord] - d.table_mu).min(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -265,19 +264,21 @@ class LieForms:
 def lie_forms(sf: SpannedField, y) -> LieForms:
     """The LieForms of all field logistics at y, shape (m,) or (..., m).
 
-    One array pass: one evaluation each of the per-coordinate factors,
-    the dictionary and the N_L^2 pairwise joins.  Every sum is a matmul
-    over i, then a sum over the last axis j, the same per point whatever
-    the batch shape, so lie_forms(sf, Y)[p] is lie_forms(sf, Y[p]) bit
-    for bit.
+    One array pass: one sigmoid table at y, from which the per-coordinate
+    factors, the dictionary and the N_L^2 pairwise joins are gathered.  A
+    join's columns are the max of the pair's columns, and its value is the
+    product of those columns one coordinate at a time, so no
+    (..., N_L, N_L, m) array is built.  Every sum is a matmul over i,
+    then a sum over the last axis j of a C-contiguous array, the same per
+    point whatever the batch shape, so lie_forms(sf, Y)[p] is
+    lie_forms(sf, Y[p]) bit for bit.
     """
     d, W = sf.dictionary, sf.W
-    y = _check_point(y, d.m)
-    lam = _coordinate_sigmoids(y[..., None, :], d.mu, d.alpha)  # (..., N_L, m)
-    lam_all = conj_values(y, d)  # (..., N_L)
-    # the joins of all N_L^2 pairs (l, j) as (N_L, N_L, m) parameter arrays
-    mu, alpha = _join(d.mu[:, None], d.alpha[:, None], d.mu, d.alpha)
-    lam_star = np.prod(_coordinate_sigmoids(y[..., None, None, :], mu, alpha), axis=-1)
+    table = _sigmoid_table(y, d)  # (..., R)
+    lam = _gather(table, d.columns)  # (..., N_L, m)
+    lam_all = _product(table, d.columns)  # (..., N_L)
+    # the joins of all pairs (l, j): (N_L, N_L, m) columns, (..., N_L, N_L) values
+    lam_star = _product(table, np.maximum(d.columns[:, None], d.columns))
     # (..., N_L, N_L): off[l, j] = sum_i alpha_li (1 - lambda_li) W_ij
     off, on = (d.alpha * (1.0 - lam)) @ W, (d.alpha * lam) @ W
     coeff = d.alpha @ W  # coeff[l, j] = sum_i alpha_li W_ij

@@ -6,6 +6,20 @@ N_L conjunctive logistic functions (products of per-coordinate sigmoids,
 each with its own center mu and steepness alpha).  This module evaluates,
 differentiates, orders, and join-completes such dictionaries.
 
+A dictionary lives in index space.  Coordinate i has only r_i <= N_L
+distinct (mu_i, alpha_i) pairs; sorted lexicographically they form its
+table, and the R = sum r_i columns of all coordinates form one flat
+table.  Each logistic is a row of integer ranks into the tables.  The
+join of two logistics takes, per coordinate, the lexicographically larger
+pair, so it is np.maximum on ranks, and join completion never leaves the
+tables.  Evaluation is one kernel: one stable_sigmoid call over the
+(..., R) table at the points, then a gather of each logistic's columns and
+a product over coordinates.  A ConjLogistic is the one-row case, whose
+table is its own m pairs.  Every gather is C-contiguous (np.take), so a
+later reduction over its last axis runs in the same order as over a
+freshly computed array, and values match a per-factor evaluation bit for
+bit.
+
 All operations are pure functions of their arguments.  Array arguments
 broadcast over leading axes, so a (P, m) batch of points evaluates in one
 call with deterministic ordering.
@@ -15,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -91,6 +106,11 @@ class ConjLogistic:
     def m(self) -> int:
         return self.mu.size
 
+    # the one-row table: coordinate i's only pair is column i
+    table_mu = property(lambda self: self.mu)
+    table_alpha = property(lambda self: self.alpha)
+    table_coord = columns = property(lambda self: np.arange(self.m))
+
     def scaled(self, s: float) -> "ConjLogistic":
         """Same centers, all steepnesses multiplied by s > 0."""
         return ConjLogistic(self.mu, s * self.alpha)
@@ -118,14 +138,25 @@ class SillDictionary:
     N > m).  The lifted coordinate layout is fixed: index 0 is the
     constant, 1..m are the measurements, m+1.. are the logistics in list
     order.  mu and alpha are the logistics' centers and steepnesses
-    stacked read-only into (N_L, m) arrays, so the dictionary can stand in
-    for a ConjLogistic in eval_conjunctive and grad_conjunctive.
+    stacked read-only into (N_L, m) arrays.
+
+    The index space (see the module docstring), all read-only:
+    table_mu, table_alpha and table_coord are the (R,) flat table of every
+    coordinate's sorted distinct pairs, coordinate 0's first; ranks[l, i]
+    is logistic l's pair's place in coordinate i's table, and columns[l, i]
+    its column in the flat table.  Centers compare as floats, so -0.0 and
+    0.0 are one center, stored as its first occurrence.
     """
 
     m: int
     logistics: tuple
     mu: np.ndarray = field(init=False, repr=False)
     alpha: np.ndarray = field(init=False, repr=False)
+    table_mu: np.ndarray = field(init=False, repr=False)
+    table_alpha: np.ndarray = field(init=False, repr=False)
+    table_coord: np.ndarray = field(init=False, repr=False)
+    ranks: np.ndarray = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 1:
@@ -142,10 +173,28 @@ class SillDictionary:
                     f"logistics[{k}] has dimension {f.m}, dictionary has m={self.m}"
                 )
         object.__setattr__(self, "logistics", logistics)
-        for name in ("mu", "alpha"):
-            stacked = np.stack([getattr(f, name) for f in logistics])
-            stacked.setflags(write=False)
-            object.__setattr__(self, name, stacked)
+        mu = np.stack([f.mu for f in logistics])
+        alpha = np.stack([f.alpha for f in logistics])
+        n, m = mu.shape
+        # sort every (coordinate, mu, alpha) triple; a triple unlike the one
+        # before it opens a new table column
+        coord, u, a = np.repeat(np.arange(m), n), mu.T.ravel(), alpha.T.ravel()
+        order = np.lexsort((a, u, coord))
+        coord, u, a = coord[order], u[order], a[order]
+        opens = np.ones(n * m, dtype=bool)
+        opens[1:] = (coord[1:] != coord[:-1]) | (u[1:] != u[:-1]) | (a[1:] != a[:-1])
+        columns = np.empty(n * m, dtype=np.intp)
+        columns[order] = np.cumsum(opens) - 1
+        columns = np.ascontiguousarray(columns.reshape(m, n).T)
+        table_coord = coord[opens]
+        ranks = columns - np.searchsorted(table_coord, np.arange(m))
+        arrays = dict(
+            mu=mu, alpha=alpha, table_mu=u[opens], table_alpha=a[opens],
+            table_coord=table_coord, ranks=ranks, columns=columns,
+        )
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_logistic(self) -> int:
@@ -175,8 +224,59 @@ class SillDictionary:
             entries = obj["logistics"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"dictionary object missing field: {exc}") from exc
-        logistics = [ConjLogistic(e["mu"], e["alpha"]) for e in entries]
+        m = _checked(m, int, "dictionary key 'm'", "measurement dimension", least=1)
+        entries = _checked(entries, list, "dictionary key 'logistics'", "logistic objects")
+        logistics = (
+            _logistic_from(e, f"logistics[{i}]", "dictionary") for i, e in enumerate(entries)
+        )
         return cls(m, tuple(logistics))
+
+
+def _checked(val, kind, where: str, desc: str, least=None, most=None):
+    """val as kind, where [kind] is a list of kind, to any depth.
+
+    The one rule for numbers read from JSON (CLI configs and dictionary
+    files): a float is any JSON number, an int an integer within
+    [least, most], and neither is ever a bool or a string, alone or inside
+    a list.
+    """
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ValueError(f"{where} must be a list ({desc})")
+        return [
+            _checked(v, kind[0], f"{where}[{i}]", desc, least, most)
+            for i, v in enumerate(val)
+        ]
+    if kind is float:
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            raise ValueError(f"{where} must be a number ({desc})")
+        return float(val)
+    if kind is int:
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ValueError(f"{where} must be an integer ({desc})")
+        if least is not None and val < least:
+            raise ValueError(f"{where} must be at least {least} ({desc})")
+        if most is not None and val > most:
+            raise ValueError(f"{where} must be at most {most} ({desc})")
+        return val
+    if not isinstance(val, kind):
+        raise ValueError(f"{where} must be {kind.__name__} ({desc})")
+    return val
+
+
+def _logistic_from(obj, label: str, source: str) -> ConjLogistic:
+    """The ConjLogistic of a JSON object {"mu": [...], "alpha": [...]}.
+
+    label names the object and source the file ("config", "dictionary")
+    in error messages.
+    """
+    if not isinstance(obj, dict) or "mu" not in obj or "alpha" not in obj:
+        raise ValueError(f"{label} must be an object with 'mu' and 'alpha' arrays")
+    mu, alpha = (
+        _checked(obj[k], [float], f"{source} key '{label}.{k}'", "logistic parameters")
+        for k in ("mu", "alpha")
+    )
+    return ConjLogistic(mu, alpha)
 
 
 @dataclass(frozen=True)
@@ -202,27 +302,47 @@ def _check_point(y, m: int) -> np.ndarray:
     return y
 
 
-def _coordinate_sigmoids(y, mu, alpha):
-    """Per-coordinate factors lambda_i(y_i), broadcast like eval_conjunctive."""
-    return stable_sigmoid(alpha * (y - mu))
+def _sigmoid_table(y, f):
+    """stable_sigmoid of every table column of f at y, shape (..., R).
+
+    f is a SillDictionary or a ConjLogistic; one call evaluates each
+    distinct per-coordinate factor once.
+    """
+    y = _check_point(y, f.m)
+    return stable_sigmoid(f.table_alpha * (y[..., f.table_coord] - f.table_mu))
 
 
-def eval_conjunctive(y, f: ConjLogistic):
+def _gather(table, columns):
+    """table[..., columns], C-contiguous, shape (..., *columns.shape)."""
+    return np.take(table, columns, axis=-1)
+
+
+def _product(table, columns):
+    """Product over the last axis of _gather(table, columns).
+
+    One coordinate at a time, left to right, the order in which np.prod
+    reduces a short last axis, without gathering all m factors at once.
+    """
+    out = _gather(table, columns[..., 0])
+    for i in range(1, columns.shape[-1]):
+        out = out * _gather(table, columns[..., i])
+    return out
+
+
+def eval_conjunctive(y, f):
     """Product of scalar logistics at y; strictly inside (0, 1).
 
     y may be a single length-m vector or any (..., m) batch.  f may also
-    be a SillDictionary, whose (N_L, m) parameter arrays broadcast against
-    y: eval_conjunctive(y[..., None, :], d) has shape (..., N_L).
+    be a SillDictionary: eval_conjunctive(y, d) has shape (..., N_L), one
+    value per logistic.
     """
-    y = _check_point(y, f.m)
-    out = np.prod(_coordinate_sigmoids(y, f.mu, f.alpha), axis=-1)
+    out = _product(_sigmoid_table(y, f), f.columns)
     return float(out) if out.ndim == 0 else out
 
 
 def conj_values(y, d: SillDictionary):
     """All conjunctive logistic values at y, shape (..., N_L)."""
-    y = _check_point(y, d.m)
-    return eval_conjunctive(y[..., None, :], d)
+    return eval_conjunctive(y, d)
 
 
 def lift(y, d: SillDictionary):
@@ -239,18 +359,17 @@ def lift(y, d: SillDictionary):
     return out
 
 
-def grad_conjunctive(y, f: ConjLogistic):
+def grad_conjunctive(y, f):
     """Gradient of a conjunctive logistic with respect to y.
 
     Component i is alpha_i * (1 - lambda_i(y_i)) * Lambda(y); saturates to
     zero far from the centers and is finite everywhere.  f may also be a
-    SillDictionary: grad_conjunctive(y[..., None, :], d) has shape
-    (..., N_L, m), one gradient row per logistic.
+    SillDictionary: grad_conjunctive(y, d) has shape (..., N_L, m), one
+    gradient row per logistic.
     """
-    y = _check_point(y, f.m)
-    lam = _coordinate_sigmoids(y, f.mu, f.alpha)
-    full = np.prod(lam, axis=-1, keepdims=True)
-    return f.alpha * (1.0 - lam) * full
+    table = _sigmoid_table(y, f)
+    lam = _gather(table, f.columns)
+    return f.alpha * (1.0 - lam) * _product(table, f.columns)[..., None]
 
 
 def lift_jacobian(y, d: SillDictionary):
@@ -264,7 +383,7 @@ def lift_jacobian(y, d: SillDictionary):
         raise ValueError(f"expected a length-{d.m} point, got shape {y.shape}")
     jac = np.zeros((d.size, d.m))
     jac[1 : 1 + d.m, :] = np.eye(d.m)
-    jac[1 + d.m :, :] = grad_conjunctive(y[None, :], d)
+    jac[1 + d.m :, :] = grad_conjunctive(y, d)
     return jac
 
 
@@ -315,23 +434,33 @@ def join_completion(d: SillDictionary) -> SillDictionary:
     joins are appended, deduplicated by exact (mu, alpha) equality.  Each
     pass joins, in row-major order, the pairs (a, b), a < b, whose b
     arrived in the previous pass (all pairs in the first), and appends the
-    first occurrence of each join not yet a member.  The closure of a
-    finite set under componentwise max is finite (every join draws its
-    coordinates from the original center grid), so this terminates.
+    first occurrence of each join not yet a member.  The passes run on
+    rank rows, where a join is np.maximum and a row's mixed-radix number
+    is its exact deduplication key; every join draws its pairs from the
+    originals' tables, so the closure is finite and this terminates.
     """
-    m, n0 = d.m, d.n_logistic
-    rows = np.hstack([d.mu, d.alpha])
+    n0, radix = d.n_logistic, np.bincount(d.table_coord)
+    rows = d.ranks
     fresh = 0
     while fresh < len(rows):
         n = len(rows)
         a, b = np.triu_indices(n, 1)
         a, b = a[b >= fresh], b[b >= fresh]
-        joined = np.hstack(_join(rows[a, :m], rows[a, m:], rows[b, :m], rows[b, m:]))
-        _, first = np.unique(np.vstack([rows, joined]), axis=0, return_index=True)
+        joined = np.maximum(rows[a], rows[b])
+        first = _first_occurrences(np.vstack([rows, joined]), radix)
         rows = np.vstack([rows, joined[np.sort(first[first >= n]) - n]])
         fresh = n
-    new = map(ConjLogistic, rows[n0:, :m], rows[n0:, m:])
-    return SillDictionary(m, d.logistics + tuple(new))
+    cols = rows[n0:] + (np.cumsum(radix) - radix)
+    new = map(ConjLogistic, d.table_mu[cols], d.table_alpha[cols])
+    return SillDictionary(d.m, d.logistics + tuple(new))
+
+
+def _first_occurrences(rows, radix):
+    """Index of the first occurrence of each distinct rank row."""
+    if math.prod(radix.tolist()) < 2**63:
+        return np.unique(np.ravel_multi_index(rows.T, radix), return_index=True)[1]
+    # the mixed-radix number would overflow int64
+    return np.unique(rows, axis=0, return_index=True)[1]
 
 
 def _write_atomic(path, text: str) -> None:

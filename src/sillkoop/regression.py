@@ -152,7 +152,7 @@ def lift_derivatives(s: SnapshotSet, d: SillDictionary):
     out = np.empty((s.r, d.size))
     out[:, 0] = 0.0
     out[:, 1 : 1 + d.m] = s.D
-    grads = grad_conjunctive(s.Y[:, None, :], d)  # (r, N_L, m)
+    grads = grad_conjunctive(s.Y, d)  # (r, N_L, m)
     out[:, 1 + d.m :] = np.einsum("rkm,rm->rk", grads, s.D)
     return out
 

@@ -604,6 +604,20 @@ def test_example1_bad_degree_exits_2(tmp_path, capsys, degrees):
     assert not (out / "example1_poly.csv").exists()
 
 
+@pytest.mark.parametrize("key", [["fit_range"], ["sill", "box"]], ids=["fit-range", "box"])
+def test_example1_interval_needs_exactly_two_entries(tmp_path, capsys, key):
+    cfg = json.loads(Path(_example1_config(tmp_path)).read_text())
+    target = cfg if len(key) == 1 else cfg["sill"]
+    target[key[-1]] = target[key[-1]] + [5.0]
+    out = tmp_path / "o"
+    bad = _write_config(tmp_path / "bad.json", cfg)
+    assert _run(["example1", "--config", bad, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key[-1]}' must be [lo, hi], got 3 entries" in err
+    assert err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
 def _predict_config(tmp_path):
     d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
     model_path = tmp_path / "model.json"
@@ -650,6 +664,33 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
     bad = _write_config(tmp_path / "bad.json", cfg)
     assert _run([command, "--config", bad, "--out", out]) == 2
     assert "bad-input: config key" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "m, key, value",
+    [
+        pytest.param(2, "mu", ["-0.4", 0.3], id="mu-string"),
+        pytest.param(2, "alpha", [True, 3.0], id="alpha-bool"),
+        pytest.param(1, "m", "true", id="m-bool"),
+        pytest.param(1, "m", "1e999", id="m-overflow"),
+    ],
+)
+def test_dictionary_file_number_rule_exits_2(tmp_path, capsys, m, key, value):
+    # a dictionary file's numbers pass the config rule: a bool is no 1, a
+    # string no number, and an m that is no integer is refused up front
+    logistics = [{"mu": [-0.4, 0.3][:m], "alpha": [2.0, 3.0][:m]}]
+    if key == "m":
+        text = '{"m": %s, "logistics": %s}' % (value, json.dumps(logistics))
+    else:
+        logistics[0][key] = value
+        text = json.dumps({"m": m, "logistics": logistics})
+    (tmp_path / "d.json").write_text(text)
+    cfg = _write_config(tmp_path / "cd.json", {"dictionary": str(tmp_path / "d.json")})
+    out = tmp_path / "o"
+    assert _run(["complete-dictionary", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sillkoop: bad-input: dictionary key") and err.count("\n") == 1
     assert not list(out.iterdir())
 
 

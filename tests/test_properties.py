@@ -5,8 +5,11 @@ check) must agree with the one-logistic and one-point forms they are
 built from, the analytic Jacobian with finite differences, and the
 sigmoid must keep its range and symmetry and stay within 2 ulp of the
 exact logistic.  Join completion must be a closure: idempotent, closed
-under join, originals first, and member for member the result of the
-pairwise loop it replaced.  The closure forms,
+under join, originals first, member for member the result of the
+pairwise loop it replaced, and row for row, in order, the float
+completion that the rank completion replaced.  The sigmoid-table kernel
+(conj_values, grad_conjunctive, every closure form) must equal per-factor
+products bit for bit.  The closure forms,
 computed for all logistics in one pass, must agree bit for bit with their
 one-point calls, and the bounds with the per-logistic forms they summarise.
 Snapshot and model files must round-trip bit for bit, and saving what was
@@ -46,6 +49,7 @@ from sillkoop.dictionary import (
     conj_values,
     dominates,
     eval_conjunctive,
+    grad_conjunctive,
     join_completion,
     join_params,
     lift,
@@ -253,6 +257,99 @@ def test_join_completion_keeps_repeated_originals():
     assert completed.to_dict() == _pairwise_join_completion(d).to_dict()
 
 
+# The float completion that rank completion replaced, kept verbatim: rows
+# of (mu, alpha), the join rule on floats, np.unique(axis=0) as the key.
+def _float_join(mu_f, alpha_f, mu_g, alpha_g):
+    tie = np.maximum(alpha_f, alpha_g)
+    alpha = np.where(mu_g > mu_f, alpha_g, np.where(mu_f > mu_g, alpha_f, tie))
+    return np.maximum(mu_f, mu_g), alpha
+
+
+def _float_join_completion_rows(d):
+    m = d.m
+    rows = np.hstack([d.mu, d.alpha])
+    fresh = 0
+    while fresh < len(rows):
+        n = len(rows)
+        a, b = np.triu_indices(n, 1)
+        a, b = a[b >= fresh], b[b >= fresh]
+        joined = np.hstack(_float_join(rows[a, :m], rows[a, m:], rows[b, :m], rows[b, m:]))
+        _, first = np.unique(np.vstack([rows, joined]), axis=0, return_index=True)
+        rows = np.vstack([rows, joined[np.sort(first[first >= n]) - n]])
+        fresh = n
+    return rows
+
+
+def _assert_rank_completion_is_float_completion(d):
+    completed = join_completion(d)
+    # same rows in the same order; -0.0 and 0.0 are one center to both
+    np.testing.assert_array_equal(
+        np.hstack([completed.mu, completed.alpha]), _float_join_completion_rows(d)
+    )
+    # the originals, repeats and signed zeros included, keep their bits
+    assert np.array_equal(_bits(completed.mu[: d.n_logistic]), _bits(d.mu))
+    assert completed.logistics[: d.n_logistic] == d.logistics
+
+
+@st.composite
+def _tied_dictionary(draw):
+    # few centers (both zeros among them) and steepnesses, so tied centers
+    # with distinct steepnesses are common; originals may repeat
+    m = draw(st.integers(1, 4))
+    centers = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    steep = st.sampled_from([1.0, 2.0, 3.0])
+    pool = [
+        ConjLogistic(
+            draw(st.lists(centers, min_size=m, max_size=m)),
+            draw(st.lists(steep, min_size=m, max_size=m)),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return SillDictionary(m, tuple(pool[k] for k in picks))
+
+
+# -0.0 and 0.0 with equal and with distinct steepnesses: the join of the
+# first two equals the first as floats, so it is no new member
+_SIGNED_ZEROS = SillDictionary(
+    2,
+    (
+        ConjLogistic([-0.0, 1.0], [2.0, 1.0]),
+        ConjLogistic([0.0, -1.0], [2.0, 1.0]),
+        ConjLogistic([1.0, -0.0], [3.0, 1.0]),
+        ConjLogistic([0.0, 0.0], [1.0, 1.0]),
+        ConjLogistic([-0.0, 1.0], [2.0, 1.0]),
+    ),
+)
+_TIED_CENTERS = SillDictionary(
+    2,
+    (
+        ConjLogistic([0.5, 0.5], [1.0, 3.0]),
+        ConjLogistic([0.5, 0.5], [3.0, 1.0]),
+        ConjLogistic([0.5, -1.0], [2.0, 2.0]),
+        ConjLogistic([1.0, 0.5], [2.0, 2.0]),
+    ),
+)
+
+
+@_settings
+@given(_tied_dictionary())
+@example(_SIGNED_ZEROS)
+@example(_TIED_CENTERS)
+def test_rank_completion_matches_float_completion(d):
+    _assert_rank_completion_is_float_completion(d)
+
+
+def test_rank_completion_without_an_int64_key():
+    # 2^64 rank tuples: the mixed-radix number would overflow int64
+    m = 64
+    mu = np.zeros((3, m))
+    mu[0, ::2] = mu[1, 1::2] = mu[2, :32] = 1.0
+    d = SillDictionary(m, tuple(ConjLogistic(row, np.full(m, 2.0)) for row in mu))
+    assert np.prod(np.bincount(d.table_coord).astype(float)) >= 2.0**63
+    _assert_rank_completion_is_float_completion(d)
+
+
 def _assert_lie_forms_batch_matches_single_points(sf, Y):
     n = sf.dictionary.n_logistic
     batch = lie_forms(sf, Y)
@@ -297,6 +394,56 @@ def test_lie_forms_batch_matches_single_points_on_seeded_fields():
         )
         sf = SpannedField(d, rng.uniform(-1.0, 1.0, (m, n)))
         _assert_lie_forms_batch_matches_single_points(sf, rng.uniform(-4.0, 4.0, (P, m)))
+
+
+# lie_forms before the sigmoid tables, kept verbatim but for its factor
+# helper: every factor of every logistic and every join evaluated on its
+# own, products by np.prod over a (..., m) axis
+def _per_factor(y, mu, alpha):
+    return stable_sigmoid(alpha * (y - mu))
+
+
+def _per_factor_lie_forms(sf, y):
+    d, W = sf.dictionary, sf.W
+    lam = _per_factor(y[..., None, :], d.mu, d.alpha)  # (..., N_L, m)
+    lam_all = np.prod(lam, axis=-1)
+    mu, alpha = _float_join(d.mu[:, None], d.alpha[:, None], d.mu, d.alpha)
+    lam_star = np.prod(_per_factor(y[..., None, None, :], mu, alpha), axis=-1)
+    off, on = (d.alpha * (1.0 - lam)) @ W, (d.alpha * lam) @ W
+    coeff = d.alpha @ W
+    pair = lam_all[..., None, :]
+    return LieForms(
+        exact=(off * pair).sum(-1) * lam_all,
+        intermediate=(off * lam_star).sum(-1),
+        linear=(coeff * lam_star).sum(-1),
+        linearization=(on * lam_star).sum(-1),
+        bilinear=(on * pair).sum(-1) * lam_all,
+        reference=(coeff * pair).sum(-1) * lam_all,
+    )
+
+
+@st.composite
+def _tied_field_and_points(draw):
+    d = draw(_tied_dictionary())
+    W = draw(arrays(float, (d.m, d.n_logistic), elements=st.floats(-1.0, 1.0)))
+    # a single point, a (P, m) batch or a (P1, P2, m) batch
+    lead = draw(st.sampled_from([(), (3,), (9,), (2, 3)]))
+    y = draw(arrays(float, lead + (d.m,), elements=_coord))
+    return SpannedField(d, W), y
+
+
+@_settings
+@given(_tied_field_and_points())
+def test_table_kernel_matches_per_factor_products_bit_for_bit(case):
+    sf, y = case
+    d = sf.dictionary
+    lam = _per_factor(y[..., None, :], d.mu, d.alpha)
+    full = np.prod(lam, axis=-1, keepdims=True)
+    np.testing.assert_array_equal(conj_values(y, d), full[..., 0])
+    np.testing.assert_array_equal(grad_conjunctive(y, d), d.alpha * (1.0 - lam) * full)
+    got, ref = lie_forms(sf, y), _per_factor_lie_forms(sf, y)
+    for f in fields(LieForms):
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(ref, f.name), f.name)
 
 
 @_settings
