@@ -22,7 +22,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bench import polynomial_residual_growth
@@ -373,7 +372,6 @@ def _write_manifest(outdir, command, cfg, seed, outputs) -> None:
             "versions": {
                 "sillkoop": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
             },
         },

@@ -250,7 +250,10 @@ def _checked(val, kind, where: str, desc: str, least=None, most=None):
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ValueError(f"{where} must be a number ({desc})")
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ValueError(f"{where} must be a finite number ({desc})") from None
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
             raise ValueError(f"{where} must be an integer ({desc})")
@@ -487,7 +490,7 @@ def _write_json(path, obj) -> None:
 
 def _write_csv(path, header: str, rows) -> None:
     """The CSV artifact format: header line, then str() of each field."""
-    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    lines = [header] + [",".join(map(str, row)) for row in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

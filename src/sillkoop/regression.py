@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import SillDictionary, _write_csv, _write_json, grad_conjunctive, lift
+from .dictionary import (
+    SillDictionary,
+    _checked,
+    _write_csv,
+    _write_json,
+    grad_conjunctive,
+    lift,
+)
 
 __all__ = [
     "SnapshotSet",
@@ -39,6 +46,19 @@ __all__ = [
 CT = "CT"
 DT = "DT"
 MAX_STEPS = 10_000_000
+# predict_ct checks the lifted states for overflow once per block of steps
+_BLOCK = 256
+# Higham (2005) Pade-13 coefficients b_0..b_13, divided by b_0 so that the
+# constant term is exactly 1.0 and _expm(0) is exactly the identity
+_PADE13 = np.array(
+    [
+        64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+        129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+        40840800, 960960, 16380, 182, 1,
+    ],
+    dtype=float,
+) / 64764752532480000
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -210,6 +230,33 @@ def fit_edmd(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> KoopmanMo
     return _fit(s, d, ridge, DT)
 
 
+def _expm(A):
+    """Matrix exponential by Pade-13 scaling and squaring.
+
+    Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005: scale A by 2^-s until
+    its 1-norm is at most theta_13, take the [13/13] Pade approximant and
+    square s times.  The 1-norm of A must be finite.
+    """
+    norm = np.abs(A).sum(axis=0).max()
+    s = max(0, int(np.frexp(norm / _THETA13)[1]))  # norm / 2^s < theta_13
+    A = A / 2.0**s
+    b = _PADE13
+    eye = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    # numerator V + U and denominator V - U, odd powers in U, even in V
+    U = A @ (
+        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+        + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye
+    )
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory:
     """Step dz/dt = K z from z0 = lift(y0) with its exact propagator.
 
@@ -217,9 +264,10 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     each row is z_k = expm(K dt)^k z0 projected onto the measurements:
     there is no step-size error, and dt only sets where the trajectory is
     sampled.  A non-finite state (the model itself is unstable) stops the
-    trajectory and flags it; overflow is reported through that flag, not
-    a warning.  A step count round(horizon / dt) above MAX_STEPS (10^7) is
-    rejected before anything is allocated, and so is a non-finite y0.
+    trajectory at the last finite row and flags it; overflow is reported
+    through that flag, not a warning.  A step count round(horizon / dt)
+    above MAX_STEPS (10^7) is rejected before anything is allocated, and
+    so is a non-finite y0; so is a dt at which dt * K overflows.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.isfinite(y0).all():
@@ -236,19 +284,27 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     steps = int(round(n))
     if steps > MAX_STEPS:
         raise ValueError(f"horizon / dt = {steps} steps exceeds the limit of {MAX_STEPS}")
-    from scipy.linalg import expm  # ~0.3 s to import; only predict needs it
 
     d = model.dictionary
     z = lift(y0, d)
     y = np.empty((steps + 1, d.m))
     y[0] = y0
+    buf = np.empty((min(steps, _BLOCK), d.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        step = expm(dt * model.K)
-        for i in range(1, steps + 1):
-            z = step @ z
-            if not np.isfinite(z).all():
-                return Trajectory(y[:i], True)
-            y[i] = z[1 : 1 + d.m]
+        A = dt * model.K
+        if not np.isfinite(np.abs(A).sum(axis=0)).all():
+            raise ValueError(f"dt * K overflows the float range at dt = {dt}")
+        step = _expm(A)
+        for start in range(1, steps + 1, _BLOCK):
+            k = min(_BLOCK, steps + 1 - start)
+            for j in range(k):
+                z = np.matmul(step, z, out=buf[j])
+            finite = np.isfinite(buf[:k]).all(axis=1)
+            if not finite.all():
+                bad = int(finite.argmin())  # the first non-finite state
+                y[start : start + bad] = buf[:bad, 1 : 1 + d.m]
+                return Trajectory(y[: start + bad], True)
+            y[start : start + k] = buf[:k, 1 : 1 + d.m]
     return Trajectory(y, False)
 
 
@@ -335,5 +391,10 @@ def load_model(path) -> KoopmanModel:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     d = SillDictionary.from_dict(obj["dictionary"])
-    K = np.asarray(obj["K"], dtype=float).reshape(d.size, d.size)
-    return KoopmanModel(K, d, obj["mode"], obj["ridge"])
+    n = d.size
+    K = _checked(obj["K"], [float], "model key 'K'", f"{n}x{n} matrix, row by row")
+    if len(K) != n * n:
+        raise ValueError(f"model key 'K' has {len(K)} entries, a {n}x{n} matrix needs {n * n}")
+    mode = _checked(obj["mode"], str, "model key 'mode'", "'CT' or 'DT'")
+    ridge = _checked(obj["ridge"], float, "model key 'ridge'", "ridge penalty")
+    return KoopmanModel(np.reshape(K, (n, n)), d, mode, ridge)

@@ -307,7 +307,8 @@ def test_model_with_infinite_ridge_rejected(tmp_path, capsys):
 def test_cli_import_loads_no_scipy_subpackage_and_predict_still_agrees(tmp_path):
     # a fresh interpreter, as the console script starts: importing the CLI
     # must not load scipy.integrate, scipy.special or scipy.linalg (together
-    # most of a second); predict loads scipy.linalg itself
+    # most of a second), and predict, with its own expm, loads no scipy
+    # module at all
     d = SillDictionary(
         2, (ConjLogistic([-0.4, 0.3], [2.0, 3.0]), ConjLogistic([0.5, -0.2], [3.0, 2.0]))
     )
@@ -324,7 +325,9 @@ def test_cli_import_loads_no_scipy_subpackage_and_predict_still_agrees(tmp_path)
         "import sys\n"
         "import sillkoop.cli\n"
         "print(sorted({'scipy.integrate', 'scipy.special', 'scipy.linalg'} & set(sys.modules)))\n"
-        f"sys.exit(sillkoop.cli.main(['predict', '--config', {cfg!r}, '--out', {str(out)!r}]))\n"
+        f"code = sillkoop.cli.main(['predict', '--config', {cfg!r}, '--out', {str(out)!r}])\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+        "sys.exit(code)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
@@ -332,7 +335,7 @@ def test_cli_import_loads_no_scipy_subpackage_and_predict_still_agrees(tmp_path)
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
     # the propagator and lift as they were computed with expit and expm
     z = np.concatenate([[1.0], y0, [np.prod(expit(f.alpha * (y0 - f.mu))) for f in d.logistics]])
     step = expm(dt * K)
@@ -533,6 +536,7 @@ def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
         pytest.param({"rate_a": float("nan")}, id="nan-rate-a"),
         pytest.param({"m_values": [1, 0]}, id="zero-m"),
         pytest.param({"m_values": [1.5, 2]}, id="fractional-m"),
+        pytest.param({"rate_a": 10**400}, id="rate-a-beyond-float-range"),
     ],
 )
 def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys, settings):
@@ -674,6 +678,7 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         pytest.param(2, "alpha", [True, 3.0], id="alpha-bool"),
         pytest.param(1, "m", "true", id="m-bool"),
         pytest.param(1, "m", "1e999", id="m-overflow"),
+        pytest.param(2, "mu", [10**400, 0.3], id="mu-beyond-float-range"),
     ],
 )
 def test_dictionary_file_number_rule_exits_2(tmp_path, capsys, m, key, value):
@@ -691,6 +696,32 @@ def test_dictionary_file_number_rule_exits_2(tmp_path, capsys, m, key, value):
     assert _run(["complete-dictionary", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sillkoop: bad-input: dictionary key") and err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("K", ["0"] * 9, id="K-strings"),
+        pytest.param("K", [True] + [0.0] * 8, id="K-bool"),
+        pytest.param("K", [[0.0] * 3] * 3, id="K-nested"),
+        pytest.param("K", [0.0] * 8, id="K-short"),
+        pytest.param("mode", ["CT"], id="mode-list"),
+        pytest.param("ridge", True, id="ridge-bool"),
+    ],
+)
+def test_model_file_number_rule_exits_2(tmp_path, capsys, key, value):
+    # a model file passes the rule of configs and dictionary files: K is a
+    # flat list of N^2 numbers, mode a string and ridge a number
+    cfg = _predict_config(tmp_path)
+    model_path = tmp_path / "model.json"
+    obj = json.loads(model_path.read_text())
+    obj[key] = value
+    model_path.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert _run(["predict", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sillkoop: bad-input: model key") and err.count("\n") == 1
     assert not list(out.iterdir())
 
 
@@ -722,7 +753,7 @@ def test_manifest_records_config_hash_and_versions(tmp_path):
     assert manifest["seed"] == 3
     assert manifest["rng"] == "pcg64"
     assert len(manifest["config_sha256"]) == 64
-    assert set(manifest["versions"]) == {"sillkoop", "numpy", "scipy", "python"}
+    assert set(manifest["versions"]) == {"sillkoop", "numpy", "python"}
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

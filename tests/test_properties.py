@@ -19,7 +19,8 @@ the one-row estimate, and the linear error term at m = 2k is the bilinear
 term at m = k.  The one-SVD least-squares solve must match the lstsq and
 normal-equation solvers it replaced on well-conditioned lifts, and on
 rank-deficient lifts return the minimum-norm solution, zero on the null
-space of the lift.
+space of the lift.  The numpy matrix exponential must match scipy's on
+dense, nilpotent and stiff matrices, and give exactly the identity at 0.
 """
 
 import tempfile
@@ -57,8 +58,10 @@ from sillkoop.dictionary import (
     stable_sigmoid,
 )
 from sillkoop.regression import (
+    _THETA13,
     KoopmanModel,
     SnapshotSet,
+    _expm,
     lift_derivatives,
     load_model,
     load_snapshots,
@@ -604,6 +607,44 @@ def test_svd_solve_is_min_norm_and_zero_on_null_space_when_rank_deficient(
     null = scipy.linalg.null_space(G.T)
     assert null.shape[1] >= 1
     assert np.abs(K @ null).max() <= 1e-9 * np.abs(K).max()
+
+
+@st.composite
+def _expm_matrices(draw):
+    """Dense or strictly upper triangular matrices of 1-norm 1e-3 to 10,
+    optionally made stiff by one diagonal entry down to -5000."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        A = np.triu(A, 1)  # nilpotent
+    norm = np.abs(A).sum(axis=0).max()
+    if norm > 0:
+        A *= draw(st.floats(1e-3, 10.0)) / norm
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        A[i, i] = -draw(st.floats(50.0, 5000.0))
+    return A
+
+
+@_settings
+@given(_expm_matrices())
+@example(np.zeros((4, 4)))
+@example(0.5 * np.diag([0.0, -1e4, 0.0]))  # stiff: the mode decays to exactly 0
+@example(np.triu(np.ones((6, 6)), 1))
+def test_expm_matches_scipy(A):
+    E = _expm(A)
+    ref = scipy.linalg.expm(A)
+    if not A.any():
+        assert E.tobytes() == np.eye(len(A)).tobytes()
+    if (A == np.diag(np.diag(A))).all():
+        assert (E[ref == 0] == 0).all()
+    # scaling and squaring amplifies rounding with each of its s squarings,
+    # s = ceil(log2(||A||_1 / theta_13)); scipy's own expm is off by up to
+    # 1.3e-12 of the largest entry on 2 x 2 matrices of 1-norm near 8
+    # (against 40-digit mpmath), hence 2e-12 rather than a few eps
+    tol = 2e-12 * max(1.0, np.abs(A).sum(axis=0).max() / _THETA13)
+    np.testing.assert_allclose(E, ref, rtol=0, atol=tol * np.abs(ref).max())
 
 
 _mc_case = st.fixed_dictionaries(

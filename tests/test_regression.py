@@ -7,8 +7,10 @@ import pytest
 from sillkoop.bench import VectorField, rk4_integrate
 from sillkoop.dictionary import ConjLogistic, SillDictionary, lift
 from sillkoop.regression import (
+    _BLOCK,
     KoopmanModel,
     SnapshotSet,
+    _expm,
     fit_edmd,
     fit_generator,
     lift_derivatives,
@@ -194,6 +196,16 @@ def test_predict_flags_divergence():
     assert np.isfinite(traj.y).all()
 
 
+@pytest.mark.parametrize("rate", [-1e10, 1e10])
+def test_predict_rejects_a_dt_at_which_dt_k_overflows(rate):
+    # stable or not, a step with an infinite generator has no propagator
+    d = SillDictionary(1, (ConjLogistic([0.0], [1.0]),))
+    K = np.zeros((3, 3))
+    K[1, 1] = rate
+    with pytest.raises(ValueError, match="overflows the float range"):
+        predict_ct(KoopmanModel(K, d, "CT"), [1.0], horizon=2e300, dt=1e300)
+
+
 def test_predict_keeps_only_the_measurement_rows():
     # 10k steps at N = 47: the trajectory is 10k x 2 floats (160 kB); rows
     # that kept views into the lifted state would hold 10k x 47 floats
@@ -233,6 +245,53 @@ def test_predict_matches_rk4_on_the_lifted_field():
     traj = predict_ct(model, y0, horizon=1.0, dt=1e-3)
     assert not traj.diverged and not ref.diverged
     np.testing.assert_allclose(traj.y, ref.y[:, 1 : 1 + d.m], rtol=0, atol=1e-9)
+
+
+def _per_step_predict(model, y0, steps, dt):
+    # the loop predict_ct blocks: one matvec and one finiteness check a step
+    step = _expm(dt * model.K)
+    m = model.dictionary.m
+    z = lift(np.asarray(y0, dtype=float), model.dictionary)
+    rows = [np.asarray(y0, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            z = step @ z
+            if not np.isfinite(z).all():
+                return np.array(rows), True
+            rows.append(z[1 : 1 + m])
+    return np.array(rows), False
+
+
+@pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_predict_blocks_equal_the_per_step_loop(steps):
+    d = _dictionary(m=2, n_logistic=5, seed=40)
+    K = np.random.default_rng(41).uniform(-1.0, 1.0, (d.size, d.size)) - 1.5 * np.eye(d.size)
+    model = KoopmanModel(K, d, "CT")
+    traj = predict_ct(model, [0.3, -0.2], horizon=steps * 0.01, dt=0.01)
+    ref, diverged = _per_step_predict(model, [0.3, -0.2], steps, 0.01)
+    assert not traj.diverged and not diverged
+    assert traj.y.shape == ref.shape == (steps + 1, 2)
+    assert traj.y.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "first_bad",
+    [_BLOCK + 1, _BLOCK // 2, _BLOCK + 10],
+    ids=["second-block-first-row", "first-block", "second-block"],
+)
+def test_predict_divergence_matches_the_per_step_loop(first_bad):
+    # the state row grows as y0 e^k: this y0 keeps step first_bad - 1
+    # finite and overflows step first_bad
+    d = SillDictionary(1, (ConjLogistic([0.0], [1.0]),))
+    K = np.zeros((3, 3))
+    K[1, 1] = 1.0
+    model = KoopmanModel(K, d, "CT")
+    y0 = [np.exp(np.log(np.finfo(float).max) - first_bad + 0.5)]
+    traj = predict_ct(model, y0, horizon=2.0 * _BLOCK, dt=1.0)
+    ref, diverged = _per_step_predict(model, y0, 2 * _BLOCK, 1.0)
+    assert traj.diverged and diverged
+    assert traj.y.shape == ref.shape == (first_bad, 1)
+    assert traj.y.tobytes() == ref.tobytes()
 
 
 def test_residual_zero_model_equals_lifted_derivatives():
