@@ -56,7 +56,9 @@ from .regression import (
     save_model,
 )
 from .stats import (
+    MAX_M,
     MAX_QUAD_POINTS,
+    MAX_SAMPLES,
     UniformIntervalSpec,
     expected_error_rates,
     mc_conjunctive_table,
@@ -231,8 +233,10 @@ def cmd_stats(cfg, outdir, seed):
         cfg, "quad_points", int, "Gauss-Legendre nodes of the coarse rule",
         least=100, most=MAX_QUAD_POINTS,
     )
-    samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1)
-    m_values = _need(cfg, "m_values", [int], "measurement dimensions for rate table", 1)
+    samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1, MAX_SAMPLES)
+    m_values = _need(
+        cfg, "m_values", [int], "measurement dimensions for rate table", 1, MAX_M
+    )
     rate_a = _optional(cfg, "rate_a", float, "interval radius for the rate table", 2.0)
     for a in a_values + [rate_a]:
         UniformIntervalSpec(a)

@@ -13,20 +13,24 @@ the panels runs alongside, and their difference is a deterministic error
 estimate (MomentReport.quad_error) that must stay below 1e-13 + 1e-12 |I|.
 
 Every Monte Carlo statistic is one call of a single estimator: in blocks
-of at most 2^20 samples it draws a first factor, then multiplies in
-random logistics sigma(X(Y - Z)) one at a time, each drawn as one (3, k)
-block of U(-a, a) values (rows X, Y, Z), and reads the product after the
-factor counts it reports.  Draws come from numpy's PCG64 generator seeded
+of at most 2^20 samples it multiplies a first factor by random logistics
+sigma(X(Y - Z)) one at a time and reads the product after the factor
+counts it reports.  Draws come from numpy's PCG64 generator seeded
 explicitly, so every estimate is a pure function of its parameters and
-seed.  Per estimator, seed and draws per block:
+seed.  Per block of k samples, each random logistic takes the next 3k
+doubles of the stream as rows X, Y, Z of k values of U(-a, a) each, one
+row after another; the estimator reads them through one cursor per row
+(a copy of the generator advanced to the row's start) in sub-blocks of
+2^14 samples, so only the running product and one buffer for its square
+are held at full block length.  Per estimator, seed and draws per block:
 
 * expected_logistic: seed ``seed``; one random logistic.
 * mc_conjunctive_table(m_values): seed ``seed``; max(m) random logistics
   (the first factor is 1 and draws nothing), row m read after m of them.
-* expected_error_rates(m_values): seed ``seed``; one (4, k) block of
-  alpha, w, y, z for |alpha w| sigma(alpha (y - z)), then 2 max(m) random
-  logistics; row m reads the linearization term after m of them and the
-  bilinear term after 2m.
+* expected_error_rates(m_values): seed ``seed``; the next 4k doubles as
+  rows alpha, w, y, z for |alpha w| sigma(alpha (y - z)), then 2 max(m)
+  random logistics; row m reads the linearization term after m of them
+  and the bilinear term after 2m.
 
 The rows of a table share one sample path, so comparisons across m are
 paired, and the linear term at m = 2k is the bilinear term at m = k bit
@@ -60,6 +64,12 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+# samples per factor evaluation inside a block: the draws and temporaries
+# of one sub-block stay in cache, and only two arrays span the block
+_SUB_BLOCK = 1 << 14
+MAX_SAMPLES = 10**9
+# 2^-(2m+1) is already 0.0 from m = 537 on
+MAX_M = 1000
 
 # one Gauss-Legendre panel on [-1, 1]; quad_points sets how many the
 # coarse rule uses, and the check rule uses twice as many
@@ -220,33 +230,58 @@ def product_pdf_normalization(a: float, quad_points: int = 200) -> float:
     return _lotus(a, lambda z: 1.0, quad_points)[0]
 
 
-def _random_logistic(rng, a: float, k: int):
-    """k draws of sigma(X(Y - Z)), X, Y, Z ~ U(-a, a) iid, as one (3, k) block."""
-    u = rng.uniform(-a, a, size=(3, k))
-    return stable_sigmoid(u[0] * (u[1] - u[2]))
+def _random_logistic(x, y, z):
+    """sigma(X(Y - Z)) on one sub-block of draws; overwrites y."""
+    y -= z
+    y *= x
+    return stable_sigmoid(y)
 
 
-def _weighted_logistic(rng, a: float, k: int):
-    """k draws of |alpha w| sigma(alpha (y - z)), drawn as one (4, k) block.
+def _weighted_logistic(alpha, w, y, z):
+    """|alpha w| sigma(alpha (y - z)) on one sub-block; overwrites w and y.
 
     Every symbol is iid U(-a, a); the steepness that multiplies the error
     term is the same draw that steepens its own logistic factor.
     """
-    alpha, w, y, z = rng.uniform(-a, a, size=(4, k))
-    return np.abs(alpha * w) * stable_sigmoid(alpha * (y - z))
+    out = _random_logistic(alpha, y, z)
+    w *= alpha
+    out *= np.abs(w, out=w)
+    return out
 
 
-def _mc_products(first, a: float, rows, samples: int, seed):
+def _multiply_in(prod, kernel, n_rows: int, rng, a: float) -> None:
+    """prod *= kernel over the next n_rows * len(prod) draws of rng.
+
+    Row r of the draws is the r-th run of len(prod) consecutive U(-a, a)
+    values; each row is read through its own cursor, a copy of rng's bit
+    generator advanced to the row's start, and rng moves past all of them.
+    The kernel takes one sub-block of every row and returns its factor.
+    """
+    k = prod.size
+    state = rng.bit_generator.state
+    cursors = []
+    for r in range(n_rows):
+        bits = np.random.PCG64()
+        bits.state = state
+        cursors.append(np.random.Generator(bits.advance(r * k)))
+    rng.bit_generator.advance(n_rows * k)
+    for i in range(0, k, _SUB_BLOCK):
+        b = min(_SUB_BLOCK, k - i)
+        prod[i : i + b] *= kernel(*(c.uniform(-a, a, b) for c in cursors))
+
+
+def _mc_products(a: float, rows, samples: int, seed, *, weighted: bool = False):
     """MC mean and standard error of first * (j random logistics).
 
-    Each block of at most _CHUNK samples draws first(rng, a, k) and then
-    max(rows) factors one at a time, summing the product only after the
-    factor counts listed in rows; entry i of each returned array describes
-    the product after rows[i] factors.  One sample has no spread to
-    estimate, so its standard error is inf.
+    The first factor is 1, or with weighted the error term
+    _weighted_logistic.  Each block of at most _CHUNK samples multiplies
+    in the first factor and then max(rows) random logistics one at a time,
+    summing the product only after the factor counts listed in rows; entry
+    i of each returned array describes the product after rows[i] factors.
+    One sample has no spread to estimate, so its standard error is inf.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     rows = np.asarray(rows, dtype=int)
     n = int(rows.max())
     read = np.zeros(n + 1, dtype=bool)
@@ -254,16 +289,21 @@ def _mc_products(first, a: float, rows, samples: int, seed):
     rng = np.random.default_rng(seed)
     s1 = np.zeros(n + 1)
     s2 = np.zeros(n + 1)
+    prod_buf = np.empty(min(samples, _CHUNK))
+    sq_buf = np.empty_like(prod_buf)
     left = samples
     while left:
         k = min(left, _CHUNK)
-        prod = first(rng, a, k)
+        prod, sq = prod_buf[:k], sq_buf[:k]
+        prod.fill(1.0)
+        if weighted:
+            _multiply_in(prod, _weighted_logistic, 4, rng, a)
         for j in range(n + 1):
             if j:
-                prod *= _random_logistic(rng, a, k)
+                _multiply_in(prod, _random_logistic, 3, rng, a)
             if read[j]:
                 s1[j] += prod.sum()
-                s2[j] += (prod * prod).sum()
+                s2[j] += np.multiply(prod, prod, out=sq).sum()
         left -= k
     mean = s1[rows] / samples
     var = np.maximum(s2[rows] / samples - mean * mean, 0.0)
@@ -275,11 +315,11 @@ def _mc_products(first, a: float, rows, samples: int, seed):
 
 
 def _dimensions(m_values) -> list:
-    """m_values as ints of at least 1; 1.5 or 0 is an error, not a row."""
+    """m_values as ints in [1, MAX_M]; 1.5 or 0 is an error, not a row."""
     values = list(m_values)
     ms = [int(m) for m in values]
-    if ms != values or min(ms, default=1) < 1:
-        raise ValueError(f"m values must be integers of at least 1, got {values}")
+    if ms != values or not 1 <= min(ms, default=1) <= max(ms, default=1) <= MAX_M:
+        raise ValueError(f"m values must be integers from 1 to {MAX_M}, got {values}")
     return ms
 
 
@@ -300,7 +340,7 @@ def expected_logistic(
     UniformIntervalSpec(a)
     e1, err1 = _lotus(a, stable_sigmoid, quad_points)
     e2, err2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2, quad_points)
-    mean, stderr = _mc_products(_random_logistic, a, [0], samples, seed)
+    mean, stderr = _mc_products(a, [1], samples, seed)
     return MomentReport(
         a=float(a),
         expectation=float(e1),
@@ -325,7 +365,7 @@ def mc_conjunctive_table(m_values, a: float, samples: int, seed: int):
     UniformIntervalSpec(a)
     if not ms:
         return []
-    mean, stderr = _mc_products(lambda rng, a, k: np.ones(k), a, ms, samples, seed)
+    mean, stderr = _mc_products(a, ms, samples, seed)
     return list(zip(mean.tolist(), stderr.tolist()))
 
 
@@ -352,7 +392,7 @@ def expected_error_rates(
     # 2m; signed means vanish by the symmetry of w, so the rows hold the
     # mean absolute per-term magnitudes
     rows = [j for m in ms for j in (m, 2 * m)]
-    mean, _ = _mc_products(_weighted_logistic, a, rows, samples, seed)
+    mean, _ = _mc_products(a, rows, samples, seed, weighted=True)
     return [
         ErrorRateRow(
             m=m,

@@ -537,6 +537,10 @@ def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
         pytest.param({"m_values": [1, 0]}, id="zero-m"),
         pytest.param({"m_values": [1.5, 2]}, id="fractional-m"),
         pytest.param({"rate_a": 10**400}, id="rate-a-beyond-float-range"),
+        pytest.param({"samples": stats.MAX_SAMPLES + 1}, id="samples-above-limit"),
+        pytest.param({"samples": 10**21}, id="samples-beyond-int64"),
+        pytest.param({"m_values": [1, stats.MAX_M + 1]}, id="m-above-limit"),
+        pytest.param({"m_values": [10**21]}, id="m-beyond-int64"),
     ],
 )
 def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys, settings):
@@ -550,7 +554,8 @@ def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
     cfg = _write_config(tmp_path / "stats.json", {**base, **settings})
     out = tmp_path / "o"
     assert _run(["stats", "--config", cfg, "--out", out]) == 2
-    assert "bad-input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad-input" in err and err.count("\n") == 1
     assert not list(out.glob("*.csv"))
 
 

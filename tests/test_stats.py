@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +10,10 @@ from sillkoop.dictionary import stable_sigmoid
 from sillkoop.errors import QuadratureError
 from sillkoop.stats import (
     _CHUNK,
+    _SUB_BLOCK,
+    MAX_M,
     MAX_QUAD_POINTS,
+    MAX_SAMPLES,
     ErrorRateRow,
     UniformIntervalSpec,
     expected_error_rates,
@@ -291,6 +296,44 @@ def test_error_rates_reject_zero_samples():
         expected_error_rates([1], 2.0, samples=0, seed=0)
 
 
+def test_mc_estimators_reject_counts_above_their_limits():
+    # refused before anything is drawn or allocated
+    with pytest.raises(ValueError, match="samples"):
+        expected_error_rates([1], 2.0, samples=MAX_SAMPLES + 1, seed=0)
+    with pytest.raises(ValueError, match="samples"):
+        mc_conjunctive_table([1], 2.0, 10**21, seed=0)
+    with pytest.raises(ValueError, match="m values"):
+        mc_conjunctive_table([1, MAX_M + 1], 2.0, 10, seed=0)
+    with pytest.raises(ValueError, match="m values"):
+        expected_error_rates([10**21], 2.0, samples=10, seed=0)
+    assert len(mc_conjunctive_table([MAX_M], 2.0, 1, seed=0)) == 1
+
+
+@pytest.mark.parametrize("table", ["conjunctive", "error_rates"])
+def test_mc_peak_memory_is_two_block_arrays_whatever_the_depth(table):
+    # the running product and the buffer for its square span the block;
+    # draws and sigmoid temporaries live one sub-block at a time, so the
+    # traced peak neither reaches a third block-length array nor grows
+    # with the number of factors
+    def peak(m):
+        ms = list(range(1, m + 1))
+        tracemalloc.start()
+        try:
+            if table == "conjunctive":
+                mc_conjunctive_table(ms, 2.0, _CHUNK, seed=0)
+            else:
+                expected_error_rates(ms, 2.0, samples=_CHUNK, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = 8 * _CHUNK
+    shallow, deep = peak(1), peak(6)
+    assert shallow < 2.5 * block
+    assert deep < 2.5 * block
+    assert deep <= shallow + 8 * _SUB_BLOCK
+
+
 def _reference_conjunctive(m_values, a, samples, seed):
     # the draw layout the estimator must keep, written out loop by loop: one
     # path per table, max(m) logistics per block, row m read after m of
@@ -342,7 +385,18 @@ def _reference_error_terms(m_values, a, samples, seed):
 
 @pytest.mark.parametrize(
     "m, seed, samples",
-    [(1, 0, 1), (2, 3, 1_000), (3, 7, 30_000), (1, 5, _CHUNK + 777), (3, 5, _CHUNK + 777)],
+    [
+        (1, 0, 1),
+        (2, 3, 1_000),
+        (3, 7, 30_000),
+        (1, 5, _CHUNK + 777),
+        (3, 5, _CHUNK + 777),
+        # sub-block edges, and a second block that ends inside a sub-block
+        (2, 1, _SUB_BLOCK - 1),
+        (2, 2, _SUB_BLOCK),
+        (2, 4, _SUB_BLOCK + 1),
+        (2, 6, _CHUNK + 3 * _SUB_BLOCK + 5),
+    ],
 )
 def test_mc_estimators_match_reference_draw_layout(m, seed, samples):
     # tables over m, ..., 1, so rows come out of order and several share a path
