@@ -60,6 +60,7 @@ from .stats import (
     MAX_QUAD_POINTS,
     MAX_SAMPLES,
     UniformIntervalSpec,
+    _check_work,
     expected_error_rates,
     mc_conjunctive_table,
     moment_sweep,
@@ -240,6 +241,8 @@ def cmd_stats(cfg, outdir, seed):
     rate_a = _optional(cfg, "rate_a", float, "interval radius for the rate table", 2.0)
     for a in a_values + [rate_a]:
         UniformIntervalSpec(a)
+    # the error table is the largest estimate: 2 max(m) logistics and its error term
+    _check_work(samples, 2 * max(m_values, default=0) + 1)
     reports = moment_sweep(a_values, quad_points, samples, seed)
     write_moment_csv(reports, os.path.join(outdir, "moments.csv"))
     rows = expected_error_rates(m_values, rate_a, samples=samples, seed=seed)

@@ -90,8 +90,8 @@ class SnapshotSet:
         if self.mode not in (CT, DT):
             raise ValueError(f"mode must be 'CT' or 'DT', got {self.mode!r}")
         if self.mode == DT:
-            if self.dt is None or not self.dt > 0:
-                raise ValueError("DT snapshots require a positive dt")
+            if self.dt is None or not 0 < self.dt < np.inf:
+                raise ValueError("DT snapshots require a positive finite dt")
         elif self.dt is not None:
             raise ValueError("dt is only meaningful for DT snapshots")
         Y.setflags(write=False)
@@ -349,8 +349,12 @@ def save_snapshots(s: SnapshotSet, csv_path, manifest_path) -> None:
 def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if "mode" not in manifest:
-        raise ValueError(f"{manifest_path}: missing 'mode'")
+    if not isinstance(manifest, dict) or "mode" not in manifest:
+        raise ValueError(f"{manifest_path}: must be a JSON object with 'mode'")
+    mode = _checked(manifest["mode"], str, f"{manifest_path} key 'mode'", "'CT' or 'DT'")
+    dt = manifest.get("dt")
+    if dt is not None:
+        dt = _checked(dt, float, f"{manifest_path} key 'dt'", "sampling interval or null")
     with open(csv_path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -374,7 +378,7 @@ def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
         except ValueError as exc:
             raise ValueError(f"{csv_path}: line {lineno}: {exc}") from exc
     data = np.asarray(rows, dtype=float)
-    return SnapshotSet(data[:, :m], data[:, m:], manifest["mode"], manifest.get("dt"))
+    return SnapshotSet(data[:, :m], data[:, m:], mode, dt)
 
 
 def save_model(model: KoopmanModel, path) -> None:

@@ -13,21 +13,19 @@ the panels runs alongside, and their difference is a deterministic error
 estimate (MomentReport.quad_error) that must stay below 1e-13 + 1e-12 |I|.
 
 Every Monte Carlo statistic is one call of a single estimator: in blocks
-of at most 2^20 samples it multiplies a first factor by random logistics
-sigma(X(Y - Z)) one at a time and reads the product after the factor
-counts it reports.  Draws come from numpy's PCG64 generator seeded
-explicitly, so every estimate is a pure function of its parameters and
-seed.  Per block of k samples, each random logistic takes the next 3k
-doubles of the stream as rows X, Y, Z of k values of U(-a, a) each, one
-row after another; the estimator reads them through one cursor per row
-(a copy of the generator advanced to the row's start) in sub-blocks of
-2^14 samples, so only the running product and one buffer for its square
-are held at full block length.  Per estimator, seed and draws per block:
+of at most 2^14 samples it starts from a first factor, multiplies in
+random logistics sigma(X(Y - Z)) one at a time and reads the product
+after the factor counts it reports.  Draws come from numpy's PCG64
+generator seeded explicitly, so every estimate is a pure function of its
+parameters and seed.  Per block of b samples, each random logistic takes
+the next 3b doubles of the stream as rows X, Y, Z of b values of
+U(-a, a) each, one row after another.  Per estimator, seed and draws per
+block:
 
 * expected_logistic: seed ``seed``; one random logistic.
 * mc_conjunctive_table(m_values): seed ``seed``; max(m) random logistics
   (the first factor is 1 and draws nothing), row m read after m of them.
-* expected_error_rates(m_values): seed ``seed``; the next 4k doubles as
+* expected_error_rates(m_values): seed ``seed``; the next 4b doubles as
   rows alpha, w, y, z for |alpha w| sigma(alpha (y - z)), then 2 max(m)
   random logistics; row m reads the linearization term after m of them
   and the bilinear term after 2m.
@@ -63,11 +61,11 @@ __all__ = [
     "write_error_rate_csv",
 ]
 
-_CHUNK = 1 << 20
-# samples per factor evaluation inside a block: the draws and temporaries
-# of one sub-block stay in cache, and only two arrays span the block
-_SUB_BLOCK = 1 << 14
+# samples per block: its draws and temporaries stay in cache
+_BLOCK = 1 << 14
 MAX_SAMPLES = 10**9
+# samples x factors per sample in one estimate: minutes of work, not hours
+MAX_SAMPLE_FACTORS = 10**10
 # 2^-(2m+1) is already 0.0 from m = 537 on
 MAX_M = 1000
 
@@ -231,14 +229,14 @@ def product_pdf_normalization(a: float, quad_points: int = 200) -> float:
 
 
 def _random_logistic(x, y, z):
-    """sigma(X(Y - Z)) on one sub-block of draws; overwrites y."""
+    """sigma(X(Y - Z)) on one block of draws; overwrites y."""
     y -= z
     y *= x
     return stable_sigmoid(y)
 
 
 def _weighted_logistic(alpha, w, y, z):
-    """|alpha w| sigma(alpha (y - z)) on one sub-block; overwrites w and y.
+    """|alpha w| sigma(alpha (y - z)) on one block; overwrites w and y.
 
     Every symbol is iid U(-a, a); the steepness that multiplies the error
     term is the same draw that steepens its own logistic factor.
@@ -249,62 +247,44 @@ def _weighted_logistic(alpha, w, y, z):
     return out
 
 
-def _multiply_in(prod, kernel, n_rows: int, rng, a: float) -> None:
-    """prod *= kernel over the next n_rows * len(prod) draws of rng.
-
-    Row r of the draws is the r-th run of len(prod) consecutive U(-a, a)
-    values; each row is read through its own cursor, a copy of rng's bit
-    generator advanced to the row's start, and rng moves past all of them.
-    The kernel takes one sub-block of every row and returns its factor.
-    """
-    k = prod.size
-    state = rng.bit_generator.state
-    cursors = []
-    for r in range(n_rows):
-        bits = np.random.PCG64()
-        bits.state = state
-        cursors.append(np.random.Generator(bits.advance(r * k)))
-    rng.bit_generator.advance(n_rows * k)
-    for i in range(0, k, _SUB_BLOCK):
-        b = min(_SUB_BLOCK, k - i)
-        prod[i : i + b] *= kernel(*(c.uniform(-a, a, b) for c in cursors))
+def _check_work(samples: int, factors: int) -> None:
+    """Refuse an estimate outside [1, MAX_SAMPLES] samples or above
+    MAX_SAMPLE_FACTORS sample-factors; callers check before drawing."""
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
+    if samples * factors > MAX_SAMPLE_FACTORS:
+        raise ValueError(
+            f"samples x factors per sample must be at most {MAX_SAMPLE_FACTORS}, "
+            f"got {samples} x {factors}"
+        )
 
 
 def _mc_products(a: float, rows, samples: int, seed, *, weighted: bool = False):
     """MC mean and standard error of first * (j random logistics).
 
     The first factor is 1, or with weighted the error term
-    _weighted_logistic.  Each block of at most _CHUNK samples multiplies
-    in the first factor and then max(rows) random logistics one at a time,
-    summing the product only after the factor counts listed in rows; entry
-    i of each returned array describes the product after rows[i] factors.
-    One sample has no spread to estimate, so its standard error is inf.
+    _weighted_logistic.  Each block of at most _BLOCK samples starts from
+    the first factor and multiplies in max(rows) random logistics one at a
+    time, summing the product only after the factor counts listed in rows;
+    entry i of each returned array describes the product after rows[i]
+    factors.  One sample has no spread to estimate, so its standard error
+    is inf.
     """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     rows = np.asarray(rows, dtype=int)
     n = int(rows.max())
-    read = np.zeros(n + 1, dtype=bool)
-    read[rows] = True
+    _check_work(samples, n + weighted)
+    read = set(rows.tolist())
     rng = np.random.default_rng(seed)
     s1 = np.zeros(n + 1)
     s2 = np.zeros(n + 1)
-    prod_buf = np.empty(min(samples, _CHUNK))
-    sq_buf = np.empty_like(prod_buf)
-    left = samples
-    while left:
-        k = min(left, _CHUNK)
-        prod, sq = prod_buf[:k], sq_buf[:k]
-        prod.fill(1.0)
-        if weighted:
-            _multiply_in(prod, _weighted_logistic, 4, rng, a)
-        for j in range(n + 1):
-            if j:
-                _multiply_in(prod, _random_logistic, 3, rng, a)
-            if read[j]:
+    for start in range(0, samples, _BLOCK):
+        b = min(_BLOCK, samples - start)
+        prod = _weighted_logistic(*rng.uniform(-a, a, (4, b))) if weighted else np.ones(b)
+        for j in range(1, n + 1):
+            prod *= _random_logistic(*rng.uniform(-a, a, (3, b)))
+            if j in read:
                 s1[j] += prod.sum()
-                s2[j] += np.multiply(prod, prod, out=sq).sum()
-        left -= k
+                s2[j] += (prod * prod).sum()
     mean = s1[rows] / samples
     var = np.maximum(s2[rows] / samples - mean * mean, 0.0)
     if samples > 1:

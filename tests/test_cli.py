@@ -16,6 +16,7 @@ from sillkoop.dictionary import ConjLogistic, SillDictionary, save_dictionary
 from sillkoop.regression import (
     MAX_STEPS,
     KoopmanModel,
+    SnapshotSet,
     load_model,
     save_model,
     save_snapshots,
@@ -132,8 +133,6 @@ def test_fit_missing_key_rejected(tmp_path, capsys):
 def test_edmd_fits_dt_snapshots(tmp_path):
     rng = np.random.default_rng(1)
     Y = rng.uniform(-2, 2, size=(30, 2))
-    from sillkoop.regression import SnapshotSet
-
     snaps = SnapshotSet(Y, Y @ np.array([[0.9, 0.1], [0.0, 0.8]]).T, "DT", dt=0.1)
     csv_path = tmp_path / "dt.csv"
     man_path = tmp_path / "dt_manifest.json"
@@ -151,6 +150,38 @@ def test_edmd_fits_dt_snapshots(tmp_path):
     out = tmp_path / "out_edmd"
     assert _run(["edmd", "--config", cfg, "--out", out]) == 0
     assert load_model(out / "model.json").mode == "DT"
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        pytest.param('{"mode": "DT", "dt": true}', "key 'dt' must be a number", id="bool-dt"),
+        pytest.param('{"mode": "DT", "dt": "0.5"}', "key 'dt' must be a number", id="string-dt"),
+        pytest.param('{"mode": "DT", "dt": 1e999}', "positive finite dt", id="infinite-dt"),
+        pytest.param('{"mode": 1, "dt": 0.5}', "key 'mode' must be str", id="number-mode"),
+        pytest.param('[{"mode": "DT", "dt": 0.5}]', "must be a JSON object", id="list"),
+    ],
+)
+def test_edmd_bad_snapshot_manifest_exits_2(tmp_path, capsys, manifest, message):
+    Y = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+    csv_path, man_path = tmp_path / "dt.csv", tmp_path / "dt_manifest.json"
+    save_snapshots(SnapshotSet(Y, 0.9 * Y, "DT", dt=0.5), csv_path, man_path)
+    man_path.write_text(manifest)
+    dict_path, _ = _dictionary_file(tmp_path)
+    cfg = _write_config(
+        tmp_path / "edmd.json",
+        {
+            "snapshots_csv": str(csv_path),
+            "snapshots_manifest": str(man_path),
+            "dictionary": dict_path,
+            "ridge": 0.0,
+        },
+    )
+    out = tmp_path / "out"
+    assert _run(["edmd", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "bad-input: " in err and message in err and err.count("\n") == 1
+    assert not (out / "model.json").exists()
 
 
 def test_edmd_rejects_ct_snapshots(tmp_path):
@@ -541,6 +572,15 @@ def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
         pytest.param({"samples": 10**21}, id="samples-beyond-int64"),
         pytest.param({"m_values": [1, stats.MAX_M + 1]}, id="m-above-limit"),
         pytest.param({"m_values": [10**21]}, id="m-beyond-int64"),
+        pytest.param(
+            {"samples": stats.MAX_SAMPLES, "m_values": [stats.MAX_M]},
+            id="work-at-both-count-limits",
+        ),
+        # 2 * 500 + 1 factors per sample: the error term counts
+        pytest.param(
+            {"samples": stats.MAX_SAMPLE_FACTORS // 1001 + 1, "m_values": [1, 500]},
+            id="work-just-above-limit",
+        ),
     ],
 )
 def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys, settings):

@@ -660,7 +660,7 @@ _mc_case = st.fixed_dictionaries(
 @_settings
 @given(_mc_case)
 def test_conjunctive_table_rows_equal_one_row_estimates(case):
-    # all samples fit in one block (2^20), where the extra factors a longer
+    # all samples fit in one block (2^14), where the extra factors a longer
     # table draws come after row m's and cannot move it
     args = (case["a"], case["samples"], case["seed"])
     table = mc_conjunctive_table(case["m_values"], *args)

@@ -9,10 +9,10 @@ from sillkoop import stats
 from sillkoop.dictionary import stable_sigmoid
 from sillkoop.errors import QuadratureError
 from sillkoop.stats import (
-    _CHUNK,
-    _SUB_BLOCK,
+    _BLOCK,
     MAX_M,
     MAX_QUAD_POINTS,
+    MAX_SAMPLE_FACTORS,
     MAX_SAMPLES,
     ErrorRateRow,
     UniformIntervalSpec,
@@ -296,7 +296,7 @@ def test_error_rates_reject_zero_samples():
         expected_error_rates([1], 2.0, samples=0, seed=0)
 
 
-def test_mc_estimators_reject_counts_above_their_limits():
+def test_mc_estimators_reject_counts_above_their_limits(monkeypatch):
     # refused before anything is drawn or allocated
     with pytest.raises(ValueError, match="samples"):
         expected_error_rates([1], 2.0, samples=MAX_SAMPLES + 1, seed=0)
@@ -308,30 +308,49 @@ def test_mc_estimators_reject_counts_above_their_limits():
         expected_error_rates([10**21], 2.0, samples=10, seed=0)
     assert len(mc_conjunctive_table([MAX_M], 2.0, 1, seed=0)) == 1
 
+    # each count within its limit, their product not; a run the check let
+    # through stops at its first factor instead of running for hours
+    def never(*args):
+        raise AssertionError("drew past the work limit")
+
+    monkeypatch.setattr(stats, "_random_logistic", never)
+    monkeypatch.setattr(stats, "_weighted_logistic", never)
+    with pytest.raises(ValueError, match="factors per sample"):
+        expected_error_rates([MAX_M], 2.0, samples=MAX_SAMPLES, seed=0)
+    with pytest.raises(ValueError, match="factors per sample"):
+        mc_conjunctive_table([MAX_M], 2.0, MAX_SAMPLE_FACTORS // MAX_M + 1, seed=0)
+    # the error term counts as a factor: m = 500 is 2 * 500 + 1 of them
+    with pytest.raises(ValueError, match="factors per sample"):
+        expected_error_rates([500], 2.0, samples=MAX_SAMPLE_FACTORS // 1001 + 1, seed=0)
+    stats._check_work(MAX_SAMPLE_FACTORS // 1001, 1001)
+    stats._check_work(MAX_SAMPLE_FACTORS // MAX_M, MAX_M)
+
 
 @pytest.mark.parametrize("table", ["conjunctive", "error_rates"])
 def test_mc_peak_memory_is_two_block_arrays_whatever_the_depth(table):
-    # the running product and the buffer for its square span the block;
-    # draws and sigmoid temporaries live one sub-block at a time, so the
-    # traced peak neither reaches a third block-length array nor grows
-    # with the number of factors
-    def peak(m):
+    # draws, the running product and sigmoid temporaries live one block at
+    # a time, so the traced peak is a few block-length arrays; it grows
+    # neither with the number of factors nor with the number of blocks
+    def peak(m, samples):
         ms = list(range(1, m + 1))
         tracemalloc.start()
         try:
             if table == "conjunctive":
-                mc_conjunctive_table(ms, 2.0, _CHUNK, seed=0)
+                mc_conjunctive_table(ms, 2.0, samples, seed=0)
             else:
-                expected_error_rates(ms, 2.0, samples=_CHUNK, seed=0)
+                expected_error_rates(ms, 2.0, samples=samples, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    block = 8 * _CHUNK
-    shallow, deep = peak(1), peak(6)
-    assert shallow < 2.5 * block
-    assert deep < 2.5 * block
-    assert deep <= shallow + 8 * _SUB_BLOCK
+    peak(1, 1)  # the first numpy calls in a process allocate once
+    block = 8 * _BLOCK
+    shallow, deep = peak(1, 4 * _BLOCK), peak(6, 4 * _BLOCK)
+    assert shallow < 8 * block
+    assert deep < 8 * block
+    assert deep <= shallow + block
+    assert peak(1, 64 * _BLOCK) <= shallow
+    assert peak(6, 64 * _BLOCK) <= deep
 
 
 def _reference_conjunctive(m_values, a, samples, seed):
@@ -344,7 +363,7 @@ def _reference_conjunctive(m_values, a, samples, seed):
     s2 = dict.fromkeys(m_values, 0.0)
     left = samples
     while left:
-        k = min(left, _CHUNK)
+        k = min(left, _BLOCK)
         prod = np.ones(k)
         for j in range(1, max(m_values) + 1):
             u = rng.uniform(-a, a, size=(3, k))
@@ -369,7 +388,7 @@ def _reference_error_terms(m_values, a, samples, seed):
     sums = dict.fromkeys([j for m in m_values for j in (m, 2 * m)], 0.0)
     left = samples
     while left:
-        k = min(left, _CHUNK)
+        k = min(left, _BLOCK)
         alpha = rng.uniform(-a, a, k)
         w = rng.uniform(-a, a, k)
         yz = rng.uniform(-a, a, size=(2, k))
@@ -389,13 +408,14 @@ def _reference_error_terms(m_values, a, samples, seed):
         (1, 0, 1),
         (2, 3, 1_000),
         (3, 7, 30_000),
-        (1, 5, _CHUNK + 777),
-        (3, 5, _CHUNK + 777),
-        # sub-block edges, and a second block that ends inside a sub-block
-        (2, 1, _SUB_BLOCK - 1),
-        (2, 2, _SUB_BLOCK),
-        (2, 4, _SUB_BLOCK + 1),
-        (2, 6, _CHUNK + 3 * _SUB_BLOCK + 5),
+        # past 2^20 samples
+        (1, 5, 64 * _BLOCK + 777),
+        (3, 5, 64 * _BLOCK + 777),
+        # block edges, and a 68th block of 5 samples
+        (2, 1, _BLOCK - 1),
+        (2, 2, _BLOCK),
+        (2, 4, _BLOCK + 1),
+        (2, 6, 67 * _BLOCK + 5),
     ],
 )
 def test_mc_estimators_match_reference_draw_layout(m, seed, samples):
