@@ -47,12 +47,10 @@ from .dictionary import (
 from .errors import ClosureBoundError, QuadratureError
 from .regression import (
     SnapshotSet,
-    fit_edmd,
-    fit_generator,
+    _fit,
     load_model,
     load_snapshots,
     predict_ct,
-    residual,
     save_model,
 )
 from .stats import (
@@ -126,9 +124,7 @@ def _fit_command(cfg, outdir, mode):
             f"{command} expects {mode} snapshots; use the {other} command for "
             f"{snaps.mode} data"
         )
-    d = load_dictionary(dict_path)
-    model = (fit_generator if mode == "CT" else fit_edmd)(snaps, d, ridge)
-    rep = residual(model, snaps)
+    model, rep = _fit(snaps, load_dictionary(dict_path), ridge, mode)
     save_model(model, os.path.join(outdir, "model.json"))
     _write_json(os.path.join(outdir, "residual_summary.json"), _residual_summary(rep, snaps))
     return {"outputs": ["model.json", "residual_summary.json"]}
@@ -266,9 +262,7 @@ def cmd_example1(cfg, outdir, seed):
     box = _interval(sill, "box", "bounded interval")
     points = _need(sill, "points", int, "sample count over the box")
     ridge = _need(sill, "ridge", float, "ridge penalty")
-    d = SillDictionary(
-        1, tuple(ConjLogistic([c], [alpha]) for c in centers)
-    )
+    d = SillDictionary(1, tuple(ConjLogistic([c], [alpha]) for c in centers))
     y = np.linspace(lo, hi, fit_points)
     rows = []
     slopes = {}
@@ -284,8 +278,7 @@ def cmd_example1(cfg, outdir, seed):
     )
     grid = np.linspace(box[0], box[1], points)[:, None]
     snaps = SnapshotSet(grid, grid**2, "CT")
-    model = fit_generator(snaps, join_completion(d), ridge)
-    rep = residual(model, snaps)
+    rep = _fit(snaps, join_completion(d), ridge, "CT")[1]
     _write_json(
         os.path.join(outdir, "example1_summary.json"),
         {

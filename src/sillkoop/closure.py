@@ -403,7 +403,6 @@ def closure_experiment(
     ridge: float = 0.0,
     a=None,
     delta: float = 1e-3,
-    check_bounds: bool = True,
 ):
     """Fit a generator to the spanned field at each steepness scale.
 
@@ -414,8 +413,8 @@ def closure_experiment(
     analytic bounds are evaluated on the held-out grid and paired with the
     measured residuals in one report per scale.
 
-    With check_bounds on, each field logistic's max residual component on
-    the held-out grid is required to stay below its bar_B1 + bar_B2 bound.
+    Each field logistic's max residual on the held-out grid must stay at
+    or below its bar_B1 + bar_B2 bound, or ClosureBoundError is raised.
     """
     pts = _as_grid(grid, sf.dictionary.m)
     held = _as_grid(holdout_grid, sf.dictionary.m)
@@ -432,8 +431,7 @@ def closure_experiment(
         holdout = SnapshotSet(held, sf_s.evaluate(held), "CT")
         rep = residual(model, holdout)
         bounds, bar_B1, bar_B2 = _bounds(sf_s, held, clip, delta, s)
-        if check_bounds:
-            _check_per_function(sf_s, rep, bar_B1, bar_B2)
+        _check_per_function(sf_s, rep, bar_B1, bar_B2)
         reports.append(
             replace(
                 bounds,

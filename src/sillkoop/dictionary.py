@@ -219,17 +219,21 @@ class SillDictionary:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SillDictionary":
-        try:
-            m = obj["m"]
-            entries = obj["logistics"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"dictionary object missing field: {exc}") from exc
+        obj = _json_object(obj, "dictionary", ("m", "logistics"))
+        m, entries = obj["m"], obj["logistics"]
         m = _checked(m, int, "dictionary key 'm'", "measurement dimension", least=1)
         entries = _checked(entries, list, "dictionary key 'logistics'", "logistic objects")
         logistics = (
             _logistic_from(e, f"logistics[{i}]", "dictionary") for i, e in enumerate(entries)
         )
         return cls(m, tuple(logistics))
+
+
+def _json_object(obj, where: str, keys) -> dict:
+    """obj, checked to be a JSON object that holds every one of keys."""
+    if not isinstance(obj, dict) or not all(k in obj for k in keys):
+        raise ValueError(f"{where}: must be a JSON object with {', '.join(map(repr, keys))}")
+    return obj
 
 
 def _checked(val, kind, where: str, desc: str, least=None, most=None):
@@ -348,6 +352,11 @@ def conj_values(y, d: SillDictionary):
     return eval_conjunctive(y, d)
 
 
+def _lifted(first, y, rest):
+    """[first, y, rest] along the last axis: the lift's coordinate layout."""
+    return np.concatenate([np.full(y.shape[:-1] + (1,), first), y, rest], axis=-1)
+
+
 def lift(y, d: SillDictionary):
     """Lift y to dictionary coordinates [1, y, logistic values].
 
@@ -355,11 +364,7 @@ def lift(y, d: SillDictionary):
     conjunctive logistics in dictionary order.  Shape (..., m) -> (..., N).
     """
     y = _check_point(y, d.m)
-    out = np.empty(y.shape[:-1] + (d.size,))
-    out[..., 0] = 1.0
-    out[..., 1 : 1 + d.m] = y
-    out[..., 1 + d.m :] = conj_values(y, d)
-    return out
+    return _lifted(1.0, y, conj_values(y, d))
 
 
 def grad_conjunctive(y, f):
@@ -371,8 +376,12 @@ def grad_conjunctive(y, f):
     gradient row per logistic.
     """
     table = _sigmoid_table(y, f)
-    lam = _gather(table, f.columns)
-    return f.alpha * (1.0 - lam) * _product(table, f.columns)[..., None]
+    return _gradient(table, f, _product(table, f.columns))
+
+
+def _gradient(table, f, values):
+    """grad_conjunctive from f's sigmoid table and its values Lambda there."""
+    return f.alpha * (1.0 - _gather(table, f.columns)) * values[..., None]
 
 
 def lift_jacobian(y, d: SillDictionary):
@@ -500,4 +509,5 @@ def save_dictionary(d: SillDictionary, path) -> None:
 
 def load_dictionary(path) -> SillDictionary:
     with open(path, "r", encoding="utf-8") as fh:
-        return SillDictionary.from_dict(json.load(fh))
+        obj = json.load(fh)
+    return SillDictionary.from_dict(_json_object(obj, path, ("m", "logistics")))

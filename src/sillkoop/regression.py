@@ -2,10 +2,12 @@
 
 Fits the N x N matrix K that best maps lifted measurements psi(y) to their
 targets: d(psi)/dt in continuous time (assembled from measured derivatives
-through the dictionary Jacobian) or psi(y+) in discrete time.  One SVD of
-the lift solves the ridge-regularized least squares for every ridge; at
-ridge = 0 it returns the minimum-norm solution, so rank-deficient lifts
-are handled without failure.
+through the dictionary Jacobian) or psi(y+) in discrete time.  One function,
+_system, builds every lift and target of a snapshot batch (in CT both from
+one sigmoid table), and a fit reports its training residual from the
+arrays it solved on.  One SVD of the lift solves the ridge-regularized
+least squares for every ridge; at ridge = 0 it returns the minimum-norm
+solution, so rank-deficient lifts are handled without failure.
 
 Models are immutable after construction and safe to share across threads.
 """
@@ -20,9 +22,13 @@ import numpy as np
 from .dictionary import (
     SillDictionary,
     _checked,
+    _gradient,
+    _json_object,
+    _lifted,
+    _product,
+    _sigmoid_table,
     _write_csv,
     _write_json,
-    grad_conjunctive,
     lift,
 )
 
@@ -167,14 +173,23 @@ def lift_derivatives(s: SnapshotSet, d: SillDictionary):
     """
     if s.mode != CT:
         raise ValueError("lifted derivatives require CT snapshots")
+    return _system(s, d)[1]
+
+
+def _system(s: SnapshotSet, d: SillDictionary):
+    """The regression pair (G, A) of s, its lift and target, each (r, N).
+
+    DT: psi(y) and psi(y+).  CT: both from one sigmoid table at Y, the
+    target applying the Jacobian factors alpha (1 - lambda) Lambda to dy/dt.
+    """
     if s.m != d.m:
         raise ValueError(f"snapshots have m={s.m}, dictionary has m={d.m}")
-    out = np.empty((s.r, d.size))
-    out[:, 0] = 0.0
-    out[:, 1 : 1 + d.m] = s.D
-    grads = grad_conjunctive(s.Y, d)  # (r, N_L, m)
-    out[:, 1 + d.m :] = np.einsum("rkm,rm->rk", grads, s.D)
-    return out
+    if s.mode == DT:
+        return lift(s.Y, d), lift(s.D, d)
+    table = _sigmoid_table(s.Y, d)
+    values = _product(table, d.columns)  # (r, N_L)
+    grads = _gradient(table, d, values)  # (r, N_L, m)
+    return _lifted(1.0, s.Y, values), _lifted(0.0, s.D, np.einsum("rkm,rm->rk", grads, s.D))
 
 
 def solve_koopman_ls(G, A, ridge: float):
@@ -202,32 +217,23 @@ def solve_koopman_ls(G, A, ridge: float):
     return ((Vt.T * f) @ (U.T @ A.T)).T
 
 
-def _target(s: SnapshotSet, d: SillDictionary):
-    """Regression target of each snapshot, shape (r, N).
-
-    CT snapshots map to the lifted derivatives, DT snapshots to the lifted
-    successors psi(y+).
-    """
-    if s.m != d.m:
-        raise ValueError(f"snapshots have m={s.m}, dictionary has m={d.m}")
-    return lift_derivatives(s, d) if s.mode == CT else lift(s.D, d)
-
-
-def _fit(s: SnapshotSet, d: SillDictionary, ridge: float, mode: str) -> KoopmanModel:
+def _fit(s: SnapshotSet, d: SillDictionary, ridge: float, mode: str) -> tuple:
+    """The fitted model and its training ResidualReport, residual(model, s)."""
     if s.mode != mode:
         raise ValueError(f"a {mode} fit requires {mode} snapshots, got {s.mode}")
-    A = _target(s, d).T
-    return KoopmanModel(solve_koopman_ls(lift(s.Y, d).T, A, ridge), d, mode, ridge)
+    G, A = _system(s, d)
+    model = KoopmanModel(solve_koopman_ls(G.T, A.T, ridge), d, mode, ridge)
+    return model, _report(A - G @ model.K.T)
 
 
 def fit_generator(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> KoopmanModel:
     """Fit the CT generator approximation from (y, dy/dt) snapshots."""
-    return _fit(s, d, ridge, CT)
+    return _fit(s, d, ridge, CT)[0]
 
 
 def fit_edmd(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> KoopmanModel:
     """Fit the DT operator approximation from (y, y+) snapshots."""
-    return _fit(s, d, ridge, DT)
+    return _fit(s, d, ridge, DT)[0]
 
 
 def _expm(A):
@@ -317,8 +323,12 @@ def residual(model: KoopmanModel, s: SnapshotSet) -> ResidualReport:
     """
     if model.mode != s.mode:
         raise ValueError(f"model mode {model.mode} does not match snapshots {s.mode}")
-    d = model.dictionary
-    R = _target(s, d) - lift(s.Y, d) @ model.K.T
+    G, A = _system(s, model.dictionary)
+    return _report(A - G @ model.K.T)
+
+
+def _report(R) -> ResidualReport:
+    """The ResidualReport of an (r, N) residual matrix R."""
     norms = np.linalg.norm(R, axis=1)
     return ResidualReport(
         matrix=R,
@@ -348,9 +358,7 @@ def save_snapshots(s: SnapshotSet, csv_path, manifest_path) -> None:
 
 def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or "mode" not in manifest:
-        raise ValueError(f"{manifest_path}: must be a JSON object with 'mode'")
+        manifest = _json_object(json.load(fh), manifest_path, ("mode",))
     mode = _checked(manifest["mode"], str, f"{manifest_path} key 'mode'", "'CT' or 'DT'")
     dt = manifest.get("dt")
     if dt is not None:
@@ -377,6 +385,8 @@ def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"{csv_path}: line {lineno}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{csv_path}: no snapshot rows after the header")
     data = np.asarray(rows, dtype=float)
     return SnapshotSet(data[:, :m], data[:, m:], mode, dt)
 
@@ -393,7 +403,7 @@ def save_model(model: KoopmanModel, path) -> None:
 
 def load_model(path) -> KoopmanModel:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _json_object(json.load(fh), path, ("mode", "ridge", "dictionary", "K"))
     d = SillDictionary.from_dict(obj["dictionary"])
     n = d.size
     K = _checked(obj["K"], [float], "model key 'K'", f"{n}x{n} matrix, row by row")

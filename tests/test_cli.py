@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import expit
 
-from sillkoop import stats
+from sillkoop import dictionary, stats
 from sillkoop.bench import builtin_fields, make_snapshots
 from sillkoop.cli import main
 from sillkoop.dictionary import ConjLogistic, SillDictionary, save_dictionary
@@ -182,6 +182,62 @@ def test_edmd_bad_snapshot_manifest_exits_2(tmp_path, capsys, manifest, message)
     err = capsys.readouterr().err
     assert "bad-input: " in err and message in err and err.count("\n") == 1
     assert not (out / "model.json").exists()
+
+
+def _fit_config(tmp_path, csv_path, man_path, name="fit.json"):
+    dict_path, _ = _dictionary_file(tmp_path)
+    return _write_config(
+        tmp_path / name,
+        {
+            "snapshots_csv": str(csv_path),
+            "snapshots_manifest": str(man_path),
+            "dictionary": dict_path,
+            "ridge": 0.0,
+        },
+    )
+
+
+def test_fit_snapshot_csv_without_rows_exits_2(tmp_path, capsys):
+    csv_path, man_path = _ct_snapshot_files(tmp_path)
+    Path(csv_path).write_text("y1,y2,d1,d2\n")
+    out = tmp_path / "out"
+    assert _run(["fit", "--config", _fit_config(tmp_path, csv_path, man_path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"bad-input: {csv_path}: no snapshot rows after the header" in err
+    assert err.count("\n") == 1
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda obj: [obj], id="list"),
+        pytest.param(lambda obj: {k: v for k, v in obj.items() if k != "mode"}, id="no-mode"),
+    ],
+)
+def test_model_file_not_an_object_with_its_keys_exits_2(tmp_path, capsys, edit):
+    cfg = _predict_config(tmp_path)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+    out = tmp_path / "o"
+    assert _run(["predict", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"sillkoop: bad-input: {model_path}: must be a JSON object with "
+        "'mode', 'ridge', 'dictionary', 'K'\n"
+    )
+    assert not list(out.iterdir())
+
+
+def test_dictionary_file_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps([{"m": 1, "logistics": [{"mu": [0.0], "alpha": [2.0]}]}]))
+    cfg = _write_config(tmp_path / "cd.json", {"dictionary": str(path)})
+    out = tmp_path / "o"
+    assert _run(["complete-dictionary", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"sillkoop: bad-input: {path}: must be a JSON object with 'm', 'logistics'\n"
+    assert not list(out.iterdir())
 
 
 def test_edmd_rejects_ct_snapshots(tmp_path):
@@ -804,3 +860,32 @@ def test_manifest_records_config_hash_and_versions(tmp_path):
 def test_unreadable_config_exits_2(tmp_path, capsys):
     assert _run(["stats", "--config", tmp_path / "missing.json", "--out", tmp_path]) == 2
     assert "bad-input" in capsys.readouterr().err
+
+
+def test_each_command_evaluates_each_snapshot_batch_once(tmp_path, monkeypatch):
+    # stable_sigmoid calls per command, exact on any host: a CT fit takes
+    # its lift and target from one table and reports its own residual; a DT
+    # fit lifts y and y+; a closure scale evaluates the field on both grids,
+    # fits, measures the held-out residual and takes the bounds
+    calls = []
+    original = dictionary.stable_sigmoid
+
+    def counted(z):
+        calls.append(1)
+        return original(z)
+
+    monkeypatch.setattr(dictionary, "stable_sigmoid", counted)
+    ct_csv, ct_man = _ct_snapshot_files(tmp_path)
+    Y = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+    dt_csv, dt_man = tmp_path / "dt.csv", tmp_path / "dt_manifest.json"
+    save_snapshots(SnapshotSet(Y, 0.9 * Y, "DT", dt=0.5), dt_csv, dt_man)
+    configs = [
+        ("fit", _fit_config(tmp_path, ct_csv, ct_man), 1),
+        ("edmd", _fit_config(tmp_path, dt_csv, dt_man, "edmd.json"), 2),
+        ("example1", _example1_config(tmp_path, (1, 2)), 1),
+        ("closure", _closure_config(tmp_path), 5 * 3),  # three scales
+    ]
+    for command, cfg, expected in configs:
+        calls.clear()
+        assert _run([command, "--config", cfg, "--out", tmp_path / command]) == 0
+        assert len(calls) == expected, command

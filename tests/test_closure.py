@@ -356,10 +356,6 @@ def test_closure_experiment_flags_bound_violation():
     held = half_cell_shift(box, 6)
     with pytest.raises(ClosureBoundError, match="exceeds"):
         closure_experiment(sf, train, [4], holdout_grid=held, delta=0.2)
-    reports = closure_experiment(
-        sf, train, [4], holdout_grid=held, delta=0.2, check_bounds=False
-    )
-    assert reports[0].residual_max > reports[0].bar_B1 + reports[0].bar_B2
 
 
 def test_closure_experiment_zero_field():

@@ -12,7 +12,9 @@ completion that the rank completion replaced.  The sigmoid-table kernel
 products bit for bit.  The closure forms,
 computed for all logistics in one pass, must agree bit for bit with their
 one-point calls, and the bounds with the per-logistic forms they summarise.
-Snapshot and model files must round-trip bit for bit, and saving what was
+The regression pair of a snapshot batch must be the written-out lift and
+target bit for bit, and a fit's training report the residual of its own
+model.  Snapshot and model files must round-trip bit for bit, and saving what was
 loaded must rewrite the same bytes.  The Monte Carlo tables read every row
 off one sample path: within one block a row of the conjunctive table is
 the one-row estimate, and the linear error term at m = 2k is the bilinear
@@ -62,9 +64,14 @@ from sillkoop.regression import (
     KoopmanModel,
     SnapshotSet,
     _expm,
+    _fit,
+    _system,
+    fit_edmd,
+    fit_generator,
     lift_derivatives,
     load_model,
     load_snapshots,
+    residual,
     save_model,
     save_snapshots,
     solve_koopman_ls,
@@ -115,6 +122,74 @@ def test_lift_derivatives_rows_match_jacobian(case):
     for yi, di, row in zip(Y, D, rows):
         # same products, possibly summed in another order
         np.testing.assert_allclose(row, lift_jacobian(yi, d) @ di, rtol=1e-12, atol=1e-12)
+
+
+def _reference_system(s, d):
+    """The (lift, target) pair as lift and lift_derivatives wrote it out.
+
+    Each row is assembled by slice assignment; the lift's logistic columns
+    come from conj_values and the CT target's from grad_conjunctive, each
+    with its own sigmoid table.
+    """
+
+    def rows(first, y, rest):
+        out = np.empty(y.shape[:-1] + (d.size,))
+        out[..., 0] = first
+        out[..., 1 : 1 + d.m] = y
+        out[..., 1 + d.m :] = rest
+        return out
+
+    G = rows(1.0, s.Y, conj_values(s.Y, d))
+    if s.mode == "DT":
+        return G, rows(1.0, s.D, conj_values(s.D, d))
+    return G, rows(0.0, s.D, np.einsum("rkm,rm->rk", grad_conjunctive(s.Y, d), s.D))
+
+
+@st.composite
+def _dictionary_and_snapshots(draw):
+    d, y, D = draw(_dictionary_and_points())
+    Y, D = np.atleast_2d(y), np.atleast_2d(D)
+    mode = draw(st.sampled_from(["CT", "DT"]))
+    return d, SnapshotSet(Y, D, mode, dt=0.1 if mode == "DT" else None)
+
+
+def _wide_case(mode):
+    # a join-completed dictionary and a few hundred snapshots, so the
+    # solve and the residual run through full-size matrix products
+    rng = np.random.default_rng(7)
+    mu, alpha = rng.uniform(-2.0, 2.0, (8, 2)), rng.uniform(3.0, 6.0, (8, 2))
+    d = join_completion(SillDictionary(2, tuple(map(ConjLogistic, mu, alpha))))
+    Y, D = rng.uniform(-3.0, 3.0, (2, 300, 2))
+    return d, SnapshotSet(Y, D, mode, dt=0.1 if mode == "DT" else None)
+
+
+@_settings
+@given(_dictionary_and_snapshots())
+@example(_wide_case("CT"))
+@example(_wide_case("DT"))
+def test_system_is_the_written_out_lift_and_target_bit_for_bit(case):
+    d, s = case
+    G, A = _system(s, d)
+    G_ref, A_ref = _reference_system(s, d)
+    assert np.array_equal(G, G_ref) and np.array_equal(G, lift(s.Y, d))
+    assert np.array_equal(A, A_ref)
+    if s.mode == "CT":
+        assert np.array_equal(A, lift_derivatives(s, d))
+
+
+@_settings
+@given(_dictionary_and_snapshots(), st.sampled_from([0.0, 1e-8]))
+@example(_wide_case("CT"), 0.0)
+@example(_wide_case("DT"), 1e-8)
+def test_fit_report_is_the_residual_of_its_model_bit_for_bit(case, ridge):
+    d, s = case
+    model, rep = _fit(s, d, ridge, s.mode)
+    again = residual(model, s)
+    assert np.array_equal(rep.matrix, again.matrix)
+    assert (rep.max_row_norm, rep.mean_row_norm) == (again.max_row_norm, again.mean_row_norm)
+    assert np.array_equal(rep.per_function_max, again.per_function_max)
+    fit = fit_generator if s.mode == "CT" else fit_edmd
+    assert np.array_equal(fit(s, d, ridge).K, model.K)
 
 
 @_settings
