@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -239,11 +240,32 @@ def cmd_stats(cfg, outdir, seed):
         UniformIntervalSpec(a)
     # the error table is the largest estimate: 2 max(m) logistics and its error term
     _check_work(samples, 2 * max(m_values, default=0) + 1)
-    reports = moment_sweep(a_values, quad_points, samples, seed)
+    # It runs on a second thread while this one runs the moment sweep and
+    # then the conjunctive table.  Each table owns its seeded generator and
+    # walks its blocks in a fixed order, so no number depends on how the
+    # threads are scheduled.  Nothing is written until both are done, and an
+    # error on this thread wins over one on the worker.
+    error_table = {}
+
+    def error_rates():
+        try:
+            error_table["rows"] = expected_error_rates(
+                m_values, rate_a, samples=samples, seed=seed
+            )
+        except BaseException as exc:
+            error_table["error"] = exc
+
+    worker = threading.Thread(target=error_rates, name="sillkoop-error-rates", daemon=True)
+    worker.start()
+    try:
+        reports = moment_sweep(a_values, quad_points, samples, seed)
+        conj = mc_conjunctive_table(m_values, rate_a, samples, seed + 1000)
+    finally:
+        worker.join()
+    if "error" in error_table:
+        raise error_table["error"]
     write_moment_csv(reports, os.path.join(outdir, "moments.csv"))
-    rows = expected_error_rates(m_values, rate_a, samples=samples, seed=seed)
-    write_error_rate_csv(rows, os.path.join(outdir, "error_rates.csv"))
-    conj = mc_conjunctive_table(m_values, rate_a, samples, seed + 1000)
+    write_error_rate_csv(error_table["rows"], os.path.join(outdir, "error_rates.csv"))
     _write_csv(
         os.path.join(outdir, "conjunctive.csv"),
         "m,estimate,stderr,bound",

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def stable_sigmoid(z):
+def stable_sigmoid(z, out=None):
     """1 / (1 + exp(-z)) for any z, saturating instead of failing.
 
     The formula keeps full relative accuracy in both tails: for z far
@@ -63,10 +63,19 @@ def stable_sigmoid(z):
     about -709.78) the result is exactly 0.0, and for large positive z
     exactly 1.0; the overflow is expected, so it raises no warning.  NaN
     passes through.  A 0-d input returns a Python float.
+
+    out, a float array of z's shape that may be z itself, receives the
+    result; each step runs in place there, with the same operations in
+    the same order, so the bits do not depend on it.
     """
     z = np.asarray(z, dtype=float)
+    if out is None:
+        out = np.empty_like(z)
+    np.negative(z, out=out)
     with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-z))
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -33,6 +33,16 @@ block:
 The rows of a table share one sample path, so comparisons across m are
 paired, and the linear term at m = 2k is the bilinear term at m = k bit
 for bit.
+
+An estimate allocates its draw rows and running product once and
+rewrites them in place block after block: the draws as rng.random(out=)
+scaled to U(-a, a), the same bits as rng.uniform(-a, a), and the logistic
+with stable_sigmoid(out=).  The generator fill and these ufunc loops
+release the GIL, so estimates on different threads overlap.  The ``stats``
+command runs expected_error_rates, the largest, on a second thread while
+the calling thread runs the moment sweep and then the conjunctive table.
+No number can depend on that scheduling: each estimate owns its seeded
+generator and walks its blocks in a fixed order, and shares no buffer.
 """
 
 from __future__ import annotations
@@ -228,11 +238,24 @@ def product_pdf_normalization(a: float, quad_points: int = 200) -> float:
     return _lotus(a, lambda z: 1.0, quad_points)[0]
 
 
+def _draws(rng, a: float, flat, k: int, b: int):
+    """The next k b doubles of the stream as k rows of b U(-a, a) values.
+
+    The rows are a view of flat, rewritten in place; the bits are those of
+    rng.uniform(-a, a, (k, b)), which also computes -a + (a - -a) u.
+    """
+    rows = flat[: k * b].reshape(k, b)
+    rng.random(out=rows)
+    rows *= a - -a
+    rows += -a
+    return rows
+
+
 def _random_logistic(x, y, z):
-    """sigma(X(Y - Z)) on one block of draws; overwrites y."""
+    """sigma(X(Y - Z)) on one block of draws, written into y."""
     y -= z
     y *= x
-    return stable_sigmoid(y)
+    return stable_sigmoid(y, out=y)
 
 
 def _weighted_logistic(alpha, w, y, z):
@@ -277,14 +300,24 @@ def _mc_products(a: float, rows, samples: int, seed, *, weighted: bool = False):
     rng = np.random.default_rng(seed)
     s1 = np.zeros(n + 1)
     s2 = np.zeros(n + 1)
+    # every block reuses one flat draw buffer and one running product; the
+    # product's square goes into the X row, dead once its logistic is formed
+    width = min(_BLOCK, samples)
+    draws = np.empty((3 + weighted) * width)
+    prods = np.empty(width)
     for start in range(0, samples, _BLOCK):
         b = min(_BLOCK, samples - start)
-        prod = _weighted_logistic(*rng.uniform(-a, a, (4, b))) if weighted else np.ones(b)
+        prod = prods[:b]
+        if weighted:
+            np.copyto(prod, _weighted_logistic(*_draws(rng, a, draws, 4, b)))
+        else:
+            prod.fill(1.0)
         for j in range(1, n + 1):
-            prod *= _random_logistic(*rng.uniform(-a, a, (3, b)))
+            x, y, z = _draws(rng, a, draws, 3, b)
+            prod *= _random_logistic(x, y, z)
             if j in read:
                 s1[j] += prod.sum()
-                s2[j] += (prod * prod).sum()
+                s2[j] += np.multiply(prod, prod, out=x).sum()
     mean = s1[rows] / samples
     var = np.maximum(s2[rows] / samples - mean * mean, 0.0)
     if samples > 1:

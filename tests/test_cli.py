@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import expit
 
-from sillkoop import dictionary, stats
+from sillkoop import cli, dictionary, stats
 from sillkoop.bench import builtin_fields, make_snapshots
 from sillkoop.cli import main
 from sillkoop.dictionary import ConjLogistic, SillDictionary, save_dictionary
+from sillkoop.errors import QuadratureError
 from sillkoop.regression import (
     MAX_STEPS,
     KoopmanModel,
@@ -663,6 +665,79 @@ def test_stats_unresolved_quadrature_exits_3(tmp_path, monkeypatch, capsys):
     assert _run(["stats", "--config", _stats_config(tmp_path), "--out", out]) == 3
     assert "numerical: quadrature on" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def _fail_with(exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "patches, code, word",
+    [
+        # the error table runs on the worker thread
+        pytest.param(
+            {"expected_error_rates": ValueError("worker refused")}, 2, "bad-input: worker refused",
+            id="worker-value-error",
+        ),
+        # the moment sweep runs on the calling thread
+        pytest.param(
+            {"moment_sweep": QuadratureError("sweep diverged")}, 3, "numerical: sweep diverged",
+            id="main-quadrature-error",
+        ),
+        # when both fail, the calling thread's error is the one reported
+        pytest.param(
+            {
+                "expected_error_rates": ValueError("worker refused"),
+                "mc_conjunctive_table": QuadratureError("table diverged"),
+            },
+            3, "numerical: table diverged",
+            id="both-fail-main-wins",
+        ),
+    ],
+)
+def test_stats_thread_failure_exits_cleanly(tmp_path, monkeypatch, capsys, patches, code, word):
+    for name, exc in patches.items():
+        monkeypatch.setattr(cli, name, _fail_with(exc))
+    threads = threading.active_count()
+    out = tmp_path / "o"
+    assert _run(["stats", "--config", _stats_config(tmp_path), "--out", out]) == code
+    err = capsys.readouterr().err
+    assert err == f"sillkoop: {word}\n"
+    assert not list(out.glob("*.csv"))
+    assert not (out / "run_manifest.json").exists()
+    assert threading.active_count() == threads
+
+
+def test_stats_csvs_equal_serial_library_calls(tmp_path):
+    # the threaded command writes exactly what one thread calling the
+    # library in order writes, even when the interpreter switches threads
+    # every few microseconds
+    cfg = json.loads(Path(_stats_config(tmp_path)).read_text())
+    out, ref = tmp_path / "cmd", tmp_path / "ref"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert _run(["stats", "--config", _stats_config(tmp_path), "--out", out, "--seed", 9]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    ref.mkdir()
+    a, samples, ms = cfg["rate_a"], cfg["samples"], cfg["m_values"]
+    stats.write_moment_csv(
+        stats.moment_sweep(cfg["a_values"], cfg["quad_points"], samples, 9), ref / "moments.csv"
+    )
+    stats.write_error_rate_csv(
+        stats.expected_error_rates(ms, a, samples=samples, seed=9), ref / "error_rates.csv"
+    )
+    conj = stats.mc_conjunctive_table(ms, a, samples, 9 + 1000)
+    (ref / "conjunctive.csv").write_text(
+        "m,estimate,stderr,bound\n"
+        + "".join(f"{m},{est!r},{se!r},{2.0**-m!r}\n" for m, (est, se) in zip(ms, conj))
+    )
+    for name in ("moments.csv", "error_rates.csv", "conjunctive.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def _example1_config(tmp_path, degrees=(3,)):

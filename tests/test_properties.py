@@ -224,6 +224,33 @@ def test_sigmoid_within_two_ulp_of_exact_logistic(zs):
 
 
 @_settings
+@given(
+    arrays(
+        np.float64,
+        st.sampled_from([(), (1,), (3, 5)]) | st.tuples(st.integers(0, 40)),
+        elements=st.floats(-800.0, 800.0)
+        | st.floats(709.7, 709.9)
+        | st.floats(-709.9, -709.7)
+        | st.just(np.nan),
+    )
+)
+@example(np.array([-800.0, -709.79, -709.78, -709.77, 0.0, 709.78, 800.0, np.nan]))
+@example(np.array(-709.78))
+def test_sigmoid_in_place_is_bit_equal_to_fresh_result(z):
+    # out=z rewrites the draws the Monte Carlo loop no longer needs; the
+    # same steps run in the same order, so no bit may move
+    before = z.copy()
+    fresh = stable_sigmoid(z)
+    assert np.array_equal(z, before, equal_nan=True)
+    got = stable_sigmoid(z, out=z)
+    if z.ndim == 0:
+        assert isinstance(fresh, float) and isinstance(got, float)
+    else:
+        assert got is z
+    assert np.array_equal(got, fresh, equal_nan=True)
+
+
+@_settings
 @given(_dictionary_and_points())
 def test_lift_jacobian_matches_central_differences(case):
     d, y, _ = case

@@ -326,11 +326,31 @@ def test_mc_estimators_reject_counts_above_their_limits(monkeypatch):
     stats._check_work(MAX_SAMPLE_FACTORS // MAX_M, MAX_M)
 
 
+@pytest.mark.parametrize("a, seed", [(2.0, 3), (3.0, 8)])
+def test_mc_products_match_closed_form_means(a, seed):
+    # sigma(X (Y - Z)) averages 1/2 because Y - Z is symmetric, and the
+    # factors are independent, so a product of j of them averages 2^-j.
+    # The error term |alpha w| sigma(alpha (y - z)) averages
+    # E|alpha| E|w| / 2 = a^2 / 8: given alpha, its logistic still averages 1/2
+    samples = 200_000
+    ms = np.array([1, 2, 3])
+    mean, stderr = stats._mc_products(a, ms, samples, seed)
+    assert np.all(np.isfinite(stderr) & (stderr > 0))
+    assert np.all(np.abs(mean - 2.0**-ms) <= 5.0 * stderr)
+    assert abs(mean[0] - 0.5) <= 5.0 * stderr[0]
+    rows = np.array([j for m in ms for j in (m, 2 * m)])
+    mean, stderr = stats._mc_products(a, rows, samples, seed, weighted=True)
+    assert np.all(np.isfinite(stderr) & (stderr > 0))
+    assert np.all(np.abs(mean - a * a / 8.0 * 2.0**-rows) <= 5.0 * stderr)
+
+
 @pytest.mark.parametrize("table", ["conjunctive", "error_rates"])
 def test_mc_peak_memory_is_two_block_arrays_whatever_the_depth(table):
-    # draws, the running product and sigmoid temporaries live one block at
-    # a time, so the traced peak is a few block-length arrays; it grows
-    # neither with the number of factors nor with the number of blocks
+    # one block of draws (three rows, four for the error term's first
+    # factor) and the running product are allocated once per call, and the
+    # sigmoid and the square run in place, so the traced peak is four or
+    # five block-length arrays; it grows neither with the number of
+    # factors nor with the number of blocks
     def peak(m, samples):
         ms = list(range(1, m + 1))
         tracemalloc.start()
@@ -346,8 +366,8 @@ def test_mc_peak_memory_is_two_block_arrays_whatever_the_depth(table):
     peak(1, 1)  # the first numpy calls in a process allocate once
     block = 8 * _BLOCK
     shallow, deep = peak(1, 4 * _BLOCK), peak(6, 4 * _BLOCK)
-    assert shallow < 8 * block
-    assert deep < 8 * block
+    assert shallow < 6 * block
+    assert deep < 6 * block
     assert deep <= shallow + block
     assert peak(1, 64 * _BLOCK) <= shallow
     assert peak(6, 64 * _BLOCK) <= deep
