@@ -20,7 +20,7 @@ from sillkoop import (
 
 print("logistic moments under U(-a, a) parameter sampling")
 print("\n   a    integral(g)   E[lambda]    Var[lambda]   quad err   MC E      3*stderr")
-for rep in moment_sweep([1.0, 2.0, 4.0, 8.0], quad_points=200, samples=200_000, seed=0):
+for rep in moment_sweep([1.0, 2.0, 4.0, 8.0], samples=200_000, seed=0):
     norm = product_pdf_normalization(rep.a)
     print(
         f"  {rep.a:4.1f}  {norm:.10f}  {rep.expectation:.8f}  {rep.variance:.6f}"

@@ -28,6 +28,10 @@ __all__ = [
     "builtin_fields",
 ]
 
+# where the residual's growth is read, far outside every fit range in use
+GROWTH_POINTS = np.logspace(2, 4, 9)
+GROWTH_POINTS.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -116,25 +120,29 @@ class PolynomialGrowthResult:
     growth_slope: float
 
 
-def polynomial_residual_growth(n: int, y_values, growth_points=None) -> PolynomialGrowthResult:
+def polynomial_residual_growth(n: int, y_values) -> PolynomialGrowthResult:
     """Fit d(y^n)/dt = n y^(n+1) for the field dy/dt = y^2 over {1..y^n}.
 
     The target sits one polynomial degree above the dictionary, so the
     least-squares residual over the sampled interval cannot cancel the
-    leading term; evaluated far outside, it grows like y^(n+1).
+    leading term; evaluated at GROWTH_POINTS, far outside, it grows like
+    y^(n+1).  A degree whose target overflows on the samples or at
+    GROWTH_POINTS is refused before the fit.
     """
     if int(n) != n or n < 1:
         raise ValueError("degree must be a positive integer")
     y = np.asarray(y_values, dtype=float)
     if y.ndim != 1 or y.size < n + 2:
         raise ValueError("need a 1-D sample grid with more points than coefficients")
+    top = max(np.abs(y).max(), GROWTH_POINTS[-1])
+    with np.errstate(over="ignore"):
+        if not np.isfinite(n * top ** (n + 1)):
+            raise ValueError(f"degree {n}: the target n y^(n+1) overflows at |y| = {top:.6g}")
     V = np.vander(y, int(n) + 1, increasing=True)
     target = n * y ** (n + 1)
     coeffs, *_ = np.linalg.lstsq(V, target, rcond=None)
     sample_residual = target - V @ coeffs
-    if growth_points is None:
-        growth_points = np.logspace(2, 4, 9)
-    g = np.asarray(growth_points, dtype=float)
+    g = GROWTH_POINTS
     growth_residual = n * g ** (n + 1) - np.polynomial.polynomial.polyval(g, coeffs)
     growth_ratio = growth_residual / g ** (n + 1)
     slope = np.polyfit(np.log(g), np.log(np.abs(growth_residual)), 1)[0]

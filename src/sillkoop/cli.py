@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import threading
@@ -56,7 +57,6 @@ from .regression import (
 )
 from .stats import (
     MAX_M,
-    MAX_QUAD_POINTS,
     MAX_SAMPLES,
     UniformIntervalSpec,
     _check_work,
@@ -79,18 +79,26 @@ def _need(cfg: dict, key: str, kind, desc: str, least=None, most=None):
 def _grid_spec(cfg: dict):
     grid = _need(cfg, "grid", dict, "grid settings object")
     box = _need(grid, "box", [[float]], "list of [lo, hi] pairs")
+    for i, bounds in enumerate(box):
+        _lo_hi(bounds, f"box[{i}]")
     points = _need(grid, "points_per_dim", int, "lattice points per dimension")
     delta = _need(grid, "delta", float, "hyperplane clearance")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("grid delta must be strictly positive")
     return box, points, delta
 
 
-def _interval(cfg: dict, key: str, desc: str):
-    bounds = _need(cfg, key, [float], f"{desc} [lo, hi]")
+def _lo_hi(bounds: list, key: str):
+    """bounds as [lo, hi] whose width hi - lo is a finite number."""
     if len(bounds) != 2:
         raise ValueError(f"config key '{key}' must be [lo, hi], got {len(bounds)} entries")
+    if not math.isfinite(bounds[1] - bounds[0]):
+        raise ValueError(f"config key '{key}' must have a finite width hi - lo, got {bounds}")
     return bounds
+
+
+def _interval(cfg: dict, key: str, desc: str):
+    return _lo_hi(_need(cfg, key, [float], f"{desc} [lo, hi]"), key)
 
 
 def _optional(cfg: dict, key: str, kind, desc: str, default):
@@ -227,10 +235,6 @@ def cmd_theorem1(cfg, outdir, seed):
 
 def cmd_stats(cfg, outdir, seed):
     a_values = _need(cfg, "a_values", [float], "interval radii for the moment sweep")
-    quad_points = _need(
-        cfg, "quad_points", int, "Gauss-Legendre nodes of the coarse rule",
-        least=100, most=MAX_QUAD_POINTS,
-    )
     samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1, MAX_SAMPLES)
     m_values = _need(
         cfg, "m_values", [int], "measurement dimensions for rate table", 1, MAX_M
@@ -258,7 +262,7 @@ def cmd_stats(cfg, outdir, seed):
     worker = threading.Thread(target=error_rates, name="sillkoop-error-rates", daemon=True)
     worker.start()
     try:
-        reports = moment_sweep(a_values, quad_points, samples, seed)
+        reports = moment_sweep(a_values, samples, seed)
         conj = mc_conjunctive_table(m_values, rate_a, samples, seed + 1000)
     finally:
         worker.join()

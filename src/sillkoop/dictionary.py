@@ -325,7 +325,10 @@ def _sigmoid_table(y, f):
     distinct per-coordinate factor once.
     """
     y = _check_point(y, f.m)
-    return stable_sigmoid(f.table_alpha * (y[..., f.table_coord] - f.table_mu))
+    # an argument beyond the float range is one where sigma is exactly 0 or 1
+    with np.errstate(over="ignore"):
+        z = f.table_alpha * (y[..., f.table_coord] - f.table_mu)
+    return stable_sigmoid(z)
 
 
 def _gather(table, columns):

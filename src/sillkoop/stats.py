@@ -7,10 +7,14 @@ product then has a closed-form density with an integrable log singularity
 at zero.  Expectations of the logistic under that density have no closed
 form, so they are computed by singularity-aware quadrature and
 cross-checked by Monte Carlo.  The quadrature carries the analytic mass of
-a small interval around zero and integrates the rest with a fixed
-composite Gauss-Legendre rule in log coordinates; a second rule with twice
-the panels runs alongside, and their difference is a deterministic error
-estimate (MomentReport.quad_error) that must stay below 1e-13 + 1e-12 |I|.
+a small interval around zero and integrates each half of the rest in log
+coordinates with one fixed composite Gauss-Legendre rule, _PANELS panels
+of 50 nodes; a check rule with twice the panels runs alongside, and their
+difference is a deterministic error estimate (MomentReport.quad_error)
+that must stay below 1e-13 + 1e-12 |I|.  The radius a is confined to
+[MIN_RADIUS, MAX_RADIUS], where every intermediate of both routes is
+finite: the sliver 1e-8 a^2 and its square, and the squared error term
+~a^4 of the Monte Carlo sums.
 
 Every Monte Carlo statistic is one call of a single estimator: in blocks
 of at most 2^14 samples it starts from a first factor, multiplies in
@@ -79,10 +83,14 @@ MAX_SAMPLE_FACTORS = 10**10
 # 2^-(2m+1) is already 0.0 from m = 537 on
 MAX_M = 1000
 
-# one Gauss-Legendre panel on [-1, 1]; quad_points sets how many the
-# coarse rule uses, and the check rule uses twice as many
+# one Gauss-Legendre panel on [-1, 1]; the coarse rule of each half-support
+# uses _PANELS of them, and the check rule twice as many
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(50)
-MAX_QUAD_POINTS = 10**6
+_PANELS = 4
+# a^4 overflows above about 1e77 and the sliver 1e-8 a^2 squares to a
+# subnormal below about 1e-73; the range keeps a wide margin to both
+MIN_RADIUS = 1e-50
+MAX_RADIUS = 1e50
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,10 @@ class UniformIntervalSpec:
     a: float
 
     def __post_init__(self):
-        if not 0 < self.a < np.inf:
-            raise ValueError("interval radius a must be positive and finite")
+        if not MIN_RADIUS <= self.a <= MAX_RADIUS:
+            raise ValueError(
+                f"interval radius a must lie in [{MIN_RADIUS:g}, {MAX_RADIUS:g}], got {self.a!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,55 +197,49 @@ def _gauss_legendre(fn, t0: float, t1: float, panels: int) -> float:
     return math.fsum(w * (fn(z) * z))
 
 
-def _outer_quad(fn, lo: float, hi: float, quad_points: int):
+def _outer_quad(fn, lo: float, hi: float):
     """Integral of fn over [lo, hi], 0 < lo < hi, and its error estimate.
 
     The substitution z = e^t turns the logarithmic endpoint growth of the
-    product density into a smooth function of t, which a fixed rule of
-    ceil(quad_points / 50) equal 50-node Gauss-Legendre panels integrates
-    to about 1e-15, the accuracy of numpy's leggauss weights.  A rule with
-    twice the panels runs alongside; the finer value is returned with
-    |fine - coarse| as the error estimate, and a disagreement above
-    1e-13 + 1e-12 |fine| raises QuadratureError.  fn takes and returns
-    arrays.
+    product density into a smooth function of t, which _PANELS equal
+    50-node Gauss-Legendre panels integrate to about 1e-15, the accuracy of
+    numpy's leggauss weights.  A rule with twice the panels runs alongside;
+    the finer value is returned with |fine - coarse| as the error estimate,
+    and an estimate that is not at most 1e-13 + 1e-12 |fine|, NaN
+    included, raises QuadratureError.  fn takes and returns arrays.
     """
-    panels = -(-quad_points // _PANEL_NODES.size)
     t0, t1 = math.log(lo), math.log(hi)
-    coarse = _gauss_legendre(fn, t0, t1, panels)
-    fine = _gauss_legendre(fn, t0, t1, 2 * panels)
+    coarse = _gauss_legendre(fn, t0, t1, _PANELS)
+    fine = _gauss_legendre(fn, t0, t1, 2 * _PANELS)
     err = abs(fine - coarse)
-    if err > 1e-13 + 1e-12 * abs(fine):
+    if not err <= 1e-13 + 1e-12 * abs(fine):
         raise QuadratureError(
             f"quadrature on [{lo:.3g}, {hi:.3g}] did not converge: rules with "
-            f"{panels} and {2 * panels} panels differ by {err:.3g}"
+            f"{_PANELS} and {2 * _PANELS} panels differ by {err:.3g}"
         )
     return fine, err
 
 
-def _lotus(a: float, fn, quad_points: int):
+def _lotus(a: float, fn):
     """Integral of product_pdf * fn, with the singular sliver handled analytically.
 
     The interval |z| <= eps = 1e-8 a^2 carries analytic mass; fn is
     replaced there by fn(0), which for a smooth fn such as the logistic
     and its square is its symmetric average over the sliver to O(eps^2).
     Each half of the rest, [eps, 2a^2] and its mirror, is one _outer_quad
-    call whose coarse rule has at least quad_points nodes.  Returns the
-    integral and the sum of the two halves' error estimates.
+    call.  Returns the integral and the sum of the two halves' error
+    estimates.
     """
-    if not 100 <= quad_points <= MAX_QUAD_POINTS:
-        raise ValueError(
-            f"quad_points must be between 100 and {MAX_QUAD_POINTS}, got {quad_points}"
-        )
     eps = 1e-8 * a * a
     hi = 2.0 * a * a
-    pos, err_pos = _outer_quad(lambda u: product_pdf(u, a) * fn(u), eps, hi, quad_points)
-    neg, err_neg = _outer_quad(lambda u: product_pdf(-u, a) * fn(-u), eps, hi, quad_points)
+    pos, err_pos = _outer_quad(lambda u: product_pdf(u, a) * fn(u), eps, hi)
+    neg, err_neg = _outer_quad(lambda u: product_pdf(-u, a) * fn(-u), eps, hi)
     return pos + neg + fn(0.0) * 2.0 * _mass_zero_to(eps, a), err_pos + err_neg
 
 
-def product_pdf_normalization(a: float, quad_points: int = 200) -> float:
+def product_pdf_normalization(a: float) -> float:
     """Integral of the product density over its support; equals 1."""
-    return _lotus(a, lambda z: 1.0, quad_points)[0]
+    return _lotus(a, lambda z: 1.0)[0]
 
 
 def _draws(rng, a: float, flat, k: int, b: int):
@@ -336,13 +340,7 @@ def _dimensions(m_values) -> list:
     return ms
 
 
-def expected_logistic(
-    a: float,
-    quad_points: int = 200,
-    *,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> MomentReport:
+def expected_logistic(a: float, *, samples: int = 1_000_000, seed: int = 0) -> MomentReport:
     """Logistic moments by quadrature, with the MC cross-check attached.
 
     expectation and variance come from integrating the logistic and its
@@ -351,8 +349,8 @@ def expected_logistic(
     sampled draws so the two routes can be compared.
     """
     UniformIntervalSpec(a)
-    e1, err1 = _lotus(a, stable_sigmoid, quad_points)
-    e2, err2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2, quad_points)
+    e1, err1 = _lotus(a, stable_sigmoid)
+    e2, err2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2)
     mean, stderr = _mc_products(a, [1], samples, seed)
     return MomentReport(
         a=float(a),
@@ -418,14 +416,12 @@ def expected_error_rates(
     ]
 
 
-def moment_sweep(a_values, quad_points: int, samples: int, seed: int):
+def moment_sweep(a_values, samples: int, seed: int):
     """expected_logistic per interval radius, seeds offset by sweep index."""
-    reports = []
-    for i, a in enumerate(a_values):
-        reports.append(
-            expected_logistic(float(a), quad_points, samples=samples, seed=seed + i)
-        )
-    return reports
+    return [
+        expected_logistic(float(a), samples=samples, seed=seed + i)
+        for i, a in enumerate(a_values)
+    ]
 
 
 def write_moment_csv(reports, path) -> None:

@@ -203,7 +203,7 @@ def test_criterion_5_product_density_moments():
     reports = []
     for i, a in enumerate((1.0, 2.0, 4.0, 8.0)):
         norms.append(abs(product_pdf_normalization(a) - 1.0))
-        reports.append(expected_logistic(a, 200, samples=1_000_000, seed=100 + i))
+        reports.append(expected_logistic(a, samples=1_000_000, seed=100 + i))
     norm_ok = max(norms) < 1e-6
     mean_ok = all(abs(r.expectation - 0.5) < 1e-3 for r in reports)
     var_ok = bool(np.all(np.diff([r.variance for r in reports]) > 0))
@@ -405,7 +405,6 @@ def _prepare_cli_workspace(root: Path):
         },
         "stats": {
             "a_values": [1.0, 2.0],
-            "quad_points": 200,
             "samples": 20000,
             "m_values": [1, 2, 3],
             "rate_a": 2.0,

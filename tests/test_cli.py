@@ -564,7 +564,6 @@ def _stats_config(tmp_path):
         tmp_path / "stats.json",
         {
             "a_values": [1.0, 2.0, 4.0, 8.0],
-            "quad_points": 200,
             "samples": 20000,
             "m_values": [1, 2, 3, 4, 5, 6],
             "rate_a": 2.0,
@@ -602,15 +601,10 @@ def test_stats_seeded_reruns_identical(tmp_path):
         # rejected even when nothing is sampled
         pytest.param({"samples": 0}, "sample", id="zero-samples-empty"),
         pytest.param({"samples": -3}, "sample", id="negative-samples-empty"),
-        pytest.param({"quad_points": 5}, "quad_points", id="few-quad-points-empty"),
-        pytest.param(
-            {"quad_points": stats.MAX_QUAD_POINTS + 1}, "quad_points",
-            id="many-quad-points-empty",
-        ),
     ],
 )
 def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
-    base = {"a_values": [], "quad_points": 200, "samples": 10, "m_values": []}
+    base = {"a_values": [], "samples": 10, "m_values": []}
     cfg = _write_config(tmp_path / "stats.json", {**base, **settings})
     assert _run(["stats", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert word in capsys.readouterr().err
@@ -623,6 +617,10 @@ def test_stats_zero_samples_exits_2(tmp_path, capsys, settings, word):
         pytest.param({"a_values": [1.0, float("inf")]}, id="infinite-radius"),
         pytest.param({"rate_a": -1.0}, id="negative-rate-a"),
         pytest.param({"rate_a": float("nan")}, id="nan-rate-a"),
+        # outside [MIN_RADIUS, MAX_RADIUS] some intermediate is no finite normal double
+        pytest.param({"a_values": [1.0, 1e81]}, id="radius-above-range"),
+        pytest.param({"a_values": [1e-60]}, id="radius-below-range"),
+        pytest.param({"rate_a": 1e78}, id="rate-a-above-range"),
         pytest.param({"m_values": [1, 0]}, id="zero-m"),
         pytest.param({"m_values": [1.5, 2]}, id="fractional-m"),
         pytest.param({"rate_a": 10**400}, id="rate-a-beyond-float-range"),
@@ -648,7 +646,7 @@ def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
     # quadrature and Monte Carlo both run through these two
     monkeypatch.setattr(stats, "_lotus", computed)
     monkeypatch.setattr(stats, "_mc_products", computed)
-    base = {"a_values": [1.0], "quad_points": 200, "samples": 10, "m_values": [1, 2]}
+    base = {"a_values": [1.0], "samples": 10, "m_values": [1, 2]}
     cfg = _write_config(tmp_path / "stats.json", {**base, **settings})
     out = tmp_path / "o"
     assert _run(["stats", "--config", cfg, "--out", out]) == 2
@@ -726,7 +724,7 @@ def test_stats_csvs_equal_serial_library_calls(tmp_path):
     ref.mkdir()
     a, samples, ms = cfg["rate_a"], cfg["samples"], cfg["m_values"]
     stats.write_moment_csv(
-        stats.moment_sweep(cfg["a_values"], cfg["quad_points"], samples, 9), ref / "moments.csv"
+        stats.moment_sweep(cfg["a_values"], samples, 9), ref / "moments.csv"
     )
     stats.write_error_rate_csv(
         stats.expected_error_rates(ms, a, samples=samples, seed=9), ref / "error_rates.csv"
@@ -738,6 +736,21 @@ def test_stats_csvs_equal_serial_library_calls(tmp_path):
     )
     for name in ("moments.csv", "error_rates.csv", "conjunctive.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_stats_ignores_a_quad_points_key(tmp_path):
+    # the quadrature rule is fixed, so a config that still sets the removed
+    # quad_points key, to any value, writes the bytes of one that does not
+    cfg = json.loads(Path(_stats_config(tmp_path)).read_text())
+    written = []
+    for quad_points in (None, 5, 200, 10**7):
+        variant = cfg if quad_points is None else {**cfg, "quad_points": quad_points}
+        path = _write_config(tmp_path / f"stats_{quad_points}.json", variant)
+        out = tmp_path / f"out_{quad_points}"
+        assert _run(["stats", "--config", path, "--out", out, "--seed", 3]) == 0
+        names = ("moments.csv", "error_rates.csv", "conjunctive.csv")
+        written.append({n: (out / n).read_bytes() for n in names})
+    assert all(w == written[0] for w in written[1:])
 
 
 def _example1_config(tmp_path, degrees=(3,)):
@@ -813,7 +826,19 @@ _CONFIGS = {
     "theorem1": lambda tmp_path: _theorem1_config(tmp_path, [1.0, 1.2]),
     "example1": _example1_config,
     "predict": _predict_config,
+    "stats": _stats_config,
 }
+
+
+def _mutated_config(tmp_path, command, path, value):
+    """The command's test config with the entry at path set to value."""
+    cfg = json.loads(Path(_CONFIGS[command](tmp_path)).read_text())
+    *parents, last = path
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return _write_config(tmp_path / "bad.json", cfg)
 
 
 @pytest.mark.parametrize(
@@ -834,17 +859,62 @@ _CONFIGS = {
 )
 def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path, value):
     # every config number, scalar or nested, passes the one rule _need applies
-    cfg = json.loads(Path(_CONFIGS[command](tmp_path)).read_text())
-    *parents, last = path
-    target = cfg
-    for key in parents:
-        target = target[key]
-    target[last] = value
     out = tmp_path / "o"
-    bad = _write_config(tmp_path / "bad.json", cfg)
+    bad = _mutated_config(tmp_path, command, path, value)
     assert _run([command, "--config", bad, "--out", out]) == 2
     assert "bad-input: config key" in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, path, value, code, word",
+    [
+        # radii whose sliver or squared error term overflows wrote inf and nan
+        pytest.param("stats", ["a_values"], [1e150], 2, "interval radius", id="stats-radius-1e150"),
+        pytest.param("stats", ["a_values"], [1e200], 2, "interval radius", id="stats-radius-1e200"),
+        pytest.param("stats", ["rate_a"], 1e200, 2, "interval radius", id="stats-rate-a-1e200"),
+        # an interval or lattice box needs a finite width hi - lo
+        pytest.param(
+            "example1", ["fit_range"], [0.0, float("inf")], 2, "finite width",
+            id="example1-infinite-fit-range",
+        ),
+        pytest.param(
+            "closure", ["grid", "box", 0], [-2.0, float("inf")], 2, "finite width",
+            id="closure-infinite-box",
+        ),
+        pytest.param(
+            "theorem1", ["grid", "delta"], float("nan"), 2, "grid delta", id="theorem1-nan-delta"
+        ),
+        # a target n y^(n+1) beyond the float range is refused before the fit
+        pytest.param("example1", ["degrees"], [100], 2, "overflows", id="example1-degree-100"),
+        pytest.param(
+            "example1", ["fit_range"], [-10.0, 1e200], 2, "overflows", id="example1-fit-range-1e200"
+        ),
+        # a sigmoid argument beyond the float range is a saturated 0 or 1
+        pytest.param("example1", ["sill", "centers", 0], 1e308, 0, "", id="example1-center-1e308"),
+        pytest.param(
+            "example1", ["sill", "centers", 0], -1e308, 0, "",
+            id="example1-center--1e308",
+        ),
+        pytest.param("closure", ["logistics", 0, "mu", 0], 1e308, 0, "", id="closure-mu-1e308"),
+        pytest.param("closure", ["logistics", 0, "mu", 0], -1e308, 0, "", id="closure-mu--1e308"),
+        pytest.param("theorem1", ["grid", "box", 0, 1], 1e308, 0, "", id="theorem1-box-1e308"),
+    ],
+)
+def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, value, code, word):
+    # one stderr line and no artifact on failure, a silent run on success;
+    # a leaked RuntimeWarning fails the test through pytest's filter
+    out = tmp_path / "o"
+    bad = _mutated_config(tmp_path, command, path, value)
+    assert _run([command, "--config", bad, "--out", out]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert (out / "run_manifest.json").exists()
+    else:
+        assert err.startswith("sillkoop: bad-input: ") and err.count("\n") == 1
+        assert word in err
+        assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize(
