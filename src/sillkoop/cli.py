@@ -1,16 +1,20 @@
 """Experiment command line: fit models, run closure and statistics sweeps.
 
-Every command reads a JSON config (validated before any computation runs),
-writes machine-readable CSV/JSON artifacts into the output directory, and
-finishes with a run_manifest.json recording the command, a hash of the
-config, the seed, and library versions.  Outputs are written atomically
-(temp file + rename) and contain no timestamps, so a rerun with the same
-config and seed reproduces every file byte for byte.
+Every command reads a JSON config (validated before any computation runs)
+and computes all of its artifacts before anything is written.  main then
+writes them into the output directory, each atomically (temp file +
+rename), and run_manifest.json last: the command, the config and its hash,
+the seed, the files written and library versions.  A failed run writes no
+file.  JSON artifacts hold no NaN or Infinity and no file has a timestamp,
+so a rerun with the same config and seed reproduces every file byte for
+byte.
 
-Exit codes: 0 success, 2 bad input, 3 numerical failure (trajectory
-divergence, a moment whose two quadrature rules disagree, least-squares
-solver failure, or a fitted residual above its closure bound).  Errors
-print as a single line on stderr.
+Exit codes: 0 success, 2 bad input (a config the manifest cannot record
+included), 3 numerical failure (trajectory divergence, which still writes
+the truncated trajectory, a moment whose two quadrature rules disagree,
+least-squares solver failure, a fitted residual above its closure bound,
+or a computed value that is not finite).  Errors print as a single line on
+stderr.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from .dictionary import (
     ConjLogistic,
     SillDictionary,
     _checked,
+    _csv_text,
+    _json_text,
     _logistic_from,
-    _write_csv,
-    _write_json,
+    _write_atomic,
     check_total_order,
     join_completion,
     load_dictionary,
@@ -53,7 +58,6 @@ from .regression import (
     load_model,
     load_snapshots,
     predict_ct,
-    save_model,
 )
 from .stats import (
     MAX_M,
@@ -63,8 +67,6 @@ from .stats import (
     expected_error_rates,
     mc_conjunctive_table,
     moment_sweep,
-    write_error_rate_csv,
-    write_moment_csv,
 )
 
 _RNG_NAME = "pcg64"
@@ -101,26 +103,11 @@ def _interval(cfg: dict, key: str, desc: str):
     return _lo_hi(_need(cfg, key, [float], f"{desc} [lo, hi]"), key)
 
 
-def _optional(cfg: dict, key: str, kind, desc: str, default):
-    if key not in cfg or cfg[key] is None:
-        return default
-    return _need(cfg, key, kind, desc)
-
-
-def _residual_summary(rep, snaps) -> dict:
-    return {
-        "max_row_norm": rep.max_row_norm,
-        "mean_row_norm": rep.mean_row_norm,
-        "per_function_max": rep.per_function_max.tolist(),
-        "snapshots": snaps.r,
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _fit_command(cfg, outdir, mode):
+def _fit_command(cfg, mode):
     """Body of fit (CT generator) and edmd (DT operator)."""
     csv_path = _need(cfg, "snapshots_csv", str, "snapshot CSV path")
     man_path = _need(cfg, "snapshots_manifest", str, "snapshot manifest path")
@@ -134,20 +121,24 @@ def _fit_command(cfg, outdir, mode):
             f"{snaps.mode} data"
         )
     model, rep = _fit(snaps, load_dictionary(dict_path), ridge, mode)
-    save_model(model, os.path.join(outdir, "model.json"))
-    _write_json(os.path.join(outdir, "residual_summary.json"), _residual_summary(rep, snaps))
-    return {"outputs": ["model.json", "residual_summary.json"]}
+    summary = {
+        "max_row_norm": rep.max_row_norm,
+        "mean_row_norm": rep.mean_row_norm,
+        "per_function_max": rep.per_function_max.tolist(),
+        "snapshots": snaps.r,
+    }
+    return {"model.json": model.to_dict(), "residual_summary.json": summary}
 
 
-def cmd_fit(cfg, outdir, seed):
-    return _fit_command(cfg, outdir, "CT")
+def cmd_fit(cfg, seed):
+    return _fit_command(cfg, "CT")
 
 
-def cmd_edmd(cfg, outdir, seed):
-    return _fit_command(cfg, outdir, "DT")
+def cmd_edmd(cfg, seed):
+    return _fit_command(cfg, "DT")
 
 
-def cmd_predict(cfg, outdir, seed):
+def cmd_predict(cfg, seed):
     model = load_model(_need(cfg, "model", str, "model JSON path"))
     y0 = _need(cfg, "y0", [float], "initial measurement vector")
     horizon = _need(cfg, "horizon", float, "integration horizon")
@@ -157,16 +148,10 @@ def cmd_predict(cfg, outdir, seed):
     header = "t," + ",".join(f"y{i + 1}" for i in range(m))
     # tolist gives Python floats, whose repr is the shortest round trip
     rows = [[repr(k * dt)] + list(map(repr, row)) for k, row in enumerate(traj.y.tolist())]
-    _write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
-    _write_json(
-        os.path.join(outdir, "predict_summary.json"),
-        {"diverged": traj.diverged, "rows": int(traj.y.shape[0])},
-    )
-    result = {"outputs": ["trajectory.csv", "predict_summary.json"]}
-    if traj.diverged:
-        result["exit"] = 3
-        result["error"] = "trajectory diverged; output truncated"
-    return result
+    return {
+        "trajectory.csv": (header, rows),
+        "predict_summary.json": {"diverged": traj.diverged, "rows": int(traj.y.shape[0])},
+    }
 
 
 def _spanned_field_from(cfg) -> SpannedField:
@@ -179,29 +164,24 @@ def _spanned_field_from(cfg) -> SpannedField:
     return SpannedField(SillDictionary(m, logistics), W)
 
 
-def cmd_closure(cfg, outdir, seed):
+def cmd_closure(cfg, seed):
     sf = _spanned_field_from(cfg)
     box, points, delta = _grid_spec(cfg)
     scales = _need(cfg, "alpha_scales", [float], "steepness scale factors")
     ridge = _need(cfg, "ridge", float, "ridge penalty")
-    a = _optional(cfg, "nu_clip_a", float, "clip for the per-term nu bound", None)
     train = lattice_grid(box, points)
     held = half_cell_shift(box, points)
-    reports = closure_experiment(
-        sf, train, scales, ridge=ridge, a=a, delta=delta, holdout_grid=held
-    )
-    _write_json(
-        os.path.join(outdir, "closure_reports.json"), [r.to_dict() for r in reports]
-    )
-    _write_csv(
-        os.path.join(outdir, "closure.csv"),
-        "scale,residual_max,B",
-        [[repr(r.alpha_scale), repr(r.residual_max), repr(r.B)] for r in reports],
-    )
-    return {"outputs": ["closure_reports.json", "closure.csv"]}
+    reports = closure_experiment(sf, train, scales, ridge=ridge, delta=delta, holdout_grid=held)
+    return {
+        "closure_reports.json": [r.to_dict() for r in reports],
+        "closure.csv": (
+            "scale,residual_max,B",
+            [[repr(r.alpha_scale), repr(r.residual_max), repr(r.B)] for r in reports],
+        ),
+    }
 
 
-def cmd_theorem1(cfg, outdir, seed):
+def cmd_theorem1(cfg, seed):
     f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f", "config")
     g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g", "config")
     box, points, delta = _grid_spec(cfg)
@@ -215,31 +195,30 @@ def cmd_theorem1(cfg, outdir, seed):
             f"no lattice points clear the center hyperplanes by delta={delta}"
         )
     fit = product_approx_decay(f, g, grid, scales)
-    _write_csv(
-        os.path.join(outdir, "decay.csv"),
-        "scale,max_error",
-        [[repr(float(s)), repr(float(e))] for s, e in zip(fit.alphas, fit.max_errors)],
-    )
-    _write_json(
-        os.path.join(outdir, "decay_fit.json"),
-        {
+    return {
+        "decay.csv": (
+            "scale,max_error",
+            [[repr(float(s)), repr(float(e))] for s, e in zip(fit.alphas, fit.max_errors)],
+        ),
+        "decay_fit.json": {
             "slope": fit.slope,
             "intercept": fit.intercept,
             "scales": fit.alphas.tolist(),
             "max_errors": fit.max_errors.tolist(),
             "grid_points": int(grid.shape[0]),
         },
-    )
-    return {"outputs": ["decay.csv", "decay_fit.json"]}
+    }
 
 
-def cmd_stats(cfg, outdir, seed):
+def cmd_stats(cfg, seed):
     a_values = _need(cfg, "a_values", [float], "interval radii for the moment sweep")
     samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1, MAX_SAMPLES)
     m_values = _need(
         cfg, "m_values", [int], "measurement dimensions for rate table", 1, MAX_M
     )
-    rate_a = _optional(cfg, "rate_a", float, "interval radius for the rate table", 2.0)
+    rate_a = 2.0  # when the key is missing or null
+    if cfg.get("rate_a") is not None:
+        rate_a = _need(cfg, "rate_a", float, "interval radius for the rate table")
     for a in a_values + [rate_a]:
         UniformIntervalSpec(a)
     # the error table is the largest estimate: 2 max(m) logistics and its error term
@@ -247,8 +226,8 @@ def cmd_stats(cfg, outdir, seed):
     # It runs on a second thread while this one runs the moment sweep and
     # then the conjunctive table.  Each table owns its seeded generator and
     # walks its blocks in a fixed order, so no number depends on how the
-    # threads are scheduled.  Nothing is written until both are done, and an
-    # error on this thread wins over one on the worker.
+    # threads are scheduled.  An error on this thread wins over one on the
+    # worker.
     error_table = {}
 
     def error_rates():
@@ -268,17 +247,25 @@ def cmd_stats(cfg, outdir, seed):
         worker.join()
     if "error" in error_table:
         raise error_table["error"]
-    write_moment_csv(reports, os.path.join(outdir, "moments.csv"))
-    write_error_rate_csv(error_table["rows"], os.path.join(outdir, "error_rates.csv"))
-    _write_csv(
-        os.path.join(outdir, "conjunctive.csv"),
-        "m,estimate,stderr,bound",
-        [[m, repr(est), repr(se), repr(2.0**-m)] for m, (est, se) in zip(m_values, conj)],
-    )
-    return {"outputs": ["moments.csv", "error_rates.csv", "conjunctive.csv"]}
+    moment = ("a", "expectation", "variance", "quad_error", "mc_expectation", "mc_stderr")
+    rate = ("rate_linear", "rate_bilinear", "mc_linear", "mc_bilinear")
+    return {
+        "moments.csv": (
+            ",".join(moment + ("samples", "seed")),
+            [[repr(getattr(r, k)) for k in moment] + [r.samples, r.seed] for r in reports],
+        ),
+        "error_rates.csv": (
+            ",".join(("m",) + rate),
+            [[r.m] + [repr(getattr(r, k)) for k in rate] for r in error_table["rows"]],
+        ),
+        "conjunctive.csv": (
+            "m,estimate,stderr,bound",
+            [[m, repr(est), repr(se), repr(2.0**-m)] for m, (est, se) in zip(m_values, conj)],
+        ),
+    }
 
 
-def cmd_example1(cfg, outdir, seed):
+def cmd_example1(cfg, seed):
     degrees = _need(cfg, "degrees", [int], "polynomial dictionary degrees", 1)
     lo, hi = _interval(cfg, "fit_range", "sampling interval")
     fit_points = _need(cfg, "fit_points", int, "sample count over fit_range")
@@ -297,37 +284,31 @@ def cmd_example1(cfg, outdir, seed):
         slopes[str(n)] = res.growth_slope
         for gy, gr, ratio in zip(res.growth_y, res.growth_residual, res.growth_ratio):
             rows.append([n, repr(float(gy)), repr(float(gr)), repr(float(ratio))])
-    _write_csv(
-        os.path.join(outdir, "example1_poly.csv"),
-        "n,y,residual,residual_over_y_pow",
-        rows,
-    )
     grid = np.linspace(box[0], box[1], points)[:, None]
-    snaps = SnapshotSet(grid, grid**2, "CT")
+    # a bound whose square is past the float range gives inf, which
+    # SnapshotSet refuses
+    with np.errstate(over="ignore"):
+        snaps = SnapshotSet(grid, grid**2, "CT")
     rep = _fit(snaps, join_completion(d), ridge, "CT")[1]
-    _write_json(
-        os.path.join(outdir, "example1_summary.json"),
-        {
+    return {
+        "example1_poly.csv": ("n,y,residual,residual_over_y_pow", rows),
+        "example1_summary.json": {
             "growth_slopes": slopes,
             "sill_box": [box[0], box[1]],
             "sill_residual_max": rep.max_row_norm,
             "sill_residual_mean": rep.mean_row_norm,
         },
-    )
-    return {"outputs": ["example1_poly.csv", "example1_summary.json"]}
+    }
 
 
-def cmd_complete_dictionary(cfg, outdir, seed):
+def cmd_complete_dictionary(cfg, seed):
     d = load_dictionary(_need(cfg, "dictionary", str, "dictionary JSON path"))
     before = check_total_order(d)
     completed = join_completion(d)
     after = check_total_order(completed)
-    _write_json(
-        os.path.join(outdir, "dictionary_completed.json"), completed.to_dict()
-    )
-    _write_json(
-        os.path.join(outdir, "order_check.json"),
-        {
+    return {
+        "dictionary_completed.json": completed.to_dict(),
+        "order_check.json": {
             "before": {
                 "totally_ordered": before.totally_ordered,
                 "incomparable_pairs": [list(p) for p in before.incomparable_pairs],
@@ -339,8 +320,7 @@ def cmd_complete_dictionary(cfg, outdir, seed):
                 "n_logistic": completed.n_logistic,
             },
         },
-    )
-    return {"outputs": ["dictionary_completed.json", "order_check.json"]}
+    }
 
 
 _COMMANDS = {
@@ -385,23 +365,32 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(outdir, command, cfg, seed, outputs) -> None:
-    _write_json(
-        os.path.join(outdir, "run_manifest.json"),
-        {
-            "command": command,
-            "config": cfg,
-            "config_sha256": _config_hash(cfg),
-            "seed": seed,
-            "rng": _RNG_NAME,
-            "outputs": sorted(outputs),
-            "versions": {
-                "sillkoop": __version__,
-                "numpy": np.__version__,
-                "python": ".".join(str(v) for v in sys.version_info[:3]),
-            },
+def _manifest(command, cfg, seed, names) -> dict:
+    return {
+        "command": command,
+        "config": cfg,
+        "config_sha256": _config_hash(cfg),
+        "seed": seed,
+        "rng": _RNG_NAME,
+        "outputs": sorted(names),
+        "versions": {
+            "sillkoop": __version__,
+            "numpy": np.__version__,
+            "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-    )
+    }
+
+
+def _text(name, obj) -> str:
+    """A .csv file's text from its (header, rows), any other from its JSON object."""
+    if name.endswith(".csv"):
+        return _csv_text(*obj)
+    try:
+        return _json_text(obj)
+    except ValueError:  # NaN or Infinity
+        if name == "run_manifest.json":  # it copies the config
+            raise ValueError("config holds NaN or Infinity, which JSON cannot hold") from None
+        raise FloatingPointError(f"{name} would hold a value that is not finite") from None
 
 
 def main(argv=None) -> int:
@@ -412,14 +401,18 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
         os.makedirs(args.out, exist_ok=True)
-        result = _COMMANDS[args.command](cfg, args.out, args.seed)
-        _write_manifest(args.out, args.command, cfg, args.seed, result["outputs"])
-        if result.get("exit", 0) != 0:
-            print(f"sillkoop: numerical: {result['error']}", file=sys.stderr)
-            return result["exit"]
+        files = _COMMANDS[args.command](cfg, args.seed)
+        files["run_manifest.json"] = _manifest(args.command, cfg, args.seed, list(files))
+        # every file is formatted before the first is written
+        texts = {name: _text(name, obj) for name, obj in files.items()}
+        for name, text in texts.items():
+            _write_atomic(os.path.join(args.out, name), text)
+        if args.command == "predict" and files["predict_summary.json"]["diverged"]:
+            print("sillkoop: numerical: trajectory diverged; output truncated", file=sys.stderr)
+            return 3
         return 0
     # LinAlgError subclasses ValueError, so it must be caught first
-    except (QuadratureError, ClosureBoundError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, ClosureBoundError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"sillkoop: numerical: {_one_line(exc)}", file=sys.stderr)
         return 3
     except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:

@@ -26,6 +26,7 @@ are grid surrogates of the continuum quantities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -173,6 +174,14 @@ def hyperplane_distance(y, d: SillDictionary):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_steepness(alpha, scales):
+    """Refuse a largest steepness times largest scale past the float range."""
+    # as Python floats the product overflows to inf without a warning
+    top, s = float(np.max(alpha)), float(np.max(scales))
+    if not math.isfinite(top * s):
+        raise ValueError(f"steepness {top:g} times scale {s:g} is beyond the float range")
+
+
 def _as_grid(grid, m: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != m:
@@ -213,6 +222,7 @@ def product_approx_decay(f: ConjLogistic, g: ConjLogistic, grid, scales) -> Deca
         raise ValueError("need at least two steepness scales")
     if not np.all(scales > 0) or not np.all(np.diff(scales) > 0):
         raise ValueError("scales must be positive and strictly increasing")
+    _check_steepness(np.concatenate([f.alpha, g.alpha]), scales)
     max_errors = np.empty(scales.size)
     for k, s in enumerate(scales):
         err = np.abs(product_approx_error(f.scaled(s), g.scaled(s), pts))
@@ -296,7 +306,6 @@ def lie_forms(sf: SpannedField, y) -> LieForms:
 def compute_bounds(
     sf: SpannedField,
     sample_grid,
-    a=None,
     *,
     delta: float = 1e-3,
     alpha_scale: float = 1.0,
@@ -305,31 +314,22 @@ def compute_bounds(
 
     bar_B1 and tilde_B2 are maxima over the grid of the absolute
     approximation-error sums; bar_B2 and tilde_B1 instantiate the
-    expectation-based per-term bounds with nu_ij = |alpha_li W_ij|,
-    clipped at a^2 when a is given (the sampling model assumes each
-    nu_ij < a^2).  The report carries the bounds and residual statistics
-    of the worst dictionary function, where the residual is the pointwise
-    gap between the exact Lie derivative and its linear-in-dictionary
-    approximation.
+    expectation-based per-term bounds with nu_ij = |alpha_li W_ij|.  The
+    report carries the bounds and residual statistics of the worst
+    dictionary function, where the residual is the pointwise gap between
+    the exact Lie derivative and its linear-in-dictionary approximation.
 
     Grid points must keep hyperplane distance at least delta; on the
     hyperplanes the product error is irreducible and the grid maxima
     would stop decaying with steepness.
     """
-    return _bounds(sf, sample_grid, _nu_clip(a), delta, alpha_scale)[0]
+    pts = _as_grid(sample_grid, sf.dictionary.m)
+    _check_clearance(pts, sf.dictionary, delta)
+    return _bounds(sf, pts, alpha_scale)[0]
 
 
-def _nu_clip(a) -> float:
-    """a^2, the cap on each nu_ij (inf without one); a must be positive."""
-    if a is not None and not a > 0:
-        raise ValueError(f"nu clip a must be positive, got {a}")
-    return np.inf if a is None else float(a) ** 2
-
-
-def _bounds(sf: SpannedField, sample_grid, clip: float, delta: float, alpha_scale):
-    """compute_bounds' report plus the per-function bar_B1 and bar_B2 arrays."""
-    d = sf.dictionary
-    pts = _as_grid(sample_grid, d.m)
+def _check_clearance(pts, d: SillDictionary, delta: float):
+    """Every grid point at least delta > 0 from every center hyperplane of d."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     dist = hyperplane_distance(pts, d)
@@ -339,12 +339,17 @@ def _bounds(sf: SpannedField, sample_grid, clip: float, delta: float, alpha_scal
             f"grid point {bad} is within {delta} of a center hyperplane "
             f"(distance {dist.min():.3g})"
         )
+
+
+def _bounds(sf: SpannedField, pts, alpha_scale):
+    """compute_bounds' report plus the per-function bar_B1 and bar_B2 arrays."""
+    d = sf.dictionary
     forms = lie_forms(sf, pts)
     # grid maxima of |sum|: the signed maxima would not dominate the
     # absolute gaps they are meant to bound
     bar_B1 = np.abs(forms.exact - forms.intermediate).max(axis=0)
     tilde_B2 = np.abs(forms.reference - forms.linear).max(axis=0)
-    nu_sum = np.minimum(np.abs(d.alpha[:, :, None] * sf.W), clip).sum(axis=(1, 2))
+    nu_sum = np.abs(d.alpha[:, :, None] * sf.W).sum(axis=(1, 2))
     bar_B2 = nu_sum / 2.0 ** (d.m + 1)
     tilde_B1 = nu_sum / 2.0 ** (2 * d.m + 1)
     gap = np.abs(forms.exact - forms.linear)
@@ -401,7 +406,6 @@ def closure_experiment(
     *,
     holdout_grid,
     ridge: float = 0.0,
-    a=None,
     delta: float = 1e-3,
 ):
     """Fit a generator to the spanned field at each steepness scale.
@@ -415,13 +419,16 @@ def closure_experiment(
 
     Each field logistic's max residual on the held-out grid must stay at
     or below its bar_B1 + bar_B2 bound, or ClosureBoundError is raised.
+    Scaling keeps the centers, so the holdout grid's delta clearance is
+    checked once, before the first fit.
     """
     pts = _as_grid(grid, sf.dictionary.m)
     held = _as_grid(holdout_grid, sf.dictionary.m)
     scales = np.asarray(alpha_scales, dtype=float)
     if scales.ndim != 1 or scales.size < 1 or not np.all(scales > 0):
         raise ValueError("alpha_scales must be positive")
-    clip = _nu_clip(a)
+    _check_steepness(sf.dictionary.alpha, scales)
+    _check_clearance(held, sf.dictionary, delta)
     reports = []
     for s in scales:
         sf_s = sf.scaled(s)
@@ -430,7 +437,7 @@ def closure_experiment(
         model = fit_generator(train, completed, ridge)
         holdout = SnapshotSet(held, sf_s.evaluate(held), "CT")
         rep = residual(model, holdout)
-        bounds, bar_B1, bar_B2 = _bounds(sf_s, held, clip, delta, s)
+        bounds, bar_B1, bar_B2 = _bounds(sf_s, held, s)
         _check_per_function(sf_s, rep, bar_B1, bar_B2)
         reports.append(
             replace(

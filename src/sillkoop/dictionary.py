@@ -504,19 +504,19 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
-def _write_json(path, obj) -> None:
-    """The JSON artifact format: sorted keys, two-space indent, final newline."""
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _json_text(obj) -> str:
+    """The JSON artifact format: sorted keys, two-space indent, final newline, no NaN."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _csv_text(header: str, rows) -> str:
     """The CSV artifact format: header line, then str() of each field."""
     lines = [header] + [",".join(map(str, row)) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def save_dictionary(d: SillDictionary, path) -> None:
-    _write_json(path, d.to_dict())
+    _write_atomic(path, _json_text(d.to_dict()))
 
 
 def load_dictionary(path) -> SillDictionary:

@@ -22,13 +22,14 @@ import numpy as np
 from .dictionary import (
     SillDictionary,
     _checked,
+    _csv_text,
     _gradient,
     _json_object,
+    _json_text,
     _lifted,
     _product,
     _sigmoid_table,
-    _write_csv,
-    _write_json,
+    _write_atomic,
     lift,
 )
 
@@ -136,6 +137,14 @@ class KoopmanModel:
             raise ValueError(f"ridge must be finite and non-negative, got {self.ridge}")
         K.setflags(write=False)
         object.__setattr__(self, "K", K)
+
+    def to_dict(self) -> dict:
+        return {
+            "mode": self.mode,
+            "ridge": self.ridge,
+            "dictionary": self.dictionary.to_dict(),
+            "K": self.K.ravel().tolist(),
+        }
 
 
 @dataclass(frozen=True)
@@ -329,7 +338,9 @@ def residual(model: KoopmanModel, s: SnapshotSet) -> ResidualReport:
 
 def _report(R) -> ResidualReport:
     """The ResidualReport of an (r, N) residual matrix R."""
-    norms = np.linalg.norm(R, axis=1)
+    # a row whose squares overflow gets norm inf, without a warning
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(R, axis=1)
     return ResidualReport(
         matrix=R,
         max_row_norm=float(norms.max()),
@@ -352,8 +363,8 @@ def save_snapshots(s: SnapshotSet, csv_path, manifest_path) -> None:
     m = s.m
     header = ",".join([f"y{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)])
     rows = ([_format(v) for v in np.concatenate([yi, di])] for yi, di in zip(s.Y, s.D))
-    _write_csv(csv_path, header, rows)
-    _write_json(manifest_path, {"mode": s.mode, "dt": s.dt})
+    _write_atomic(csv_path, _csv_text(header, rows))
+    _write_atomic(manifest_path, _json_text({"mode": s.mode, "dt": s.dt}))
 
 
 def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
@@ -392,13 +403,7 @@ def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
 
 
 def save_model(model: KoopmanModel, path) -> None:
-    obj = {
-        "mode": model.mode,
-        "ridge": model.ridge,
-        "dictionary": model.dictionary.to_dict(),
-        "K": model.K.ravel().tolist(),
-    }
-    _write_json(path, obj)
+    _write_atomic(path, _json_text(model.to_dict()))
 
 
 def load_model(path) -> KoopmanModel:

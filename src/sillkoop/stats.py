@@ -47,6 +47,9 @@ command runs expected_error_rates, the largest, on a second thread while
 the calling thread runs the moment sweep and then the conjunctive table.
 No number can depend on that scheduling: each estimate owns its seeded
 generator and walks its blocks in a fixed order, and shares no buffer.
+
+The module writes no file.  It returns MomentReport and ErrorRateRow
+values, which the ``stats`` command lays out as CSV rows.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import _write_csv, stable_sigmoid
+from .dictionary import stable_sigmoid
 from .errors import QuadratureError
 
 __all__ = [
@@ -71,8 +74,6 @@ __all__ = [
     "mc_conjunctive_table",
     "expected_error_rates",
     "moment_sweep",
-    "write_moment_csv",
-    "write_error_rate_csv",
 ]
 
 # samples per block: its draws and temporaries stay in cache
@@ -423,15 +424,3 @@ def moment_sweep(a_values, samples: int, seed: int):
         for i, a in enumerate(a_values)
     ]
 
-
-def write_moment_csv(reports, path) -> None:
-    header = "a,expectation,variance,quad_error,mc_expectation,mc_stderr,samples,seed"
-    floats = ("a", "expectation", "variance", "quad_error", "mc_expectation", "mc_stderr")
-    rows = [[repr(getattr(r, k)) for k in floats] + [r.samples, r.seed] for r in reports]
-    _write_csv(path, header, rows)
-
-
-def write_error_rate_csv(rows, path) -> None:
-    header = "m,rate_linear,rate_bilinear,mc_linear,mc_bilinear"
-    floats = ("rate_linear", "rate_bilinear", "mc_linear", "mc_bilinear")
-    _write_csv(path, header, [[r.m] + [repr(getattr(r, k)) for k in floats] for r in rows])

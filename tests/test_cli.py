@@ -504,14 +504,6 @@ def test_closure_bound_violation_exits_3(tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("a", [0, -2])
-def test_closure_nonpositive_nu_clip_exits_2(tmp_path, capsys, a):
-    cfg = json.loads(Path(_closure_config(tmp_path)).read_text())
-    path = _write_config(tmp_path / "clip.json", {**cfg, "nu_clip_a": a})
-    assert _run(["closure", "--config", path, "--out", tmp_path / "o"]) == 2
-    assert "nu clip" in capsys.readouterr().err
-
-
 def test_closure_missing_grid_rejected(tmp_path, capsys):
     cfg = json.loads(Path(_closure_config(tmp_path)).read_text())
     del cfg["grid"]
@@ -723,11 +715,22 @@ def test_stats_csvs_equal_serial_library_calls(tmp_path):
         sys.setswitchinterval(interval)
     ref.mkdir()
     a, samples, ms = cfg["rate_a"], cfg["samples"], cfg["m_values"]
-    stats.write_moment_csv(
-        stats.moment_sweep(cfg["a_values"], samples, 9), ref / "moments.csv"
+    moments = stats.moment_sweep(cfg["a_values"], samples, 9)
+    (ref / "moments.csv").write_text(
+        "a,expectation,variance,quad_error,mc_expectation,mc_stderr,samples,seed\n"
+        + "".join(
+            f"{r.a!r},{r.expectation!r},{r.variance!r},{r.quad_error!r},"
+            f"{r.mc_expectation!r},{r.mc_stderr!r},{r.samples},{r.seed}\n"
+            for r in moments
+        )
     )
-    stats.write_error_rate_csv(
-        stats.expected_error_rates(ms, a, samples=samples, seed=9), ref / "error_rates.csv"
+    rates = stats.expected_error_rates(ms, a, samples=samples, seed=9)
+    (ref / "error_rates.csv").write_text(
+        "m,rate_linear,rate_bilinear,mc_linear,mc_bilinear\n"
+        + "".join(
+            f"{r.m},{r.rate_linear!r},{r.rate_bilinear!r},{r.mc_linear!r},{r.mc_bilinear!r}\n"
+            for r in rates
+        )
     )
     conj = stats.mc_conjunctive_table(ms, a, samples, 9 + 1000)
     (ref / "conjunctive.csv").write_text(
@@ -821,13 +824,49 @@ def _predict_config(tmp_path):
     )
 
 
+def _edmd_config(tmp_path):
+    Y = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+    csv_path, man_path = tmp_path / "dt.csv", tmp_path / "dt_manifest.json"
+    save_snapshots(SnapshotSet(Y, 0.9 * Y, "DT", dt=0.5), csv_path, man_path)
+    return _fit_config(tmp_path, csv_path, man_path, "edmd.json")
+
+
 _CONFIGS = {
+    "fit": lambda tmp_path: _fit_config(tmp_path, *_ct_snapshot_files(tmp_path)),
+    "edmd": _edmd_config,
+    "predict": _predict_config,
     "closure": _closure_config,
     "theorem1": lambda tmp_path: _theorem1_config(tmp_path, [1.0, 1.2]),
-    "example1": _example1_config,
-    "predict": _predict_config,
     "stats": _stats_config,
+    "example1": _example1_config,
+    "complete-dictionary": lambda tmp_path: _write_config(
+        tmp_path / "cd.json", {"dictionary": _dictionary_file(tmp_path)[0]}
+    ),
 }
+
+# the last library call each command makes
+_LAST_CALLS = {
+    "fit": "_fit",
+    "edmd": "_fit",
+    "predict": "predict_ct",
+    "closure": "closure_experiment",
+    "theorem1": "product_approx_decay",
+    "stats": "mc_conjunctive_table",
+    "example1": "_fit",
+    "complete-dictionary": "check_total_order",
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_failed_last_call_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    # a command returns its artifacts and main writes them, so a failure in
+    # its last library call leaves an empty out directory
+    assert _run([command, "--config", _CONFIGS[command](tmp_path), "--out", tmp_path / "ok"]) == 0
+    monkeypatch.setattr(cli, _LAST_CALLS[command], _fail_with(QuadratureError("late failure")))
+    out = tmp_path / "o"
+    assert _run([command, "--config", _CONFIGS[command](tmp_path), "--out", out]) == 3
+    assert capsys.readouterr().err == "sillkoop: numerical: late failure\n"
+    assert not list(out.iterdir())
 
 
 def _mutated_config(tmp_path, command, path, value):
@@ -899,6 +938,40 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         pytest.param("closure", ["logistics", 0, "mu", 0], 1e308, 0, "", id="closure-mu-1e308"),
         pytest.param("closure", ["logistics", 0, "mu", 0], -1e308, 0, "", id="closure-mu--1e308"),
         pytest.param("theorem1", ["grid", "box", 0, 1], 1e308, 0, "", id="theorem1-box-1e308"),
+        # a box bound whose square is past the float range is a non-finite target
+        pytest.param(
+            "example1", ["sill", "box"], [-2.0, 1e200], 2, "non-finite", id="example1-box-1e200"
+        ),
+        pytest.param(
+            "example1", ["sill", "box"], [-2.0, 1e308], 2, "non-finite", id="example1-box-1e308"
+        ),
+        pytest.param(
+            "example1", ["sill", "box"], [-1e308, 2.0], 2, "non-finite", id="example1-box--1e308"
+        ),
+        # the input passes every check, but the fit's residual norm is inf
+        pytest.param(
+            "example1", ["sill", "alpha"], 1e200, 3, "not finite", id="example1-alpha-1e200"
+        ),
+        pytest.param(
+            "example1", ["sill", "alpha"], 1e308, 3, "not finite", id="example1-alpha-1e308"
+        ),
+        # the manifest copies the config, keys that no command reads included
+        pytest.param("predict", ["note"], float("nan"), 2, "NaN", id="predict-ignored-nan"),
+        pytest.param("stats", ["note"], [float("inf")], 2, "NaN", id="stats-ignored-inf"),
+        # a steepness times a scale past the float range is refused up front
+        pytest.param(
+            "closure", ["alpha_scales"], [1, 1e308], 2, "float range", id="closure-scale-1e308"
+        ),
+        pytest.param(
+            "closure", ["logistics", 0, "alpha"], [1e308, 7.4], 2, "float range",
+            id="closure-alpha-1e308",
+        ),
+        pytest.param(
+            "theorem1", ["scales"], [1, 2, 1e308], 2, "float range", id="theorem1-scale-1e308"
+        ),
+        pytest.param(
+            "theorem1", ["f", "alpha"], [1e308, 3.0], 2, "float range", id="theorem1-alpha-1e308"
+        ),
     ],
 )
 def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, value, code, word):
@@ -912,7 +985,8 @@ def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, va
         assert err == ""
         assert (out / "run_manifest.json").exists()
     else:
-        assert err.startswith("sillkoop: bad-input: ") and err.count("\n") == 1
+        kind = "numerical" if code == 3 else "bad-input"
+        assert err.startswith(f"sillkoop: {kind}: ") and err.count("\n") == 1
         assert word in err
         assert not list(out.iterdir())
 

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from sillkoop import closure
 from sillkoop.closure import (
     MAX_GRID_ROWS,
     ClosureReport,
@@ -295,20 +296,6 @@ def test_bound_denominators_scale_with_m():
     assert rep2.tilde_B1 == pytest.approx(2.0 / 32.0)
 
 
-def test_compute_bounds_nu_clip():
-    d = SillDictionary(1, (ConjLogistic([0.25], [4.0]),))
-    sf = SpannedField(d, [[10.0]])  # nu = 40, clipped at a^2 = 4
-    rep = compute_bounds(sf, [[2.0]], a=2.0, delta=0.5)
-    assert rep.bar_B2 == pytest.approx(4.0 / 4.0)
-
-
-@pytest.mark.parametrize("a", [0.0, -2.0])
-def test_compute_bounds_rejects_nonpositive_clip(a):
-    sf = SpannedField(SillDictionary(1, (ConjLogistic([0.25], [4.0]),)), [[10.0]])
-    with pytest.raises(ValueError, match="nu clip"):
-        compute_bounds(sf, [[2.0]], a=a, delta=0.5)
-
-
 def test_compute_bounds_rejects_near_hyperplane_grid():
     sf = _single_logistic_field(mu=0.3)
     with pytest.raises(ValueError, match="hyperplane"):
@@ -356,6 +343,31 @@ def test_closure_experiment_flags_bound_violation():
     held = half_cell_shift(box, 6)
     with pytest.raises(ClosureBoundError, match="exceeds"):
         closure_experiment(sf, train, [4], holdout_grid=held, delta=0.2)
+
+
+def test_closure_experiment_checks_holdout_clearance_before_fitting(monkeypatch):
+    # scaling keeps the centers, so a holdout point within delta of a center
+    # hyperplane is refused before any scale is completed or fitted
+    def fitted(*args, **kwargs):
+        raise AssertionError("fitted before the holdout clearance was checked")
+
+    monkeypatch.setattr(closure, "join_completion", fitted)
+    monkeypatch.setattr(closure, "fit_generator", fitted)
+    train = lattice_grid(_REFERENCE_BOX, 9)
+    held = half_cell_shift(_REFERENCE_BOX, 9)  # 0.175 from the nearest center
+    with pytest.raises(ValueError, match="center hyperplane"):
+        closure_experiment(_reference_field(), train, [1, 2], holdout_grid=held, delta=0.2)
+
+
+def test_steepness_times_scale_past_float_range_is_refused():
+    # refused before the first scale, so no scaled steepness overflows
+    train = lattice_grid(_REFERENCE_BOX, 9)
+    held = half_cell_shift(_REFERENCE_BOX, 9)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        closure_experiment(_reference_field(), train, [1, 1e308], holdout_grid=held, delta=0.17)
+    f, g = ConjLogistic([0.0], [1e308]), ConjLogistic([1.0], [3.0])
+    with pytest.raises(ValueError, match="beyond the float range"):
+        product_approx_decay(f, g, [[-0.5], [0.5], [1.5]], [1, 2])
 
 
 def test_closure_experiment_zero_field():

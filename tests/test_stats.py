@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
-from sillkoop import stats
+from sillkoop import cli, stats
 from sillkoop.dictionary import stable_sigmoid
 from sillkoop.errors import QuadratureError
 from sillkoop.stats import (
@@ -15,7 +16,6 @@ from sillkoop.stats import (
     MAX_SAMPLE_FACTORS,
     MAX_SAMPLES,
     MIN_RADIUS,
-    ErrorRateRow,
     UniformIntervalSpec,
     expected_error_rates,
     expected_logistic,
@@ -25,8 +25,6 @@ from sillkoop.stats import (
     product_pdf,
     product_pdf_normalization,
     triangular_pdf,
-    write_error_rate_csv,
-    write_moment_csv,
 )
 
 
@@ -260,11 +258,18 @@ def test_moment_sweep_rows_and_expectations():
     assert [r.seed for r in reports] == [0, 1, 2, 3]
 
 
+def _stats_csv(tmp_path, name, **cfg):
+    """One CSV of the stats command run on cfg at seed 0."""
+    (tmp_path / "stats.json").write_text(json.dumps(cfg))
+    argv = ["stats", "--config", tmp_path / "stats.json", "--out", tmp_path / "o", "--seed", 0]
+    assert cli.main([str(a) for a in argv]) == 0
+    return (tmp_path / "o" / name).read_text()
+
+
 def test_moment_csv_layout(tmp_path):
     reports = moment_sweep([1.0, 2.0], samples=1_000, seed=0)
-    path = tmp_path / "moments.csv"
-    write_moment_csv(reports, path)
-    lines = path.read_text().strip().split("\n")
+    text = _stats_csv(tmp_path, "moments.csv", a_values=[1.0, 2.0], samples=1_000, m_values=[])
+    lines = text.strip().split("\n")
     assert lines[0] == (
         "a,expectation,variance,quad_error,mc_expectation,mc_stderr,samples,seed"
     )
@@ -277,12 +282,13 @@ def test_moment_csv_layout(tmp_path):
 
 
 def test_error_rate_csv_layout(tmp_path):
-    rows = [ErrorRateRow(2, 0.125, 0.03125, 0.12, 0.03)]
-    path = tmp_path / "rates.csv"
-    write_error_rate_csv(rows, path)
-    lines = path.read_text().strip().split("\n")
+    text = _stats_csv(tmp_path, "error_rates.csv", a_values=[], samples=1_000, m_values=[2])
+    lines = text.strip().split("\n")
     assert lines[0] == "m,rate_linear,rate_bilinear,mc_linear,mc_bilinear"
     assert lines[1].startswith("2,0.125,0.03125,")
+    # the Monte Carlo columns are the library's rows, through repr
+    (row,) = expected_error_rates([2], 2.0, samples=1_000, seed=0)
+    assert lines[1] == f"2,0.125,0.03125,{row.mc_linear!r},{row.mc_bilinear!r}"
 
 
 def test_mc_sample_count_validation():
