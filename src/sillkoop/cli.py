@@ -146,11 +146,11 @@ def cmd_predict(cfg, seed):
     traj = predict_ct(model, y0, horizon, dt)
     m = model.dictionary.m
     header = "t," + ",".join(f"y{i + 1}" for i in range(m))
-    # tolist gives Python floats, whose repr is the shortest round trip
-    rows = [[repr(k * dt)] + list(map(repr, row)) for k, row in enumerate(traj.y.tolist())]
+    # str of a tolist float is its shortest round trip; arange(n) * dt is each k * dt
+    rows = np.column_stack([np.arange(len(traj.y)) * dt, traj.y]).tolist()
     return {
         "trajectory.csv": (header, rows),
-        "predict_summary.json": {"diverged": traj.diverged, "rows": int(traj.y.shape[0])},
+        "predict_summary.json": {"diverged": traj.diverged, "rows": len(rows)},
     }
 
 
@@ -196,10 +196,7 @@ def cmd_theorem1(cfg, seed):
         )
     fit = product_approx_decay(f, g, grid, scales)
     return {
-        "decay.csv": (
-            "scale,max_error",
-            [[repr(float(s)), repr(float(e))] for s, e in zip(fit.alphas, fit.max_errors)],
-        ),
+        "decay.csv": ("scale,max_error", np.column_stack([fit.alphas, fit.max_errors]).tolist()),
         "decay_fit.json": {
             "slope": fit.slope,
             "intercept": fit.intercept,
@@ -303,24 +300,16 @@ def cmd_example1(cfg, seed):
 
 def cmd_complete_dictionary(cfg, seed):
     d = load_dictionary(_need(cfg, "dictionary", str, "dictionary JSON path"))
-    before = check_total_order(d)
     completed = join_completion(d)
-    after = check_total_order(completed)
-    return {
-        "dictionary_completed.json": completed.to_dict(),
-        "order_check.json": {
-            "before": {
-                "totally_ordered": before.totally_ordered,
-                "incomparable_pairs": [list(p) for p in before.incomparable_pairs],
-                "n_logistic": d.n_logistic,
-            },
-            "after": {
-                "totally_ordered": after.totally_ordered,
-                "incomparable_pairs": [list(p) for p in after.incomparable_pairs],
-                "n_logistic": completed.n_logistic,
-            },
-        },
-    }
+    order = {}
+    for key, dic in (("before", d), ("after", completed)):
+        check = check_total_order(dic)
+        order[key] = {
+            "totally_ordered": check.totally_ordered,
+            "incomparable_pairs": [list(p) for p in check.incomparable_pairs],
+            "n_logistic": dic.n_logistic,
+        }
+    return {"dictionary_completed.json": completed.to_dict(), "order_check.json": order}
 
 
 _COMMANDS = {
@@ -347,16 +336,17 @@ _DESCRIPTIONS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<21}{text}" for name, text in _DESCRIPTIONS.items())
     parser = argparse.ArgumentParser(
         prog="sillkoop",
         description="experiment runner for SILL Koopman models",
+        epilog="commands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_DESCRIPTIONS[name])
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("command", choices=list(_COMMANDS), metavar="command", help="listed below")
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     return parser
 
 

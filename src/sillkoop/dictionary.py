@@ -256,6 +256,8 @@ def _checked(val, kind, where: str, desc: str, least=None, most=None):
     if isinstance(kind, list):
         if not isinstance(val, list):
             raise ValueError(f"{where} must be a list ({desc})")
+        if kind[0] is float and all(type(v) is float for v in val):
+            return list(val)  # what the checks below return for it, without a call per entry
         return [
             _checked(v, kind[0], f"{where}[{i}]", desc, least, most)
             for i, v in enumerate(val)

@@ -211,6 +211,7 @@ def solve_koopman_ls(G, A, ridge: float):
     minimum-norm solution, so rank deficiency (r < N or collinear lifts) is
     well defined; ridge > 0, which must be finite, gives the exact ridge
     solution without the normal equations' squared condition number.
+    A solution past the float range raises FloatingPointError.
     """
     G = np.asarray(G, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -223,7 +224,11 @@ def solve_koopman_ls(G, A, ridge: float):
     U, s, Vt = np.linalg.svd(G.T, full_matrices=False)
     keep = s > s[0] * np.finfo(float).eps * max(G.shape)
     f = np.divide(s, s * s + ridge, out=np.zeros_like(s), where=keep)
-    return ((Vt.T * f) @ (U.T @ A.T)).T
+    with np.errstate(over="ignore", invalid="ignore"):  # G and A are finite
+        K = ((Vt.T * f) @ (U.T @ A.T)).T
+    if not np.isfinite(K).all():
+        raise FloatingPointError("least-squares solution K overflows the float range")
+    return K
 
 
 def _fit(s: SnapshotSet, d: SillDictionary, ridge: float, mode: str) -> tuple:
@@ -278,7 +283,8 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
     The flow of the lifted linear system over one step is expm(K dt), so
     each row is z_k = expm(K dt)^k z0 projected onto the measurements:
     there is no step-size error, and dt only sets where the trajectory is
-    sampled.  A non-finite state (the model itself is unstable) stops the
+    sampled.  Each step is one gemv through the propagator's bound dot.
+    A non-finite state (the model itself is unstable) stops the
     trajectory at the last finite row and flags it; overflow is reported
     through that flag, not a warning.  A step count round(horizon / dt)
     above MAX_STEPS (10^7) is rejected before anything is allocated, and
@@ -309,11 +315,11 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
         A = dt * model.K
         if not np.isfinite(np.abs(A).sum(axis=0)).all():
             raise ValueError(f"dt * K overflows the float range at dt = {dt}")
-        step = _expm(A)
+        step_dot = _expm(A).dot
         for start in range(1, steps + 1, _BLOCK):
             k = min(_BLOCK, steps + 1 - start)
-            for j in range(k):
-                z = np.matmul(step, z, out=buf[j])
+            for row in buf[:k]:
+                z = step_dot(z, out=row)
             finite = np.isfinite(buf[:k]).all(axis=1)
             if not finite.all():
                 bad = int(finite.argmin())  # the first non-finite state
@@ -353,21 +359,18 @@ def _report(R) -> ResidualReport:
 # file formats: snapshot CSV + sidecar manifest, model JSON
 
 
-def _format(v: float) -> str:
-    # 17 significant digits round-trip any float64 exactly
-    return format(float(v), ".17g")
-
-
 def save_snapshots(s: SnapshotSet, csv_path, manifest_path) -> None:
-    """Write `y1..ym,d1..dm` rows plus the {"mode", "dt"} sidecar."""
+    """Write `y1..ym,d1..dm` rows, one "%.17g" format each, and the {"mode", "dt"} sidecar."""
     m = s.m
     header = ",".join([f"y{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)])
-    rows = ([_format(v) for v in np.concatenate([yi, di])] for yi, di in zip(s.Y, s.D))
+    fmt = ",".join(["%.17g"] * (2 * m))
+    rows = ([fmt % tuple(row)] for row in np.hstack([s.Y, s.D]).tolist())
     _write_atomic(csv_path, _csv_text(header, rows))
     _write_atomic(manifest_path, _json_text({"mode": s.mode, "dt": s.dt}))
 
 
 def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
+    """Read save_snapshots' files; one float() map parses every field of the CSV."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = _json_object(json.load(fh), manifest_path, ("mode",))
     mode = _checked(manifest["mode"], str, f"{manifest_path} key 'mode'", "'CT' or 'DT'")
@@ -385,20 +388,23 @@ def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
     expected = [f"y{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)]
     if cols != expected:
         raise ValueError(f"{csv_path}: line 1: header {cols} != {expected}")
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 2 * m:
-            raise ValueError(
-                f"{csv_path}: line {lineno}: expected {2 * m} fields, got {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{csv_path}: line {lineno}: {exc}") from exc
-    if not rows:
+    body = lines[1:]
+    if not body:
         raise ValueError(f"{csv_path}: no snapshot rows after the header")
-    data = np.asarray(rows, dtype=float)
+    for lineno, ln in enumerate(body, start=2):
+        if ln.count(",") != 2 * m - 1:
+            got = ln.count(",") + 1
+            raise ValueError(f"{csv_path}: line {lineno}: expected {2 * m} fields, got {got}")
+    try:
+        values = list(map(float, ",".join(body).split(",")))
+    except ValueError:  # name the first bad line
+        for lineno, ln in enumerate(body, start=2):
+            try:
+                list(map(float, ln.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"{csv_path}: line {lineno}: {exc}") from exc
+        raise
+    data = np.reshape(values, (len(body), 2 * m))
     return SnapshotSet(data[:, :m], data[:, m:], mode, dt)
 
 

@@ -972,6 +972,8 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         pytest.param(
             "theorem1", ["f", "alpha"], [1e308, 3.0], 2, "float range", id="theorem1-alpha-1e308"
         ),
+        # finite inputs whose least-squares solution overflows
+        pytest.param("closure", ["W", 0, 0], 1e308, 3, "overflows", id="closure-W-1e308"),
     ],
 )
 def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, value, code, word):
@@ -1074,6 +1076,33 @@ def test_manifest_records_config_hash_and_versions(tmp_path):
     assert manifest["rng"] == "pcg64"
     assert len(manifest["config_sha256"]) == 64
     assert set(manifest["versions"]) == {"sillkoop", "numpy", "python"}
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, text in cli._DESCRIPTIONS.items():
+        assert f"  {name} " in out and text in out
+
+
+@pytest.mark.parametrize(
+    "args, word",
+    [
+        pytest.param(["nosuch", "--config", "x.json"], "invalid choice", id="unknown-command"),
+        pytest.param(["fit"], "--config", id="missing-config"),
+        pytest.param(["fit", "--config", "x.json", "--seed", "x"], "--seed", id="seed-not-int"),
+    ],
+)
+def test_bad_usage_exits_2_before_making_the_out_directory(tmp_path, capsys, args, word):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        _run(args + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sillkoop") and word in err
+    assert not out.exists()
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

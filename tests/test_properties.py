@@ -15,13 +15,15 @@ one-point calls, and the bounds with the per-logistic forms they summarise.
 The regression pair of a snapshot batch must be the written-out lift and
 target bit for bit, and a fit's training report the residual of its own
 model.  Snapshot and model files must round-trip bit for bit, and saving what was
-loaded must rewrite the same bytes.  The Monte Carlo tables read every row
-off one sample path: within one block a row of the conjunctive table is
-the one-row estimate, and the linear error term at m = 2k is the bilinear
-term at m = k.  The one-SVD least-squares solve must match the lstsq and
-normal-equation solvers it replaced on well-conditioned lifts, and on
-rank-deficient lifts return the minimum-norm solution, zero on the null
-space of the lift.  The numpy matrix exponential must match scipy's on
+loaded must rewrite the same bytes; a snapshot file holds the 17-digit
+format of each value, signed zeros, subnormals and the largest floats
+included.  The Monte Carlo tables read every row off one sample path:
+within one block a row of the conjunctive table is the one-row estimate,
+and the linear error term at m = 2k is the bilinear term at m = k.  The
+one-SVD least-squares solve must match the lstsq and normal-equation
+solvers it replaced on well-conditioned lifts, and on rank-deficient lifts
+return the minimum-norm solution, zero on the null space of the lift.
+The numpy matrix exponential must match scipy's on
 dense, nilpotent and stiff matrices, and give exactly the identity at 0.
 """
 
@@ -594,10 +596,10 @@ def _bits(x):
 
 
 @st.composite
-def _snapshot_sets(draw):
+def _snapshot_sets(draw, elements=_finite):
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
-    Y = draw(arrays(float, shape, elements=_finite))
-    D = draw(arrays(float, shape, elements=_finite))
+    Y = draw(arrays(float, shape, elements=elements))
+    D = draw(arrays(float, shape, elements=elements))
     if draw(st.booleans()):
         return SnapshotSet(Y, D, "CT")
     return SnapshotSet(Y, D, "DT", dt=draw(_positive))
@@ -617,6 +619,31 @@ def test_snapshot_files_roundtrip_bit_exactly(s):
     assert np.array_equal(_bits(loaded.D), _bits(s.D))
     assert loaded.mode == s.mode
     assert loaded.dt is None if s.dt is None else _bits(loaded.dt) == _bits(s.dt)
+
+
+# signed zero, the smallest subnormals and normal, and the largest finite float
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+@_settings
+@given(_snapshot_sets(st.one_of(st.sampled_from(_EDGE_FLOATS), _finite)))
+def test_snapshot_text_is_the_per_value_format_and_reads_back_bit_exactly(s):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, man_path = Path(tmp) / "s.csv", Path(tmp) / "s.json"
+        save_snapshots(s, csv_path, man_path)
+        lines = csv_path.read_text(encoding="utf-8").split("\n")
+        loaded = load_snapshots(csv_path, man_path)
+    # the rule the CSV has always followed: format(v, ".17g") of each value
+    rows = [
+        ",".join(format(float(v), ".17g") for v in np.concatenate([y, d]))
+        for y, d in zip(s.Y, s.D)
+    ]
+    assert lines[1:] == rows + [""]
+    assert np.array_equal(_bits(loaded.Y), _bits(s.Y))
+    assert np.array_equal(_bits(loaded.D), _bits(s.D))
 
 
 @st.composite

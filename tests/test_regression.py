@@ -264,14 +264,16 @@ def _per_step_predict(model, y0, steps, dt):
 
 @pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_predict_blocks_equal_the_per_step_loop(steps):
-    d = _dictionary(m=2, n_logistic=5, seed=40)
-    K = np.random.default_rng(41).uniform(-1.0, 1.0, (d.size, d.size)) - 1.5 * np.eye(d.size)
-    model = KoopmanModel(K, d, "CT")
-    traj = predict_ct(model, [0.3, -0.2], horizon=steps * 0.01, dt=0.01)
-    ref, diverged = _per_step_predict(model, [0.3, -0.2], steps, 0.01)
-    assert not traj.diverged and not diverged
-    assert traj.y.shape == ref.shape == (steps + 1, 2)
-    assert traj.y.tobytes() == ref.tobytes()
+    # N = 8 and N = 48, about the size of the benchmark's 47-function model
+    for n_logistic in (5, 45):
+        d = _dictionary(m=2, n_logistic=n_logistic, seed=40)
+        K = np.random.default_rng(41).uniform(-1.0, 1.0, (d.size, d.size)) - 1.5 * np.eye(d.size)
+        model = KoopmanModel(K, d, "CT")
+        traj = predict_ct(model, [0.3, -0.2], horizon=steps * 0.01, dt=0.01)
+        ref, diverged = _per_step_predict(model, [0.3, -0.2], steps, 0.01)
+        assert not traj.diverged and not diverged
+        assert traj.y.shape == ref.shape == (steps + 1, 2)
+        assert traj.y.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -350,6 +352,36 @@ def test_snapshot_csv_malformed_line_is_named(tmp_path):
     man_path.write_text('{"mode": "CT", "dt": null}\n')
     with pytest.raises(ValueError, match="line 3"):
         load_snapshots(csv_path, man_path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(
+            ["0.5,1.0,0.25,2.0"] * 998 + ["0.5,1.0,0.25,x"],
+            "line 1000: could not convert string to float: 'x'",
+            id="bad-field-on-last-of-1000-lines",
+        ),
+        pytest.param(
+            ["0.5,1.0,0.25,2.0", "1.0,,2.0,3.0", "0.5,1.0,0.25,2.0"],
+            "line 3: could not convert string to float: ''",
+            id="empty-field",
+        ),
+        pytest.param(
+            ["0.5,1.0,0.25,2.0"] * 998 + ["0.5,1.0,0.25"],
+            "line 1000: expected 4 fields, got 3",
+            id="short-last-line",
+        ),
+    ],
+)
+def test_snapshot_csv_first_bad_line_is_named(tmp_path, body, message):
+    csv_path = tmp_path / "bad.csv"
+    man_path = tmp_path / "bad.json"
+    csv_path.write_text("\n".join(["y1,y2,d1,d2"] + body) + "\n")
+    man_path.write_text('{"mode": "CT", "dt": null}\n')
+    with pytest.raises(ValueError) as exc:
+        load_snapshots(csv_path, man_path)
+    assert str(exc.value) == f"{csv_path}: {message}"
 
 
 def test_model_json_roundtrip(tmp_path):
