@@ -9,12 +9,12 @@ file.  JSON artifacts hold no NaN or Infinity and no file has a timestamp,
 so a rerun with the same config and seed reproduces every file byte for
 byte.
 
-Exit codes: 0 success, 2 bad input (a config the manifest cannot record
-included), 3 numerical failure (trajectory divergence, which still writes
-the truncated trajectory, a moment whose two quadrature rules disagree,
-least-squares solver failure, a fitted residual above its closure bound,
-or a computed value that is not finite).  Errors print as a single line on
-stderr.
+Exit codes: 0 success, 2 bad input (bad usage and a config the manifest
+cannot record included), 3 numerical failure (trajectory divergence,
+which still writes the truncated trajectory, a moment whose two
+quadrature rules disagree, least-squares solver failure, a fitted
+residual above its closure bound, or a computed value that is not
+finite).  Errors, bad usage included, print as a single line on stderr.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .regression import (
 from .stats import (
     MAX_M,
     MAX_SAMPLES,
-    UniformIntervalSpec,
+    _check_radius,
     _check_work,
     expected_error_rates,
     mc_conjunctive_table,
@@ -217,7 +217,7 @@ def cmd_stats(cfg, seed):
     if cfg.get("rate_a") is not None:
         rate_a = _need(cfg, "rate_a", float, "interval radius for the rate table")
     for a in a_values + [rate_a]:
-        UniformIntervalSpec(a)
+        _check_radius(a)
     # the error table is the largest estimate: 2 max(m) logistics and its error term
     _check_work(samples, 2 * max(m_values, default=0) + 1)
     # It runs on a second thread while this one runs the moment sweep and
@@ -347,7 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.error = _usage_error  # one stderr line, as for any other bad input
     return parser
+
+
+def _usage_error(message):
+    print(f"sillkoop: bad-input: {_one_line(message)}", file=sys.stderr)
+    sys.exit(2)
 
 
 def _config_hash(cfg: dict) -> str:

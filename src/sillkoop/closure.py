@@ -27,7 +27,7 @@ are grid surrogates of the continuum quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "product_approx_decay",
     "LieForms",
     "lie_forms",
-    "compute_bounds",
     "closure_experiment",
     "lattice_grid",
     "half_cell_shift",
@@ -303,31 +302,6 @@ def lie_forms(sf: SpannedField, y) -> LieForms:
     )
 
 
-def compute_bounds(
-    sf: SpannedField,
-    sample_grid,
-    *,
-    delta: float = 1e-3,
-    alpha_scale: float = 1.0,
-) -> ClosureReport:
-    """Evaluate the four closure bounds over a finite grid.
-
-    bar_B1 and tilde_B2 are maxima over the grid of the absolute
-    approximation-error sums; bar_B2 and tilde_B1 instantiate the
-    expectation-based per-term bounds with nu_ij = |alpha_li W_ij|.  The
-    report carries the bounds and residual statistics of the worst
-    dictionary function, where the residual is the pointwise gap between
-    the exact Lie derivative and its linear-in-dictionary approximation.
-
-    Grid points must keep hyperplane distance at least delta; on the
-    hyperplanes the product error is irreducible and the grid maxima
-    would stop decaying with steepness.
-    """
-    pts = _as_grid(sample_grid, sf.dictionary.m)
-    _check_clearance(pts, sf.dictionary, delta)
-    return _bounds(sf, pts, alpha_scale)[0]
-
-
 def _check_clearance(pts, d: SillDictionary, delta: float):
     """Every grid point at least delta > 0 from every center hyperplane of d."""
     if not delta > 0:
@@ -341,8 +315,15 @@ def _check_clearance(pts, d: SillDictionary, delta: float):
         )
 
 
-def _bounds(sf: SpannedField, pts, alpha_scale):
-    """compute_bounds' report plus the per-function bar_B1 and bar_B2 arrays."""
+def _bounds(sf: SpannedField, pts, residuals, alpha_scale) -> ClosureReport:
+    """The ClosureReport over pts of the logistic worst fitted by its linear form.
+
+    bar_B1 and tilde_B2 are grid maxima of the absolute approximation-error
+    sums; bar_B2 and tilde_B1 are the expectation-based per-term bounds with
+    nu_ij = |alpha_li W_ij|.  The residual statistics are those of the fitted
+    model's (P, N) residual matrix at pts.  A field logistic whose residual
+    column exceeds its bar_B1 + bar_B2 raises ClosureBoundError.
+    """
     d = sf.dictionary
     forms = lie_forms(sf, pts)
     # grid maxima of |sum|: the signed maxima would not dominate the
@@ -352,20 +333,29 @@ def _bounds(sf: SpannedField, pts, alpha_scale):
     nu_sum = np.abs(d.alpha[:, :, None] * sf.W).sum(axis=(1, 2))
     bar_B2 = nu_sum / 2.0 ** (d.m + 1)
     tilde_B1 = nu_sum / 2.0 ** (2 * d.m + 1)
-    gap = np.abs(forms.exact - forms.linear)
-    worst = int(np.argmax(gap.max(axis=0)))
+    worst = int(np.argmax(np.abs(forms.exact - forms.linear).max(axis=0)))
     b = min(bar_B1[worst] + bar_B2[worst], tilde_B1[worst] + tilde_B2[worst])
+    res = np.abs(residuals)
+    col = res[:, 1 + d.m : 1 + d.m + d.n_logistic].max(axis=0)
+    limit = bar_B1 + bar_B2
+    bad = np.flatnonzero(col > limit)
+    if bad.size:
+        l = bad[0]
+        raise ClosureBoundError(
+            f"logistic {l}: fitted residual {col[l]:.6g} exceeds its "
+            f"closure bound {limit[l]:.6g}"
+        )
     return ClosureReport(
         bar_B1=float(bar_B1[worst]),
         bar_B2=float(bar_B2[worst]),
         tilde_B1=float(tilde_B1[worst]),
         tilde_B2=float(tilde_B2[worst]),
         B=float(b),
-        residual_max=float(gap[:, worst].max()),
-        residual_mean=float(gap[:, worst].mean()),
+        residual_max=float(res.max()),
+        residual_mean=float(res.max(axis=1).mean()),
         alpha_scale=float(alpha_scale),
         m=d.m,
-    ), bar_B1, bar_B2
+    )
 
 
 MAX_GRID_ROWS = 1_000_000
@@ -436,28 +426,5 @@ def closure_experiment(
         train = SnapshotSet(pts, sf_s.evaluate(pts), "CT")
         model = fit_generator(train, completed, ridge)
         holdout = SnapshotSet(held, sf_s.evaluate(held), "CT")
-        rep = residual(model, holdout)
-        bounds, bar_B1, bar_B2 = _bounds(sf_s, held, s)
-        _check_per_function(sf_s, rep, bar_B1, bar_B2)
-        reports.append(
-            replace(
-                bounds,
-                residual_max=float(np.abs(rep.matrix).max()),
-                residual_mean=float(np.abs(rep.matrix).max(axis=1).mean()),
-            )
-        )
+        reports.append(_bounds(sf_s, held, residual(model, holdout).matrix, s))
     return reports
-
-
-def _check_per_function(sf_s, rep, bar_B1, bar_B2):
-    """Residual column of each field logistic vs its own bound pair."""
-    m, n = sf_s.dictionary.m, sf_s.dictionary.n_logistic
-    col = np.abs(rep.matrix[:, 1 + m : 1 + m + n]).max(axis=0)
-    limit = bar_B1 + bar_B2
-    bad = np.flatnonzero(col > limit)
-    if bad.size:
-        l = bad[0]
-        raise ClosureBoundError(
-            f"logistic {l}: fitted residual {col[l]:.6g} exceeds its "
-            f"closure bound {limit[l]:.6g}"
-        )

@@ -434,23 +434,18 @@ def check_total_order(d: SillDictionary) -> OrderCheckResult:
     return OrderCheckResult(totally_ordered=not bad, incomparable_pairs=bad)
 
 
-def _join(mu_f, alpha_f, mu_g, alpha_g):
-    """The join rule on stacked (..., m) parameter arrays, broadcast."""
-    tie = np.maximum(alpha_f, alpha_g)
-    alpha = np.where(mu_g > mu_f, alpha_g, np.where(mu_f > mu_g, alpha_f, tie))
-    return np.maximum(mu_f, mu_g), alpha
-
-
 def join_params(f: ConjLogistic, g: ConjLogistic) -> ConjLogistic:
     """Componentwise-max join of two conjunctive logistics.
 
-    Each center is the larger of the two, paired with the steepness of
-    whichever function supplied it.  On a center tie the larger steepness
-    wins.
+    Per coordinate, the larger table column of the pair (the rank join):
+    the larger center with the steepness of whichever function supplied
+    it, and on a center tie the larger steepness.
     """
     if f.m != g.m:
         raise ValueError(f"dimension mismatch: {f.m} vs {g.m}")
-    return ConjLogistic(*_join(f.mu, f.alpha, g.mu, g.alpha))
+    pair = SillDictionary(f.m, (f, g))
+    cols = pair.columns.max(axis=0)
+    return ConjLogistic(pair.table_mu[cols], pair.table_alpha[cols])
 
 
 def join_completion(d: SillDictionary) -> SillDictionary:

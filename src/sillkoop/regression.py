@@ -38,7 +38,6 @@ __all__ = [
     "KoopmanModel",
     "Trajectory",
     "ResidualReport",
-    "lift_derivatives",
     "solve_koopman_ls",
     "fit_generator",
     "fit_edmd",
@@ -171,18 +170,6 @@ class ResidualReport:
     max_row_norm: float
     mean_row_norm: float
     per_function_max: np.ndarray
-
-
-def lift_derivatives(s: SnapshotSet, d: SillDictionary):
-    """Time derivative of the lift at each snapshot, shape (r, N).
-
-    Row i is the dictionary Jacobian at y_i applied to the measured
-    derivative: column 0 is identically zero, columns 1..m copy D, and
-    each logistic column is grad . dy/dt.
-    """
-    if s.mode != CT:
-        raise ValueError("lifted derivatives require CT snapshots")
-    return _system(s, d)[1]
 
 
 def _system(s: SnapshotSet, d: SillDictionary):

@@ -63,7 +63,6 @@ from .dictionary import stable_sigmoid
 from .errors import QuadratureError
 
 __all__ = [
-    "UniformIntervalSpec",
     "MomentReport",
     "ErrorRateRow",
     "triangular_pdf",
@@ -94,17 +93,12 @@ MIN_RADIUS = 1e-50
 MAX_RADIUS = 1e50
 
 
-@dataclass(frozen=True)
-class UniformIntervalSpec:
-    """Radius of the symmetric sampling interval: X, Y, Z ~ U(-a, a) iid."""
-
-    a: float
-
-    def __post_init__(self):
-        if not MIN_RADIUS <= self.a <= MAX_RADIUS:
-            raise ValueError(
-                f"interval radius a must lie in [{MIN_RADIUS:g}, {MAX_RADIUS:g}], got {self.a!r}"
-            )
+def _check_radius(a):
+    """Refuse a radius a of U(-a, a) outside [MIN_RADIUS, MAX_RADIUS]."""
+    if not MIN_RADIUS <= a <= MAX_RADIUS:
+        raise ValueError(
+            f"interval radius a must lie in [{MIN_RADIUS:g}, {MAX_RADIUS:g}], got {a!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,7 @@ class ErrorRateRow:
 
 def triangular_pdf(x, a: float):
     """Density of Y - Z (equivalently Y + Z): 1/(2a) - |x|/(4a^2) on [-2a, 2a]."""
-    UniformIntervalSpec(a)
+    _check_radius(a)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     val = 1.0 / (2.0 * a) - np.abs(x) / (4.0 * a * a)
@@ -154,7 +148,7 @@ def product_pdf(z, a: float):
     singularity at z = 0 is integrable but the point itself is rejected so
     quadrature code cannot silently evaluate it.
     """
-    UniformIntervalSpec(a)
+    _check_radius(a)
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
@@ -179,7 +173,7 @@ def _mass_zero_to(u, a: float):
 
 def product_cdf(z, a: float):
     """Closed-form CDF of X(Y - Z); the density integrates exactly."""
-    UniformIntervalSpec(a)
+    _check_radius(a)
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
@@ -349,7 +343,7 @@ def expected_logistic(a: float, *, samples: int = 1_000_000, seed: int = 0) -> M
     integrals' error estimates.  The mc fields repeat the estimation with
     sampled draws so the two routes can be compared.
     """
-    UniformIntervalSpec(a)
+    _check_radius(a)
     e1, err1 = _lotus(a, stable_sigmoid)
     e2, err2 = _lotus(a, lambda z: stable_sigmoid(z) ** 2)
     mean, stderr = _mc_products(a, [1], samples, seed)
@@ -374,7 +368,7 @@ def mc_conjunctive_table(m_values, a: float, samples: int, seed: int):
     per entry of m_values.
     """
     ms = _dimensions(m_values)
-    UniformIntervalSpec(a)
+    _check_radius(a)
     if not ms:
         return []
     mean, stderr = _mc_products(a, ms, samples, seed)
@@ -397,7 +391,7 @@ def expected_error_rates(
     2 max(m) logistic factors per block.
     """
     ms = _dimensions(m_values)
-    UniformIntervalSpec(a)
+    _check_radius(a)
     if not ms:
         return []
     # the linearization term carries m logistic factors, the bilinear term

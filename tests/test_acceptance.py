@@ -34,8 +34,8 @@ from sillkoop.dictionary import (
 from sillkoop.regression import (
     KoopmanModel,
     SnapshotSet,
+    _system,
     fit_generator,
-    lift_derivatives,
     save_model,
     save_snapshots,
     solve_koopman_ls,
@@ -281,7 +281,7 @@ def test_criterion_8_regression_recovery():
     sf = SpannedField(d, rng.standard_normal((2, 3)))
     snaps = SnapshotSet(pts, sf.evaluate(pts), "CT")
     model = fit_generator(snaps, d, ridge=0.0)
-    A = lift_derivatives(snaps, d).T
+    A = _system(snaps, d)[1].T
     ortho = np.linalg.norm((A - model.K @ G) @ G.T) / (
         np.linalg.norm(A) * np.linalg.norm(G)
     )

@@ -1100,8 +1100,9 @@ def test_bad_usage_exits_2_before_making_the_out_directory(tmp_path, capsys, arg
     with pytest.raises(SystemExit) as exc:
         _run(args + ["--out", out])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: sillkoop") and word in err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("sillkoop: bad-input: ") and word in lines[0]
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from sillkoop.closure import (
     LieForms,
     SpannedField,
     closure_experiment,
-    compute_bounds,
     half_cell_shift,
     hyperplane_distance,
     lattice_grid,
@@ -24,9 +23,11 @@ from sillkoop.dictionary import (
     SillDictionary,
     eval_conjunctive,
     grad_conjunctive,
+    join_completion,
     stable_sigmoid,
 )
 from sillkoop.errors import ClosureBoundError, IncomparableCentersError
+from sillkoop.regression import SnapshotSet, fit_generator, residual
 
 
 def _random_field(rng, m=None, n_logistic=None):
@@ -252,20 +253,26 @@ def test_identity_chain_linear_vs_intermediate():
 def test_compute_bounds_zero_weights():
     d = SillDictionary(2, (ConjLogistic([0.1, -0.2], [2.0, 2.0]),))
     sf = SpannedField(d, np.zeros((2, 1)))
-    rep = compute_bounds(sf, [[1.0, 1.0], [-1.0, -1.0]], delta=0.5)
+    grid = [[1.0, 1.0], [-1.0, -1.0]]
+    rep = closure_experiment(sf, grid, [1.0], holdout_grid=grid, delta=0.5)[0]
     assert rep.bar_B1 == rep.bar_B2 == rep.tilde_B1 == rep.tilde_B2 == rep.B == 0.0
     assert rep.residual_max == 0.0
 
 
 def test_compute_bounds_reports_worst_function_grid_maxima():
     sf = _reference_field()
+    train = lattice_grid(_REFERENCE_BOX, 9)
     pts = half_cell_shift(_REFERENCE_BOX, 9)
-    rep = compute_bounds(sf, pts, delta=0.17)
+    rep = closure_experiment(sf, train, [1.0], holdout_grid=pts, delta=0.17)[0]
     forms = lie_forms(sf, pts)
     gaps = np.abs(forms.exact - forms.linear).max(axis=0)
     inter_gaps = np.abs(forms.exact - forms.intermediate).max(axis=0)
     worst = int(np.argmax(gaps))
-    assert rep.residual_max == pytest.approx(gaps[worst], rel=1e-15)
+    # the residual is the held-out residual of the fit over the completed dictionary
+    completed = join_completion(sf.dictionary)
+    model = fit_generator(SnapshotSet(train, sf.evaluate(train), "CT"), completed)
+    fitted = np.abs(residual(model, SnapshotSet(pts, sf.evaluate(pts), "CT")).matrix)
+    assert rep.residual_max == pytest.approx(fitted.max(), rel=1e-15)
     assert rep.bar_B1 == pytest.approx(inter_gaps[worst], rel=1e-15)
     assert rep.B == pytest.approx(
         min(rep.bar_B1 + rep.bar_B2, rep.tilde_B1 + rep.tilde_B2), rel=1e-15
@@ -274,22 +281,26 @@ def test_compute_bounds_reports_worst_function_grid_maxima():
 
 def test_compute_bounds_decrease_with_steepness_on_fixed_grid():
     sf = _reference_field()
+    train = lattice_grid(_REFERENCE_BOX, 9)
     pts = half_cell_shift(_REFERENCE_BOX, 9)
     b1, t2 = [], []
-    for s in [1, 2, 4, 8]:
-        rep = compute_bounds(sf.scaled(s), pts, delta=0.17, alpha_scale=s)
+    for rep in closure_experiment(sf, train, [1, 2, 4, 8], holdout_grid=pts, delta=0.17):
         b1.append(rep.bar_B1)
         t2.append(rep.tilde_B2)
     assert np.all(np.diff(b1) < 0)
     assert np.all(np.diff(t2) < 0)
 
 
+def _one_point_report(sf, point):
+    return closure_experiment(sf, [point], [1.0], holdout_grid=[point], delta=0.5)[0]
+
+
 def test_bound_denominators_scale_with_m():
     # same nu sum, one vs two measurement dimensions
     d1 = SillDictionary(1, (ConjLogistic([0.25], [2.0]),))
-    rep1 = compute_bounds(SpannedField(d1, [[1.0]]), [[2.0]], delta=0.5)
+    rep1 = _one_point_report(SpannedField(d1, [[1.0]]), [2.0])
     d2 = SillDictionary(2, (ConjLogistic([0.25, 0.25], [2.0, 2.0]),))
-    rep2 = compute_bounds(SpannedField(d2, [[1.0], [0.0]]), [[2.0, 2.0]], delta=0.5)
+    rep2 = _one_point_report(SpannedField(d2, [[1.0], [0.0]]), [2.0, 2.0])
     assert rep1.bar_B2 == pytest.approx(2.0 / 4.0)  # nu sum 2 over 2^(m+1) = 4
     assert rep2.bar_B2 == pytest.approx(2.0 / 8.0)
     assert rep1.tilde_B1 == pytest.approx(2.0 / 8.0)
@@ -299,13 +310,13 @@ def test_bound_denominators_scale_with_m():
 def test_compute_bounds_rejects_near_hyperplane_grid():
     sf = _single_logistic_field(mu=0.3)
     with pytest.raises(ValueError, match="hyperplane"):
-        compute_bounds(sf, [[0.3005]], delta=1e-2)
+        closure_experiment(sf, [[1.0]], [1.0], holdout_grid=[[0.3005]], delta=1e-2)
 
 
 def test_compute_bounds_rejects_empty_grid():
     sf = _single_logistic_field()
     with pytest.raises(ValueError):
-        compute_bounds(sf, np.zeros((0, 1)), delta=0.1)
+        closure_experiment(sf, [[1.0]], [1.0], holdout_grid=np.zeros((0, 1)), delta=0.1)
 
 
 def test_closure_experiment_residual_decays():

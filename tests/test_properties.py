@@ -1,13 +1,14 @@
 """Property tests of the logistic kernel over random dictionaries.
 
-The whole-dictionary calls (conj_values, lift_derivatives, the order
-check) must agree with the one-logistic and one-point forms they are
+The whole-dictionary calls (conj_values, the CT target of _system, the
+order check) must agree with the one-logistic and one-point forms they are
 built from, the analytic Jacobian with finite differences, and the
 sigmoid must keep its range and symmetry and stay within 2 ulp of the
 exact logistic.  Join completion must be a closure: idempotent, closed
 under join, originals first, member for member the result of the
 pairwise loop it replaced, and row for row, in order, the float
-completion that the rank completion replaced.  The sigmoid-table kernel
+completion that the rank completion replaced; join_params, the rank join
+of a pair, must be the float join rule.  The sigmoid-table kernel
 (conj_values, grad_conjunctive, every closure form) must equal per-factor
 products bit for bit.  The closure forms,
 computed for all logistics in one pass, must agree bit for bit with their
@@ -25,6 +26,8 @@ solvers it replaced on well-conditioned lifts, and on rank-deficient lifts
 return the minimum-norm solution, zero on the null space of the lift.
 The numpy matrix exponential must match scipy's on
 dense, nilpotent and stiff matrices, and give exactly the identity at 0.
+Doubling the measured derivatives doubles a fitted generator bit for bit,
+and doubling the field weights doubles every Lie-derivative form.
 """
 
 import tempfile
@@ -42,8 +45,11 @@ from hypothesis.extra.numpy import arrays
 from sillkoop.closure import (
     LieForms,
     SpannedField,
-    compute_bounds,
+    _bounds,
+    _check_clearance,
+    half_cell_shift,
     hyperplane_distance,
+    lattice_grid,
     lie_forms,
 )
 
@@ -70,7 +76,6 @@ from sillkoop.regression import (
     _system,
     fit_edmd,
     fit_generator,
-    lift_derivatives,
     load_model,
     load_snapshots,
     residual,
@@ -120,14 +125,14 @@ def test_conj_values_matches_each_logistic(case):
 def test_lift_derivatives_rows_match_jacobian(case):
     d, y, D = case
     Y, D = np.atleast_2d(y), np.atleast_2d(D)
-    rows = lift_derivatives(SnapshotSet(Y, D, "CT"), d)
+    rows = _system(SnapshotSet(Y, D, "CT"), d)[1]
     for yi, di, row in zip(Y, D, rows):
         # same products, possibly summed in another order
         np.testing.assert_allclose(row, lift_jacobian(yi, d) @ di, rtol=1e-12, atol=1e-12)
 
 
 def _reference_system(s, d):
-    """The (lift, target) pair as lift and lift_derivatives wrote it out.
+    """The (lift, target) pair written out from lift and the gradients.
 
     Each row is assembled by slice assignment; the lift's logistic columns
     come from conj_values and the CT target's from grad_conjunctive, each
@@ -175,8 +180,8 @@ def test_system_is_the_written_out_lift_and_target_bit_for_bit(case):
     G_ref, A_ref = _reference_system(s, d)
     assert np.array_equal(G, G_ref) and np.array_equal(G, lift(s.Y, d))
     assert np.array_equal(A, A_ref)
-    if s.mode == "CT":
-        assert np.array_equal(A, lift_derivatives(s, d))
+    if s.mode == "CT":  # a second call gives the same bits
+        assert np.array_equal(A, _system(s, d)[1])
 
 
 @_settings
@@ -192,6 +197,52 @@ def test_fit_report_is_the_residual_of_its_model_bit_for_bit(case, ridge):
     assert np.array_equal(rep.per_function_max, again.per_function_max)
     fit = fit_generator if s.mode == "CT" else fit_edmd
     assert np.array_equal(fit(s, d, ridge).K, model.K)
+
+
+# the m = 3 closure field of the benchmark (CLOSURE_M3): eight logistics,
+# its training lattice and its half-cell holdout on [-2.8, 2.8]^3
+_M3_MU = [
+    [1.088889, -2.022222, -1.4], [-1.4, -0.777778, -0.155556],
+    [-2.022222, -2.022222, -0.155556], [-0.777778, -1.4, 1.088889],
+    [0.466667, 0.466667, 1.711111], [-0.777778, -2.022222, -0.777778],
+    [-1.4, 1.088889, -0.155556], [-2.022222, 0.466667, 0.466667],
+]
+_M3_ALPHA = [
+    [7.6, 7.2, 6.2], [7.0, 6.3, 7.5], [7.0, 6.9, 7.2], [7.9, 6.6, 7.3],
+    [6.0, 7.9, 6.6], [7.8, 7.2, 6.9], [7.4, 6.7, 6.2], [7.9, 6.4, 7.3],
+]
+_M3 = SillDictionary(3, tuple(map(ConjLogistic, _M3_MU, _M3_ALPHA)))
+_M3_BOX = [(-2.8, 2.8)] * 3
+# weights 0 or of magnitude at least 1/64: on the M3 box every value the
+# fit and the forms compute from them stays far from overflow and from the
+# subnormal range, so doubling each is exact
+_m3_weights = arrays(
+    float,
+    (3, 8),
+    elements=st.one_of(st.just(0.0), st.floats(1 / 64, 1.0), st.floats(-1.0, -1 / 64)),
+)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_m3_weights)
+def test_doubling_the_derivatives_doubles_the_generator_bit_for_bit(W):
+    completed = join_completion(_M3)
+    Y = lattice_grid(_M3_BOX, 10)
+    D = SpannedField(_M3, W).evaluate(Y)
+    for ridge in (0.0, 1e-8):
+        K = fit_generator(SnapshotSet(Y, D, "CT"), completed, ridge).K
+        K2 = fit_generator(SnapshotSet(Y, 2.0 * D, "CT"), completed, ridge).K
+        assert np.array_equal(K2, 2.0 * K), ridge
+
+
+@_settings
+@given(_m3_weights)
+def test_doubling_the_weights_doubles_every_lie_form_bit_for_bit(W):
+    held = half_cell_shift(_M3_BOX, 10)
+    one = lie_forms(SpannedField(_M3, W), held)
+    two = lie_forms(SpannedField(_M3, 2.0 * W), held)
+    for f in fields(LieForms):
+        assert np.array_equal(getattr(two, f.name), 2.0 * getattr(one, f.name)), f.name
 
 
 @_settings
@@ -447,6 +498,20 @@ def test_rank_completion_matches_float_completion(d):
     _assert_rank_completion_is_float_completion(d)
 
 
+@_settings
+@given(_tied_dictionary())
+@example(_SIGNED_ZEROS)
+@example(_TIED_CENTERS)
+def test_join_params_is_the_float_join_rule(d):
+    # the rank join of every ordered pair, compared as floats
+    for f in d.logistics:
+        for g in d.logistics:
+            mu, alpha = _float_join(f.mu, f.alpha, g.mu, g.alpha)
+            joined = join_params(f, g)
+            np.testing.assert_array_equal(joined.mu, mu)
+            np.testing.assert_array_equal(joined.alpha, alpha)
+
+
 def test_rank_completion_without_an_int64_key():
     # 2^64 rank tuples: the mixed-radix number would overflow int64
     m = 64
@@ -560,17 +625,21 @@ def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
     d, W = sf.dictionary, sf.W
     delta = hyperplane_distance(Y, d).min()
     assume(delta > 0)
-    rep = compute_bounds(sf, Y, delta=delta)
+    _check_clearance(Y, d, delta)
     forms = lie_forms(sf, Y)
     exact, inter, linear, bilinear = (
         forms.exact, forms.intermediate, forms.linear, forms.bilinear
     )
+    # residual columns that never exceed their bar_B1, the grid maximum of
+    # |exact - intermediate|, so the bound check passes
+    residuals = np.abs(np.hstack([np.zeros((len(Y), 1 + d.m)), exact - inter]))
+    rep = _bounds(sf, Y, residuals, 1.0)
     gap = np.abs(exact - linear)
     l = int(np.argmax(gap.max(axis=0)))
     nu = np.abs(d.alpha[l][:, None] * W).sum()
     rebuilt = {
-        "residual_max": gap[:, l].max(),
-        "residual_mean": gap[:, l].mean(),
+        "residual_max": residuals.max(),
+        "residual_mean": residuals.max(axis=1).mean(),
         "bar_B1": np.abs(exact - inter)[:, l].max(),
         "bar_B2": nu / 2.0 ** (d.m + 1),
         "tilde_B1": nu / 2.0 ** (2 * d.m + 1),
@@ -578,10 +647,15 @@ def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
     for name, value in rebuilt.items():
         assert getattr(rep, name) == pytest.approx(value, rel=1e-15, abs=0.0), name
     # the unweighted reference sum is exact + bilinear, up to the rounding
-    # of that addition
+    # of that addition; in gradual underflow (a subnormal W) rounding is
+    # absolute instead, up to half the smallest subnormal in each of the at
+    # most 2 (m + N_L) steps of each of the four sums
     scale = np.abs(exact[:, l]) + np.abs(bilinear[:, l]) + np.abs(linear[:, l])
+    underflow = 4 * (d.m + d.n_logistic) * np.finfo(float).smallest_subnormal
     tilde_B2 = np.abs(exact + bilinear - linear)[:, l].max()
-    assert rep.tilde_B2 == pytest.approx(tilde_B2, rel=1e-15, abs=4 * EPS * scale.max())
+    assert rep.tilde_B2 == pytest.approx(
+        tilde_B2, rel=1e-15, abs=4 * EPS * scale.max() + underflow
+    )
     combined = min(rep.bar_B1 + rep.bar_B2, rep.tilde_B1 + rep.tilde_B2)
     assert rep.B == pytest.approx(combined, rel=1e-15, abs=0.0)
 

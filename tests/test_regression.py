@@ -11,9 +11,9 @@ from sillkoop.regression import (
     KoopmanModel,
     SnapshotSet,
     _expm,
+    _system,
     fit_edmd,
     fit_generator,
-    lift_derivatives,
     load_model,
     load_snapshots,
     predict_ct,
@@ -57,7 +57,7 @@ def test_snapshot_set_validation():
 def test_lift_derivatives_structure():
     d = _dictionary()
     s = _ct_snapshots(d)
-    A = lift_derivatives(s, d)
+    A = _system(s, d)[1]
     assert A.shape == (s.r, d.size)
     assert np.all(A[:, 0] == 0.0)
     np.testing.assert_array_equal(A[:, 1 : 1 + d.m], s.D)
@@ -66,17 +66,10 @@ def test_lift_derivatives_structure():
 def test_lift_derivatives_matches_directional_difference():
     d = _dictionary(seed=3)
     s = _ct_snapshots(d, r=20, seed=4)
-    A = lift_derivatives(s, d)
+    A = _system(s, d)[1]
     h = 1e-6
     fd = (lift(s.Y + h * s.D, d) - lift(s.Y - h * s.D, d)) / (2.0 * h)
     np.testing.assert_allclose(A, fd, rtol=1e-4, atol=1e-10)
-
-
-def test_lift_derivatives_rejects_dt_mode():
-    d = _dictionary()
-    s = SnapshotSet(np.zeros((2, 2)), np.ones((2, 2)), "DT", dt=0.1)
-    with pytest.raises(ValueError):
-        lift_derivatives(s, d)
 
 
 def test_known_matrix_recovery_from_lifted_pairs():
@@ -97,7 +90,7 @@ def test_normal_equation_orthogonality():
     s = _ct_snapshots(d, r=60, seed=8)
     model = fit_generator(s, d, ridge=0.0)
     G = lift(s.Y, d).T
-    A = lift_derivatives(s, d).T
+    A = _system(s, d)[1].T
     resid = (A - model.K @ G) @ G.T
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(A) * np.linalg.norm(G)
 
@@ -301,7 +294,7 @@ def test_residual_zero_model_equals_lifted_derivatives():
     s = _ct_snapshots(d, seed=21)
     model = KoopmanModel(np.zeros((d.size, d.size)), d, "CT")
     rep = residual(model, s)
-    np.testing.assert_array_equal(rep.matrix, lift_derivatives(s, d))
+    np.testing.assert_array_equal(rep.matrix, _system(s, d)[1])
 
 
 def test_residual_of_exact_lifted_data_is_tiny():

@@ -16,7 +16,7 @@ from sillkoop.stats import (
     MAX_SAMPLE_FACTORS,
     MAX_SAMPLES,
     MIN_RADIUS,
-    UniformIntervalSpec,
+    _check_radius,
     expected_error_rates,
     expected_logistic,
     mc_conjunctive_table,
@@ -30,12 +30,12 @@ from sillkoop.stats import (
 
 def test_interval_spec_requires_positive_radius():
     with pytest.raises(ValueError):
-        UniformIntervalSpec(0.0)
+        _check_radius(0.0)
     with pytest.raises(ValueError):
-        UniformIntervalSpec(-1.0)
+        _check_radius(-1.0)
     for a in (np.inf, np.nan):
         with pytest.raises(ValueError):
-            UniformIntervalSpec(a)
+            _check_radius(a)
 
 
 def test_interval_spec_range_keeps_every_intermediate_finite():
@@ -48,7 +48,7 @@ def test_interval_spec_range_keeps_every_intermediate_finite():
         assert 0.0 < row.mc_bilinear < row.mc_linear < np.inf
     for a in (np.nextafter(MIN_RADIUS, 0.0), np.nextafter(MAX_RADIUS, np.inf)):
         with pytest.raises(ValueError, match="interval radius"):
-            UniformIntervalSpec(a)
+            _check_radius(a)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
