@@ -25,13 +25,14 @@ import json
 import math
 import os
 import sys
-import threading
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from . import __version__
 from .bench import polynomial_residual_growth
 from .closure import (
+    MAX_GRID_ROWS,
     SpannedField,
     closure_experiment,
     half_cell_shift,
@@ -62,6 +63,8 @@ from .regression import (
 from .stats import (
     MAX_M,
     MAX_SAMPLES,
+    ErrorRateRow,
+    MomentReport,
     _check_radius,
     _check_work,
     expected_error_rates,
@@ -176,7 +179,7 @@ def cmd_closure(cfg, seed):
         "closure_reports.json": [r.to_dict() for r in reports],
         "closure.csv": (
             "scale,residual_max,B",
-            [[repr(r.alpha_scale), repr(r.residual_max), repr(r.B)] for r in reports],
+            [[r.alpha_scale, r.residual_max, r.B] for r in reports],
         ),
     }
 
@@ -220,57 +223,41 @@ def cmd_stats(cfg, seed):
         _check_radius(a)
     # the error table is the largest estimate: 2 max(m) logistics and its error term
     _check_work(samples, 2 * max(m_values, default=0) + 1)
-    # It runs on a second thread while this one runs the moment sweep and
+    # A one-thread pool runs it while this thread runs the moment sweep and
     # then the conjunctive table.  Each table owns its seeded generator and
-    # walks its blocks in a fixed order, so no number depends on how the
-    # threads are scheduled.  An error on this thread wins over one on the
-    # worker.
-    error_table = {}
+    # walks its blocks in a fixed order, so no number depends on scheduling.
+    # Leaving the with block joins the thread; an error here wins over the
+    # pool's.  Imported here: at module level it would bring in logging.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def error_rates():
-        try:
-            error_table["rows"] = expected_error_rates(
-                m_values, rate_a, samples=samples, seed=seed
-            )
-        except BaseException as exc:
-            error_table["error"] = exc
-
-    worker = threading.Thread(target=error_rates, name="sillkoop-error-rates", daemon=True)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="sillkoop-error-rates") as pool:
+        rates = pool.submit(expected_error_rates, m_values, rate_a, samples=samples, seed=seed)
         reports = moment_sweep(a_values, samples, seed)
         conj = mc_conjunctive_table(m_values, rate_a, samples, seed + 1000)
-    finally:
-        worker.join()
-    if "error" in error_table:
-        raise error_table["error"]
-    moment = ("a", "expectation", "variance", "quad_error", "mc_expectation", "mc_stderr")
-    rate = ("rate_linear", "rate_bilinear", "mc_linear", "mc_bilinear")
     return {
-        "moments.csv": (
-            ",".join(moment + ("samples", "seed")),
-            [[repr(getattr(r, k)) for k in moment] + [r.samples, r.seed] for r in reports],
-        ),
-        "error_rates.csv": (
-            ",".join(("m",) + rate),
-            [[r.m] + [repr(getattr(r, k)) for k in rate] for r in error_table["rows"]],
-        ),
+        "moments.csv": _csv_of(MomentReport, reports),
+        "error_rates.csv": _csv_of(ErrorRateRow, rates.result()),
         "conjunctive.csv": (
             "m,estimate,stderr,bound",
-            [[m, repr(est), repr(se), repr(2.0**-m)] for m, (est, se) in zip(m_values, conj)],
+            [[m, est, se, 2.0**-m] for m, (est, se) in zip(m_values, conj)],
         ),
     }
+
+
+def _csv_of(cls, reports):
+    """(header, rows) with one column per field of the dataclass cls, in order."""
+    return ",".join(f.name for f in fields(cls)), [astuple(r) for r in reports]
 
 
 def cmd_example1(cfg, seed):
     degrees = _need(cfg, "degrees", [int], "polynomial dictionary degrees", 1)
     lo, hi = _interval(cfg, "fit_range", "sampling interval")
-    fit_points = _need(cfg, "fit_points", int, "sample count over fit_range")
+    fit_points = _need(cfg, "fit_points", int, "sample count over fit_range", most=MAX_GRID_ROWS)
     sill = _need(cfg, "sill", dict, "bounded-box SILL comparison spec")
     centers = _need(sill, "centers", [float], "logistic centers")
     alpha = _need(sill, "alpha", float, "shared steepness")
     box = _interval(sill, "box", "bounded interval")
-    points = _need(sill, "points", int, "sample count over the box")
+    points = _need(sill, "points", int, "sample count over the box", most=MAX_GRID_ROWS)
     ridge = _need(sill, "ridge", float, "ridge penalty")
     d = SillDictionary(1, tuple(ConjLogistic([c], [alpha]) for c in centers))
     y = np.linspace(lo, hi, fit_points)
@@ -280,7 +267,7 @@ def cmd_example1(cfg, seed):
         res = polynomial_residual_growth(n, y)
         slopes[str(n)] = res.growth_slope
         for gy, gr, ratio in zip(res.growth_y, res.growth_residual, res.growth_ratio):
-            rows.append([n, repr(float(gy)), repr(float(gr)), repr(float(ratio))])
+            rows.append([n, float(gy), float(gr), float(ratio)])
     grid = np.linspace(box[0], box[1], points)[:, None]
     # a bound whose square is past the float range gives inf, which
     # SnapshotSet refuses
@@ -411,7 +398,8 @@ def main(argv=None) -> int:
     except (QuadratureError, ClosureBoundError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"sillkoop: numerical: {_one_line(exc)}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+    # RecursionError: json.load of a file nested too deeply to parse
+    except (OSError, ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         print(f"sillkoop: bad-input: {_one_line(exc)}", file=sys.stderr)
         return 2
 

@@ -43,13 +43,15 @@ rewrites them in place block after block: the draws as rng.random(out=)
 scaled to U(-a, a), the same bits as rng.uniform(-a, a), and the logistic
 with stable_sigmoid(out=).  The generator fill and these ufunc loops
 release the GIL, so estimates on different threads overlap.  The ``stats``
-command runs expected_error_rates, the largest, on a second thread while
-the calling thread runs the moment sweep and then the conjunctive table.
+command submits expected_error_rates, the largest, to a one-thread
+concurrent.futures pool while the calling thread runs the moment sweep
+and then the conjunctive table.
 No number can depend on that scheduling: each estimate owns its seeded
 generator and walks its blocks in a fixed order, and shares no buffer.
 
 The module writes no file.  It returns MomentReport and ErrorRateRow
-values, which the ``stats`` command lays out as CSV rows.
+values, which the ``stats`` command lays out as CSV rows, one column per
+field in field order.
 """
 
 from __future__ import annotations

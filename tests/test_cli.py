@@ -974,6 +974,14 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         ),
         # finite inputs whose least-squares solution overflows
         pytest.param("closure", ["W", 0, 0], 1e308, 3, "overflows", id="closure-W-1e308"),
+        # a sample count above the grid limit is refused before np.linspace
+        pytest.param(
+            "example1", ["fit_points"], 1_000_001, 2, "at most", id="example1-fit-points-1000001"
+        ),
+        pytest.param(
+            "example1", ["sill", "points"], 1_000_001, 2, "at most",
+            id="example1-sill-points-1000001",
+        ),
     ],
 )
 def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, value, code, word):
@@ -991,6 +999,52 @@ def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, va
         assert err.startswith(f"sillkoop: {kind}: ") and err.count("\n") == 1
         assert word in err
         assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("nested", ["config", "dictionary", "model", "manifest"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, nested):
+    # json.load raises RecursionError on a list nested 5000 deep; in any of
+    # the JSON files a command reads that is bad input: one stderr line and
+    # no file written
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / f"{nested}.json"
+    # one text for every file: json.load fails before any key is read
+    path.write_text('{"a_values": [1.0], "samples": 10, "m_values": [1], "note": %s}' % deep)
+    if nested == "config":
+        command, cfg = "stats", str(path)
+    elif nested == "dictionary":
+        command = "complete-dictionary"
+        cfg = _write_config(tmp_path / "cfg.json", {"dictionary": str(path)})
+    elif nested == "model":
+        command = "predict"
+        cfg = _write_config(
+            tmp_path / "cfg.json", {"model": str(path), "y0": [0.5], "horizon": 1.0, "dt": 0.1}
+        )
+    else:
+        command, cfg = "fit", _fit_config(tmp_path, _ct_snapshot_files(tmp_path)[0], path)
+    out = tmp_path / "o"
+    assert _run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sillkoop: bad-input: ") and err.count("\n") == 1
+    assert "recursion" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # stats imports concurrent.futures when it runs; at start-up neither it
+    # nor the logging it pulls in may load, as every command pays for them
+    code = (
+        "import sys\n"
+        "import sillkoop.cli\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
