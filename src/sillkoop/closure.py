@@ -46,7 +46,7 @@ from .dictionary import (
     stable_sigmoid,  # noqa: F401  (still importable as closure.stable_sigmoid)
 )
 from .errors import ClosureBoundError, IncomparableCentersError
-from .regression import SnapshotSet, fit_generator, residual
+from .regression import SnapshotSet, _ct_system, solve_koopman_ls
 
 __all__ = [
     "SpannedField",
@@ -88,8 +88,7 @@ class SpannedField:
 
     def evaluate(self, y):
         """Field value W . Lambda(y); shape (..., m)."""
-        vals = conj_values(y, self.dictionary)
-        return vals @ self.W.T
+        return conj_values(y, self.dictionary) @ self.W.T
 
     def scaled(self, s: float) -> "SpannedField":
         """Same weights over the steepness-scaled dictionary."""
@@ -273,21 +272,23 @@ class LieForms:
 def lie_forms(sf: SpannedField, y) -> LieForms:
     """The LieForms of all field logistics at y, shape (m,) or (..., m).
 
-    One array pass: one sigmoid table at y, from which the per-coordinate
-    factors, the dictionary and the N_L^2 pairwise joins are gathered.  A
-    join's columns are the max of the pair's columns, and its value is the
-    product of those columns one coordinate at a time, so no
-    (..., N_L, N_L, m) array is built.  Every sum is a matmul over i,
-    then a sum over the last axis j of a C-contiguous array, the same per
-    point whatever the batch shape, so lie_forms(sf, Y)[p] is
-    lie_forms(sf, Y[p]) bit for bit.
+    One sigmoid table at y gives the per-coordinate factors, the
+    dictionary and the N_L^2 pairwise joins: a join's columns are the max
+    of the pair's, its value their product one coordinate at a time, so no
+    (..., N_L, N_L, m) array is built.  Every sum is a matmul over i, then
+    a sum over the last axis j of a C-contiguous array, so
+    lie_forms(sf, Y)[p] is lie_forms(sf, Y[p]) bit for bit.
+    closure_experiment reads the joins off its completed values instead.
     """
+    table, cols = _sigmoid_table(y, sf.dictionary), sf.dictionary.columns  # (..., R)
+    joins = _product(table, np.maximum(cols[:, None], cols))  # (..., N_L, N_L), all pairs
+    return _lie_forms(sf, table, _product(table, cols), joins)
+
+
+def _lie_forms(sf: SpannedField, table, lam_all, lam_star) -> LieForms:
+    """lie_forms from sf's table, values and joins, each C-contiguous."""
     d, W = sf.dictionary, sf.W
-    table = _sigmoid_table(y, d)  # (..., R)
     lam = _gather(table, d.columns)  # (..., N_L, m)
-    lam_all = _product(table, d.columns)  # (..., N_L)
-    # the joins of all pairs (l, j): (N_L, N_L, m) columns, (..., N_L, N_L) values
-    lam_star = _product(table, np.maximum(d.columns[:, None], d.columns))
     # (..., N_L, N_L): off[l, j] = sum_i alpha_li (1 - lambda_li) W_ij
     off, on = (d.alpha * (1.0 - lam)) @ W, (d.alpha * lam) @ W
     coeff = d.alpha @ W  # coeff[l, j] = sum_i alpha_li W_ij
@@ -315,17 +316,16 @@ def _check_clearance(pts, d: SillDictionary, delta: float):
         )
 
 
-def _bounds(sf: SpannedField, pts, residuals, alpha_scale) -> ClosureReport:
-    """The ClosureReport over pts of the logistic worst fitted by its linear form.
+def _bounds(sf: SpannedField, forms: LieForms, residuals, alpha_scale) -> ClosureReport:
+    """The ClosureReport over the forms' grid of the logistic worst fitted by its linear form.
 
     bar_B1 and tilde_B2 are grid maxima of the absolute approximation-error
     sums; bar_B2 and tilde_B1 are the expectation-based per-term bounds with
     nu_ij = |alpha_li W_ij|.  The residual statistics are those of the fitted
-    model's (P, N) residual matrix at pts.  A field logistic whose residual
+    model's (P, N) residual matrix on the grid.  A field logistic whose residual
     column exceeds its bar_B1 + bar_B2 raises ClosureBoundError.
     """
     d = sf.dictionary
-    forms = lie_forms(sf, pts)
     # grid maxima of |sum|: the signed maxima would not dominate the
     # absolute gaps they are meant to bound
     bar_B1 = np.abs(forms.exact - forms.intermediate).max(axis=0)
@@ -384,9 +384,9 @@ def lattice_grid(box, points_per_dim: int) -> np.ndarray:
 
 def half_cell_shift(box, points_per_dim: int) -> np.ndarray:
     """The same lattice shifted by half a cell in every dimension."""
+    grid = lattice_grid(box, points_per_dim)  # checks the box and the count
     box = np.atleast_2d(np.asarray(box, dtype=float))
-    half = (box[:, 1] - box[:, 0]) / (points_per_dim - 1) / 2.0
-    return lattice_grid(box, points_per_dim) + half
+    return grid + (box[:, 1] - box[:, 0]) / (points_per_dim - 1) / 2.0
 
 
 def closure_experiment(
@@ -401,11 +401,13 @@ def closure_experiment(
     """Fit a generator to the spanned field at each steepness scale.
 
     Per scale: the dictionary is steepness-scaled and join-completed, a CT
-    model is fitted to exact snapshots of the scaled field on the training
-    grid, and the model's residual is measured on holdout_grid (for a
-    lattice, half_cell_shift gives the half-cell holdout).  The
-    analytic bounds are evaluated on the held-out grid and paired with the
-    measured residuals in one report per scale.
+    generator is fitted to exact snapshots of the scaled field on the
+    training grid, and its residual is measured on holdout_grid (for a
+    lattice, half_cell_shift gives the half-cell holdout), where the
+    analytic bounds are evaluated and paired with it in one report.  Each
+    grid is evaluated from one sigmoid table of the completed dictionary
+    (the field's own: every join is drawn from it), held-out joins read off
+    its values by index, bit for bit as fit_generator, residual, lie_forms.
 
     Each field logistic's max residual on the held-out grid must stay at
     or below its bar_B1 + bar_B2 bound, or ClosureBoundError is raised.
@@ -419,12 +421,31 @@ def closure_experiment(
         raise ValueError("alpha_scales must be positive")
     _check_steepness(sf.dictionary.alpha, scales)
     _check_clearance(held, sf.dictionary, delta)
-    reports = []
-    for s in scales:
-        sf_s = sf.scaled(s)
-        completed = join_completion(sf_s.dictionary)
-        train = SnapshotSet(pts, sf_s.evaluate(pts), "CT")
-        model = fit_generator(train, completed, ridge)
-        holdout = SnapshotSet(held, sf_s.evaluate(held), "CT")
-        reports.append(_bounds(sf_s, held, residual(model, holdout).matrix, s))
-    return reports
+    return [_scale_report(sf.scaled(s), s, pts, held, ridge) for s in scales]
+
+
+def _scale_report(sf: SpannedField, s, pts, held, ridge) -> ClosureReport:
+    """closure_experiment's report at scale s, sf the scaled field."""
+    completed = join_completion(sf.dictionary)
+    K = solve_koopman_ls(*(a.T for a in _batch(pts, completed, sf)[0]), ridge)  # G^T, A^T
+    (G, A), table, values, lam = _batch(held, completed, sf)
+    R = A - G @ K.T
+    joins = np.take(values, _join_index(completed, sf.dictionary.n_logistic), axis=-1)
+    del G, A, values  # the forms need only the table, lam and the joins
+    return _bounds(sf, _lie_forms(sf, table, lam, joins), R, s)
+
+
+def _batch(pts, completed: SillDictionary, sf: SpannedField):
+    """sf's CT pair at pts, completed's table and values there, and the field's N_L of them."""
+    table = _sigmoid_table(pts, completed)
+    values = _product(table, completed.columns)
+    lam = np.ascontiguousarray(values[:, : sf.dictionary.n_logistic])
+    snaps = SnapshotSet(pts, lam @ sf.W.T, "CT")
+    return _ct_system(snaps, completed, table, values), table, values, lam
+
+
+def _join_index(completed: SillDictionary, n: int) -> np.ndarray:
+    """(n, n) places in completed of the joins of its first n logistics."""
+    place = {row: k for k, row in enumerate(map(tuple, completed.ranks.tolist()))}
+    joins = np.maximum(completed.ranks[:n, None], completed.ranks[:n]).tolist()
+    return np.array([[place[tuple(r)] for r in row] for row in joins], dtype=np.intp)

@@ -1168,8 +1168,10 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
 def test_each_command_evaluates_each_snapshot_batch_once(tmp_path, monkeypatch):
     # stable_sigmoid calls per command, exact on any host: a CT fit takes
     # its lift and target from one table and reports its own residual; a DT
-    # fit lifts y and y+; a closure scale evaluates the field on both grids,
-    # fits, measures the held-out residual and takes the bounds
+    # fit lifts y and y+; a closure scale evaluates one table per grid, the
+    # completed dictionary's, which is the field's: the training table gives
+    # the field, lift and target of the fit, the held-out table the field,
+    # the residual and every bound, the joins read off its completed values
     calls = []
     original = dictionary.stable_sigmoid
 
@@ -1186,7 +1188,7 @@ def test_each_command_evaluates_each_snapshot_batch_once(tmp_path, monkeypatch):
         ("fit", _fit_config(tmp_path, ct_csv, ct_man), 1),
         ("edmd", _fit_config(tmp_path, dt_csv, dt_man, "edmd.json"), 2),
         ("example1", _example1_config(tmp_path, (1, 2)), 1),
-        ("closure", _closure_config(tmp_path), 5 * 3),  # three scales
+        ("closure", _closure_config(tmp_path), 2 * 3),  # three scales
     ]
     for command, cfg, expected in configs:
         calls.clear()

@@ -363,7 +363,7 @@ def test_closure_experiment_checks_holdout_clearance_before_fitting(monkeypatch)
         raise AssertionError("fitted before the holdout clearance was checked")
 
     monkeypatch.setattr(closure, "join_completion", fitted)
-    monkeypatch.setattr(closure, "fit_generator", fitted)
+    monkeypatch.setattr(closure, "solve_koopman_ls", fitted)
     train = lattice_grid(_REFERENCE_BOX, 9)
     held = half_cell_shift(_REFERENCE_BOX, 9)  # 0.175 from the nearest center
     with pytest.raises(ValueError, match="center hyperplane"):
@@ -441,6 +441,13 @@ def test_lattice_grid_shape_and_shift():
     assert g[:, 0].min() == -1.0 and g[:, 0].max() == 1.0
     shifted = half_cell_shift(box, 3)
     np.testing.assert_allclose(shifted - g, 0.5, rtol=1e-15)
+
+
+def test_half_cell_shift_checks_the_count_before_dividing_by_it():
+    # one point per dimension has no cell to halve: refused as bad input,
+    # not first reported as a divide-by-zero warning
+    with pytest.raises(ValueError, match="at least two points"):
+        half_cell_shift([(0.0, 1.0), (0.0, 2.0)], 1)
 
 
 def test_closure_report_invariant():

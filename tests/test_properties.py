@@ -27,7 +27,12 @@ return the minimum-norm solution, zero on the null space of the lift.
 The numpy matrix exponential must match scipy's on
 dense, nilpotent and stiff matrices, and give exactly the identity at 0.
 Doubling the measured derivatives doubles a fitted generator bit for bit,
-and doubling the field weights doubles every Lie-derivative form.
+and doubling the field weights doubles every Lie-derivative form;
+permuting the dictionary permutes the generator, to a measured tolerance.
+A closure scale evaluates each grid from one table of the completed
+dictionary: join completion keeps the field dictionary's table, the
+batch's values are each public evaluation's bit for bit, and the reports
+are those of the written-out fit, residual and forms.
 """
 
 import tempfile
@@ -45,8 +50,11 @@ from hypothesis.extra.numpy import arrays
 from sillkoop.closure import (
     LieForms,
     SpannedField,
+    _batch,
     _bounds,
     _check_clearance,
+    _join_index,
+    closure_experiment,
     half_cell_shift,
     hyperplane_distance,
     lattice_grid,
@@ -56,6 +64,9 @@ from sillkoop.closure import (
 from sillkoop.dictionary import (
     ConjLogistic,
     SillDictionary,
+    _gather,
+    _product,
+    _sigmoid_table,
     check_total_order,
     conj_values,
     dominates,
@@ -67,6 +78,7 @@ from sillkoop.dictionary import (
     lift_jacobian,
     stable_sigmoid,
 )
+from sillkoop.errors import ClosureBoundError
 from sillkoop.regression import (
     _THETA13,
     KoopmanModel,
@@ -233,6 +245,36 @@ def test_doubling_the_derivatives_doubles_the_generator_bit_for_bit(W):
         K = fit_generator(SnapshotSet(Y, D, "CT"), completed, ridge).K
         K2 = fit_generator(SnapshotSet(Y, 2.0 * D, "CT"), completed, ridge).K
         assert np.array_equal(K2, 2.0 * K), ridge
+
+
+# CLOSURE_M3's own weights, its completed dictionary and its CT snapshots
+# on the training lattice
+_M3_W = np.array(
+    [
+        [-0.32, 0.39, 0.36, -0.45, 0.53, 0.25, 0.29, 0.51],
+        [-0.11, 0.41, 0.61, -0.64, 0.56, -0.17, -0.03, -0.57],
+        [0.32, -0.33, 0.59, -0.36, 0.1, -0.16, 0.18, -0.49],
+    ]
+)
+_M3_COMPLETED = join_completion(_M3)
+_M3_Y = lattice_grid(_M3_BOX, 10)
+_M3_SNAPSHOTS = SnapshotSet(_M3_Y, SpannedField(_M3, _M3_W).evaluate(_M3_Y), "CT")
+
+
+# The SVD sees the lift's columns in another order, so the permuted K is
+# the permuted original only up to rounding.  Over these 20 examples the
+# worst gap was 1.6e-11 of max |K| (at ridge 1e-8, with 1 and 2 BLAS
+# threads alike); the tolerance is 10x that, 1.6e-10.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.permutations(range(_M3_COMPLETED.n_logistic)), st.sampled_from([0.0, 1e-8]))
+def test_permuting_the_dictionary_permutes_the_generator(perm, ridge):
+    d = _M3_COMPLETED
+    permuted = SillDictionary(d.m, tuple(d.logistics[k] for k in perm))
+    # lifted coordinate q[i] of the original is coordinate i of the permuted
+    q = np.concatenate([np.arange(1 + d.m), 1 + d.m + np.asarray(perm)])
+    K = fit_generator(_M3_SNAPSHOTS, d, ridge).K
+    K_perm = fit_generator(_M3_SNAPSHOTS, permuted, ridge).K
+    assert np.abs(K_perm - K[np.ix_(q, q)]).max() <= 1.6e-10 * np.abs(K).max()
 
 
 @_settings
@@ -619,6 +661,88 @@ def test_table_kernel_matches_per_factor_products_bit_for_bit(case):
 
 
 @_settings
+@given(_tied_dictionary())
+@example(_SIGNED_ZEROS)
+@example(_TIED_CENTERS)
+def test_join_completion_keeps_the_table_and_the_columns(d):
+    # every join is drawn from the originals' table, so a closure scale can
+    # evaluate the completed dictionary for the field's values
+    completed = join_completion(d)
+    for name in ("table_mu", "table_alpha", "table_coord"):
+        assert np.array_equal(_bits(getattr(completed, name)), _bits(getattr(d, name))), name
+    assert np.array_equal(completed.columns[: d.n_logistic], d.columns)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+@st.composite
+def _tied_field_and_grids(draw, coord=_coord):
+    """A field over a _tied_dictionary, a training grid and a held-out grid."""
+    d = draw(_tied_dictionary())
+    W = draw(arrays(float, (d.m, d.n_logistic), elements=st.floats(-1.0, 1.0)))
+    pts, held = (
+        draw(arrays(float, (draw(st.integers(1, 8)), d.m), elements=coord)) for _ in range(2)
+    )
+    return SpannedField(d, W), pts, held
+
+
+@_settings
+@given(_tied_field_and_grids())
+def test_closure_batch_is_each_public_evaluation_bit_for_bit(case):
+    sf, Y, _ = case
+    d, n = sf.dictionary, sf.dictionary.n_logistic
+    completed = join_completion(d)
+    (G, A), table, values, lam = _batch(Y, completed, sf)
+    own = _sigmoid_table(Y, d)
+    assert _same_bits(table, own)
+    assert _same_bits(A[:, 1 : 1 + d.m], sf.evaluate(Y))  # the field
+    assert _same_bits(values, eval_conjunctive(Y, completed))
+    assert _same_bits(lam, eval_conjunctive(Y, d)) and lam.flags.c_contiguous
+    assert _same_bits(_gather(table, completed.columns[:n]), _gather(own, d.columns))
+    joins = np.take(values, _join_index(completed, n), axis=-1)
+    assert _same_bits(joins, _product(own, np.maximum(d.columns[:, None], d.columns)))
+    G_ref, A_ref = _system(SnapshotSet(Y, sf.evaluate(Y), "CT"), completed)
+    assert _same_bits(G, G_ref) and _same_bits(A, A_ref)
+
+
+def _reference_closure(sf, pts, held, scales, ridge):
+    """closure_experiment from the public calls, each with its own tables."""
+    reports = []
+    for s in scales:
+        sf_s = sf.scaled(s)
+        completed = join_completion(sf_s.dictionary)
+        model = fit_generator(SnapshotSet(pts, sf_s.evaluate(pts), "CT"), completed, ridge)
+        R = residual(model, SnapshotSet(held, sf_s.evaluate(held), "CT")).matrix
+        reports.append(_bounds(sf_s, lie_forms(sf_s, held), R, s))
+    return reports
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ClosureBoundError as exc:
+        return str(exc)
+
+
+# odd multiples of 1/32 never meet a _tied_dictionary center, a multiple of 1/2
+_off_center = st.integers(-64, 63).map(lambda k: (2 * k + 1) / 32)
+
+
+@_settings
+@given(_tied_field_and_grids(_off_center), st.sampled_from([0.0, 1e-8]))
+def test_closure_experiment_is_the_written_out_reference(case, ridge):
+    sf, pts, held = case
+    delta = hyperplane_distance(held, sf.dictionary).min()
+    scales = [1.0, 2.0, 4.0]
+    got = _outcome(
+        lambda: closure_experiment(sf, pts, scales, holdout_grid=held, ridge=ridge, delta=delta)
+    )
+    assert got == _outcome(lambda: _reference_closure(sf, pts, held, scales, ridge))
+
+
+@_settings
 @given(_field_and_points())
 def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
     sf, Y = case
@@ -633,7 +757,7 @@ def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
     # residual columns that never exceed their bar_B1, the grid maximum of
     # |exact - intermediate|, so the bound check passes
     residuals = np.abs(np.hstack([np.zeros((len(Y), 1 + d.m)), exact - inter]))
-    rep = _bounds(sf, Y, residuals, 1.0)
+    rep = _bounds(sf, forms, residuals, 1.0)
     gap = np.abs(exact - linear)
     l = int(np.argmax(gap.max(axis=0)))
     nu = np.abs(d.alpha[l][:, None] * W).sum()
