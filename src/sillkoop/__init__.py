@@ -12,7 +12,7 @@ dictionary  evaluation, gradients, dominance order, join completion
 regression  generator / operator least squares, prediction, residuals
 closure     Lie-derivative approximation chain, bounds, experiments
 stats       moments of randomly parameterized logistics, MC cross-checks
-bench       benchmark fields, exact snapshots, polynomial non-closure
+bench       vector fields, RK4, exact snapshots, polynomial non-closure
 cli         experiment runner producing CSV/JSON artifacts
 """
 

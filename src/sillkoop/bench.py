@@ -1,12 +1,13 @@
-"""Benchmark vector fields and exact-derivative snapshot generation.
+"""Closed-form vector fields, RK4 trajectories and exact-derivative snapshots.
 
-Snapshots pair measurements with derivatives computed analytically from
-closed-form fields, never differenced from trajectories, so regression
-targets are exact to machine precision.  The module also carries the
-polynomial non-closure demonstration: for the scalar quadratic field the
-Lie derivative of y^n is n y^(n+1), one degree above any polynomial
-dictionary, and the best least-squares fit leaves a residual growing like
-y^(n+1).
+A VectorField wraps a closed-form field; spanned_field wraps a
+dictionary-spanned one.  Snapshots pair measurements with derivatives
+computed analytically from the field, never differenced from
+trajectories, so regression targets are exact to machine precision.  The
+module also carries the polynomial non-closure demonstration: for the
+scalar quadratic field the Lie derivative of y^n is n y^(n+1), one degree
+above any polynomial dictionary, and the best least-squares fit leaves a
+residual growing like y^(n+1).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "spanned_field",
     "make_snapshots",
     "polynomial_residual_growth",
-    "builtin_fields",
 ]
 
 # where the residual's growth is read, far outside every fit range in use
@@ -112,8 +112,6 @@ class PolynomialGrowthResult:
 
     degree: int
     coeffs: np.ndarray
-    sample_y: np.ndarray
-    sample_residual: np.ndarray
     growth_y: np.ndarray
     growth_residual: np.ndarray
     growth_ratio: np.ndarray
@@ -141,7 +139,6 @@ def polynomial_residual_growth(n: int, y_values) -> PolynomialGrowthResult:
     V = np.vander(y, int(n) + 1, increasing=True)
     target = n * y ** (n + 1)
     coeffs, *_ = np.linalg.lstsq(V, target, rcond=None)
-    sample_residual = target - V @ coeffs
     g = GROWTH_POINTS
     growth_residual = n * g ** (n + 1) - np.polynomial.polynomial.polyval(g, coeffs)
     growth_ratio = growth_residual / g ** (n + 1)
@@ -149,32 +146,9 @@ def polynomial_residual_growth(n: int, y_values) -> PolynomialGrowthResult:
     return PolynomialGrowthResult(
         degree=n,
         coeffs=coeffs,
-        sample_y=y,
-        sample_residual=sample_residual,
         growth_y=g,
         growth_residual=growth_residual,
         growth_ratio=growth_ratio,
         growth_slope=float(slope),
     )
 
-
-def _quadratic(y):
-    return y * y
-
-
-def _logistic_growth(y):
-    return y * (1.0 - y)
-
-
-def _van_der_pol(y):
-    y1, y2 = y[..., 0], y[..., 1]
-    return np.stack([y2, (1.0 - y1**2) * y2 - y1], axis=-1)
-
-
-def builtin_fields():
-    """The benchmark corpus: two scalar fields and a planar limit cycle."""
-    return [
-        VectorField("quadratic", 1, _quadratic),
-        VectorField("logistic-growth", 1, _logistic_growth),
-        VectorField("van-der-pol", 2, _van_der_pol),
-    ]

@@ -35,14 +35,13 @@ from .dictionary import (
     ConjLogistic,
     SillDictionary,
     _check_point,
+    _frozen,
     _gather,
     _product,
     _sigmoid_table,
     conj_values,
     dominates,
-    eval_conjunctive,
     join_completion,
-    join_params,
     stable_sigmoid,  # noqa: F401  (still importable as closure.stable_sigmoid)
 )
 from .errors import ClosureBoundError, IncomparableCentersError
@@ -77,13 +76,12 @@ class SpannedField:
     W: np.ndarray
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
+        W = _frozen(self.W)
         expected = (self.dictionary.m, self.dictionary.n_logistic)
         if W.shape != expected:
             raise ValueError(f"W must have shape {expected}, got {W.shape}")
         if not np.isfinite(W).all():
             raise ValueError("W contains non-finite weights")
-        W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
     def evaluate(self, y):
@@ -137,26 +135,29 @@ class DecayFit:
     intercept: float
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        errors = np.asarray(self.max_errors, dtype=float)
+        alphas, errors = _frozen(self.alphas), _frozen(self.max_errors)
         if alphas.shape != errors.shape or alphas.ndim != 1:
             raise ValueError("alphas and max_errors must be matching 1-D arrays")
         if not np.all(np.diff(alphas) > 0):
             raise ValueError("steepness scales must be strictly increasing")
         if not np.all(errors > 0):
             raise ValueError("max errors must be positive")
-        alphas.setflags(write=False)
-        errors.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "max_errors", errors)
 
 
 def product_approx_error(f: ConjLogistic, g: ConjLogistic, y):
-    """Lambda_f(y) Lambda_g(y) - Lambda_join(f,g)(y); lies in (-1, 1)."""
+    """Lambda_f(y) Lambda_g(y) - Lambda_join(f,g)(y); lies in (-1, 1).
+
+    One sigmoid table of the pair gives all three: the join's columns are
+    the pair's column max, as in lie_forms.
+    """
     if f.m != g.m:
         raise ValueError(f"dimension mismatch: {f.m} vs {g.m}")
-    joined = join_params(f, g)
-    return eval_conjunctive(y, f) * eval_conjunctive(y, g) - eval_conjunctive(y, joined)
+    pair = SillDictionary(f.m, (f, g))
+    table, (cf, cg) = _sigmoid_table(y, pair), pair.columns
+    out = _product(table, cf) * _product(table, cg) - _product(table, np.maximum(cf, cg))
+    return float(out) if out.ndim == 0 else out
 
 
 def hyperplane_distance(y, d: SillDictionary):
@@ -417,7 +418,9 @@ def closure_experiment(
     pts = _as_grid(grid, sf.dictionary.m)
     held = _as_grid(holdout_grid, sf.dictionary.m)
     scales = np.asarray(alpha_scales, dtype=float)
-    if scales.ndim != 1 or scales.size < 1 or not np.all(scales > 0):
+    if scales.size < 1:
+        raise ValueError("alpha_scales must not be empty")
+    if scales.ndim != 1 or not np.all(scales > 0):
         raise ValueError("alpha_scales must be positive")
     _check_steepness(sf.dictionary.alpha, scales)
     _check_clearance(held, sf.dictionary, delta)

@@ -79,6 +79,13 @@ def stable_sigmoid(z, out=None):
     return float(out) if out.ndim == 0 else out
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only float copy of x; an array passed in stays writable."""
+    out = np.array(x, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ConjLogistic:
     """A conjunctive logistic: the product of m scalar logistics.
@@ -92,8 +99,8 @@ class ConjLogistic:
     alpha: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        mu = np.atleast_1d(_frozen(self.mu))
+        alpha = np.atleast_1d(_frozen(self.alpha))
         if mu.ndim != 1 or alpha.ndim != 1:
             raise ValueError("mu and alpha must be 1-D vectors")
         if mu.shape != alpha.shape:
@@ -106,8 +113,6 @@ class ConjLogistic:
             raise ValueError("mu and alpha must be finite")
         if not (alpha > 0).all():
             raise ValueError("all steepness components must be strictly positive")
-        mu.setflags(write=False)
-        alpha.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "alpha", alpha)
 
@@ -124,9 +129,6 @@ class ConjLogistic:
         """Same centers, all steepnesses multiplied by s > 0."""
         return ConjLogistic(self.mu, s * self.alpha)
 
-    def key(self) -> tuple:
-        return (tuple(self.mu.tolist()), tuple(self.alpha.tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, ConjLogistic):
             return NotImplemented
@@ -135,7 +137,8 @@ class ConjLogistic:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        # hash(-0.0) == hash(0.0), as __eq__ compares the floats
+        return hash((tuple(self.mu.tolist()), tuple(self.alpha.tolist())))
 
 
 @dataclass(frozen=True, eq=False)

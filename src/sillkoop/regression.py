@@ -23,6 +23,7 @@ from .dictionary import (
     SillDictionary,
     _checked,
     _csv_text,
+    _frozen,
     _gradient,
     _json_object,
     _json_text,
@@ -82,8 +83,7 @@ class SnapshotSet:
     dt: float | None = None
 
     def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=float)
-        D = np.asarray(self.D, dtype=float)
+        Y, D = _frozen(self.Y), _frozen(self.D)
         if Y.ndim != 2 or D.ndim != 2:
             # a flat vector is ambiguous between one point and an m=1 batch
             raise ValueError("Y and D must be 2-D, one snapshot per row")
@@ -100,8 +100,6 @@ class SnapshotSet:
                 raise ValueError("DT snapshots require a positive finite dt")
         elif self.dt is not None:
             raise ValueError("dt is only meaningful for DT snapshots")
-        Y.setflags(write=False)
-        D.setflags(write=False)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "D", D)
 
@@ -124,7 +122,7 @@ class KoopmanModel:
     ridge: float = 0.0
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
+        K = _frozen(self.K)
         n = self.dictionary.size
         if K.shape != (n, n):
             raise ValueError(f"K must be {n}x{n}, got {K.shape}")
@@ -134,7 +132,6 @@ class KoopmanModel:
             raise ValueError(f"mode must be 'CT' or 'DT', got {self.mode!r}")
         if not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and non-negative, got {self.ridge}")
-        K.setflags(write=False)
         object.__setattr__(self, "K", K)
 
     def to_dict(self) -> dict:

@@ -67,9 +67,7 @@ from .errors import QuadratureError
 __all__ = [
     "MomentReport",
     "ErrorRateRow",
-    "triangular_pdf",
     "product_pdf",
-    "product_cdf",
     "product_pdf_normalization",
     "expected_logistic",
     "mc_conjunctive_table",
@@ -133,16 +131,6 @@ class ErrorRateRow:
     mc_bilinear: float
 
 
-def triangular_pdf(x, a: float):
-    """Density of Y - Z (equivalently Y + Z): 1/(2a) - |x|/(4a^2) on [-2a, 2a]."""
-    _check_radius(a)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    val = 1.0 / (2.0 * a) - np.abs(x) / (4.0 * a * a)
-    out = np.where(np.abs(x) <= 2.0 * a, val, 0.0)
-    return float(out) if scalar else out
-
-
 def product_pdf(z, a: float):
     """Density of X(Y - Z) on [-2a^2, 2a^2], zero outside.
 
@@ -171,17 +159,6 @@ def _mass_zero_to(u, a: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         mass = (u * np.log(hi / u) + u * u / (2.0 * hi)) / hi
     return np.where(u == 0.0, 0.0, mass)
-
-
-def product_cdf(z, a: float):
-    """Closed-form CDF of X(Y - Z); the density integrates exactly."""
-    _check_radius(a)
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    half = _mass_zero_to(np.clip(np.abs(z), 0.0, 2.0 * a * a), a)
-    out = np.where(z >= 0, 0.5 + half, 0.5 - half)
-    return float(out[0]) if scalar else out
 
 
 def _gauss_legendre(fn, t0: float, t1: float, panels: int) -> float:

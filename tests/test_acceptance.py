@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sillkoop.bench import builtin_fields, make_snapshots, polynomial_residual_growth
+from sillkoop.bench import make_snapshots, polynomial_residual_growth
 from sillkoop.cli import main as cli_main
 from sillkoop.closure import (
     SpannedField,
@@ -46,6 +46,8 @@ from sillkoop.stats import (
     mc_conjunctive_table,
     product_pdf_normalization,
 )
+
+from reference_fields import VAN_DER_POL
 
 
 def _criterion(num, name, ok, detail, elapsed, limit):
@@ -332,7 +334,7 @@ def test_criterion_9_gradient_checks():
 
 def _prepare_cli_workspace(root: Path):
     root.mkdir(parents=True, exist_ok=True)
-    field = builtin_fields()[2]
+    field = VAN_DER_POL
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, size=(40, 2))
     ct = make_snapshots(field, pts)

@@ -3,7 +3,6 @@ import pytest
 
 from sillkoop.bench import (
     VectorField,
-    builtin_fields,
     make_snapshots,
     polynomial_residual_growth,
     rk4_integrate,
@@ -12,6 +11,8 @@ from sillkoop.bench import (
 from sillkoop.closure import SpannedField
 from sillkoop.dictionary import ConjLogistic, SillDictionary, conj_values
 from sillkoop.regression import load_snapshots, save_snapshots
+
+from reference_fields import VAN_DER_POL
 
 
 def _zero_field():
@@ -91,7 +92,7 @@ def test_make_snapshots_exact_derivatives():
 
 def test_make_snapshots_rows_match_single_point_evals():
     rng = np.random.default_rng(3)
-    vdp = builtin_fields()[2]
+    vdp = VAN_DER_POL
     pts = rng.uniform(-3, 3, size=(500, 2))
     s = make_snapshots(vdp, pts)
     np.testing.assert_array_equal(s.D, np.stack([vdp.eval(p) for p in pts]))
@@ -113,7 +114,7 @@ def test_make_snapshots_rows_match_single_point_evals():
 
 
 def test_snapshots_roundtrip_through_csv(tmp_path):
-    F = builtin_fields()[2]
+    F = VAN_DER_POL
     rng = np.random.default_rng(1)
     pts = rng.uniform(-2, 2, size=(9, 2))
     s = make_snapshots(F, pts)
@@ -151,22 +152,14 @@ def test_polynomial_residual_growth_exponent():
 
 
 def test_polynomial_residual_at_zero_is_fitted_constant():
-    res = polynomial_residual_growth(2, np.linspace(-10, 10, 201))
+    y = np.linspace(-10, 10, 201)
+    res = polynomial_residual_growth(2, y)
     at_zero = 0.0 - res.coeffs[0]
-    idx = np.argmin(np.abs(res.sample_y))
-    assert res.sample_residual[idx] == pytest.approx(at_zero, abs=1e-8)
+    # the residual n y^(n+1) - p(y) on the samples, from the fitted coefficients
+    sample_residual = 2 * y**3 - np.vander(y, 3, increasing=True) @ res.coeffs
+    idx = np.argmin(np.abs(y))
+    assert sample_residual[idx] == pytest.approx(at_zero, abs=1e-8)
     assert np.isfinite(at_zero)
-
-
-def test_builtin_fields_corpus():
-    fields = builtin_fields()
-    assert len(fields) >= 3
-    quad = fields[0]
-    assert quad.eval(np.array([3.0]))[0] == pytest.approx(9.0)
-    logi = fields[1]
-    assert logi.eval(np.array([0.0]))[0] == pytest.approx(0.0)
-    assert logi.eval(np.array([1.0]))[0] == pytest.approx(0.0)
-    assert {f.m for f in fields} == {1, 2}
 
 
 def test_rk4_rejects_bad_step():

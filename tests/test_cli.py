@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from scipy.special import expit
 
 from sillkoop import cli, dictionary, stats
-from sillkoop.bench import builtin_fields, make_snapshots
+from sillkoop.bench import make_snapshots
 from sillkoop.cli import main
 from sillkoop.dictionary import ConjLogistic, SillDictionary, save_dictionary
 from sillkoop.errors import QuadratureError
@@ -23,6 +23,8 @@ from sillkoop.regression import (
     save_model,
     save_snapshots,
 )
+
+from reference_fields import VAN_DER_POL
 
 
 def _write_config(path, obj):
@@ -44,7 +46,7 @@ def _dictionary_file(tmp_path, name="dict.json"):
 
 
 def _ct_snapshot_files(tmp_path):
-    field = builtin_fields()[2]  # planar limit cycle
+    field = VAN_DER_POL
     rng = np.random.default_rng(0)
     pts = rng.uniform(-2, 2, size=(40, 2))
     snaps = make_snapshots(field, pts)
@@ -961,6 +963,11 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         # a steepness times a scale past the float range is refused up front
         pytest.param(
             "closure", ["alpha_scales"], [1, 1e308], 2, "float range", id="closure-scale-1e308"
+        ),
+        # an empty scale list is refused as empty, not as non-positive
+        pytest.param(
+            "closure", ["alpha_scales"], [], 2, "alpha_scales must not be empty",
+            id="closure-scales-empty",
         ),
         pytest.param(
             "closure", ["logistics", 0, "alpha"], [1e308, 7.4], 2, "float range",

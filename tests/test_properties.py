@@ -376,10 +376,10 @@ def _grid_dictionary(draw):
 def test_join_completion_is_a_closure(d):
     completed = join_completion(d)
     assert completed.logistics[: d.n_logistic] == d.logistics
-    members = {f.key() for f in completed.logistics}
+    members = set(completed.logistics)
     for f in completed.logistics:
         for g in completed.logistics:
-            assert join_params(f, g).key() in members
+            assert join_params(f, g) in members
     assert join_completion(completed).logistics == completed.logistics
 
 

@@ -17,15 +17,21 @@ from sillkoop.stats import (
     MAX_SAMPLES,
     MIN_RADIUS,
     _check_radius,
+    _mass_zero_to,
     expected_error_rates,
     expected_logistic,
     mc_conjunctive_table,
     moment_sweep,
-    product_cdf,
     product_pdf,
     product_pdf_normalization,
-    triangular_pdf,
 )
+
+
+def _product_cdf(z, a):
+    """CDF of X(Y - Z) on its support: 0.5 -/+ the closed-form mass on [0, |z|]."""
+    z = np.asarray(z, dtype=float)
+    half = _mass_zero_to(np.abs(z), a)
+    return np.where(z >= 0, 0.5 + half, 0.5 - half)
 
 
 def test_interval_spec_requires_positive_radius():
@@ -49,29 +55,6 @@ def test_interval_spec_range_keeps_every_intermediate_finite():
     for a in (np.nextafter(MIN_RADIUS, 0.0), np.nextafter(MAX_RADIUS, np.inf)):
         with pytest.raises(ValueError, match="interval radius"):
             _check_radius(a)
-
-
-@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
-def test_triangular_peak_and_support(a):
-    assert triangular_pdf(0.0, a) == pytest.approx(1.0 / (2.0 * a))
-    assert triangular_pdf(2.0 * a, a) == 0.0
-    assert triangular_pdf(-2.0 * a, a) == 0.0
-    assert triangular_pdf(2.0 * a + 0.1, a) == 0.0
-
-
-@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
-def test_triangular_normalizes(a):
-    total, err = quad(lambda x: triangular_pdf(x, a), -2 * a, 2 * a)
-    assert abs(total - 1.0) < 1e-10
-
-
-def test_triangular_matches_difference_histogram():
-    a = 1.5
-    rng = np.random.default_rng(0)
-    y, z = rng.uniform(-a, a, size=(2, 500_000))
-    hist, edges = np.histogram(y - z, bins=60, range=(-2 * a, 2 * a), density=True)
-    centers = (edges[:-1] + edges[1:]) / 2
-    assert np.abs(hist - triangular_pdf(centers, a)).max() < 0.01
 
 
 def test_product_pdf_support_endpoints():
@@ -103,9 +86,9 @@ def test_product_pdf_normalizes(a):
 
 def test_product_cdf_limits_and_median():
     a = 2.0
-    assert product_cdf(-2 * a * a, a) == pytest.approx(0.0, abs=1e-15)
-    assert product_cdf(2 * a * a, a) == pytest.approx(1.0, abs=1e-15)
-    assert product_cdf(0.0, a) == pytest.approx(0.5)
+    assert float(_product_cdf(-2 * a * a, a)) == pytest.approx(0.0, abs=1e-15)
+    assert float(_product_cdf(2 * a * a, a)) == pytest.approx(1.0, abs=1e-15)
+    assert float(_product_cdf(0.0, a)) == pytest.approx(0.5)
 
 
 def test_product_pdf_against_mc_cdf():
@@ -116,7 +99,7 @@ def test_product_pdf_against_mc_cdf():
     draws = np.sort(u[0] * (u[1] - u[2]))
     grid = np.linspace(-2 * a * a, 2 * a * a, 401)
     empirical = np.searchsorted(draws, grid) / draws.size
-    assert np.abs(empirical - product_cdf(grid, a)).max() < 5e-3
+    assert np.abs(empirical - _product_cdf(grid, a)).max() < 5e-3
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0, 4.0, 8.0])
@@ -469,13 +452,14 @@ def test_mc_estimators_match_reference_draw_layout(m, seed, samples):
 
 def test_product_pdf_matches_defining_convolution():
     # independent derivation: the density of X * (Y - Z) is the integral of
-    # triangular_pdf(x) * uniform_pdf(z / x) / |x| over x, which is supported
-    # on |x| >= |z| / a; compare the closed form against direct quadrature
+    # tri(x) * uniform_pdf(z / x) / |x| over x, which is supported on
+    # |x| >= |z| / a; tri(x) = 1/(2a) - |x|/(4a^2) on [-2a, 2a] is the density
+    # of Y - Z.  Compare the closed form against direct quadrature
     a = 1.7
     uniform_height = 1.0 / (2.0 * a)
     for z in (0.05, 0.3, 1.0, 2.0 * a * a * 0.9):
         lo = z / a
-        integrand = lambda x: triangular_pdf(x, a) * uniform_height / x
+        integrand = lambda x: (1.0 / (2.0 * a) - x / (4.0 * a * a)) * uniform_height / x
         pos, _ = quad(integrand, lo, 2.0 * a, limit=500)
         direct = 2.0 * pos  # the negative-x half contributes equally
         assert abs(direct - product_pdf(z, a)) < 1e-9
