@@ -134,14 +134,17 @@ def _fit_command(cfg, mode):
 
 
 def cmd_fit(cfg, seed):
+    """fit a CT generator from snapshot CSV + dictionary JSON"""
     return _fit_command(cfg, "CT")
 
 
 def cmd_edmd(cfg, seed):
+    """fit a DT operator from snapshot CSV + dictionary JSON"""
     return _fit_command(cfg, "DT")
 
 
 def cmd_predict(cfg, seed):
+    """step a fitted CT model with its exact propagator"""
     model = load_model(_need(cfg, "model", str, "model JSON path"))
     y0 = _need(cfg, "y0", [float], "initial measurement vector")
     horizon = _need(cfg, "horizon", float, "integration horizon")
@@ -168,6 +171,7 @@ def _spanned_field_from(cfg) -> SpannedField:
 
 
 def cmd_closure(cfg, seed):
+    """closure bounds and fitted residuals across steepness scales"""
     sf = _spanned_field_from(cfg)
     box, points, delta = _grid_spec(cfg)
     scales = _need(cfg, "alpha_scales", [float], "steepness scale factors")
@@ -185,6 +189,7 @@ def cmd_closure(cfg, seed):
 
 
 def cmd_theorem1(cfg, seed):
+    """steepness-decay sweep of the product-approximation error"""
     f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f", "config")
     g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g", "config")
     box, points, delta = _grid_spec(cfg)
@@ -211,6 +216,7 @@ def cmd_theorem1(cfg, seed):
 
 
 def cmd_stats(cfg, seed):
+    """logistic moment sweep, error-rate table, conjunctive bound"""
     a_values = _need(cfg, "a_values", [float], "interval radii for the moment sweep")
     samples = _need(cfg, "samples", int, "Monte Carlo sample count", 1, MAX_SAMPLES)
     m_values = _need(
@@ -250,6 +256,7 @@ def _csv_of(cls, reports):
 
 
 def cmd_example1(cfg, seed):
+    """polynomial non-closure growth table plus a bounded SILL fit"""
     degrees = _need(cfg, "degrees", [int], "polynomial dictionary degrees", 1)
     lo, hi = _interval(cfg, "fit_range", "sampling interval")
     fit_points = _need(cfg, "fit_points", int, "sample count over fit_range", most=MAX_GRID_ROWS)
@@ -286,6 +293,7 @@ def cmd_example1(cfg, seed):
 
 
 def cmd_complete_dictionary(cfg, seed):
+    """join-complete a dictionary and report its order"""
     d = load_dictionary(_need(cfg, "dictionary", str, "dictionary JSON path"))
     completed = join_completion(d)
     order = {}
@@ -310,20 +318,9 @@ _COMMANDS = {
     "complete-dictionary": cmd_complete_dictionary,
 }
 
-_DESCRIPTIONS = {
-    "fit": "fit a CT generator from snapshot CSV + dictionary JSON",
-    "edmd": "fit a DT operator from snapshot CSV + dictionary JSON",
-    "predict": "step a fitted CT model with its exact propagator",
-    "closure": "closure bounds and fitted residuals across steepness scales",
-    "theorem1": "steepness-decay sweep of the product-approximation error",
-    "stats": "logistic moment sweep, error-rate table, conjunctive bound",
-    "example1": "polynomial non-closure growth table plus a bounded SILL fit",
-    "complete-dictionary": "join-complete a dictionary and report its order",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
-    commands = "".join(f"\n  {name:<21}{text}" for name, text in _DESCRIPTIONS.items())
+    commands = "".join(f"\n  {name:<21}{cmd.__doc__}" for name, cmd in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="sillkoop",
         description="experiment runner for SILL Koopman models",

@@ -45,7 +45,7 @@ from .dictionary import (
     stable_sigmoid,  # noqa: F401  (still importable as closure.stable_sigmoid)
 )
 from .errors import ClosureBoundError, IncomparableCentersError
-from .regression import SnapshotSet, _ct_system, solve_koopman_ls
+from .regression import _ct_system, solve_koopman_ls
 
 __all__ = [
     "SpannedField",
@@ -107,22 +107,22 @@ class ClosureReport:
     bar_B2: float
     tilde_B1: float
     tilde_B2: float
-    B: float
     residual_max: float
     residual_mean: float
     alpha_scale: float
     m: int
 
     def __post_init__(self):
-        for name in ("bar_B1", "bar_B2", "tilde_B1", "tilde_B2", "B"):
+        for name in ("bar_B1", "bar_B2", "tilde_B1", "tilde_B2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        combined = min(self.bar_B1 + self.bar_B2, self.tilde_B1 + self.tilde_B2)
-        if not np.isclose(self.B, combined, rtol=1e-12, atol=0.0):
-            raise ValueError("B must equal min(bar_B1 + bar_B2, tilde_B1 + tilde_B2)")
+
+    @property
+    def B(self) -> float:
+        return min(self.bar_B1 + self.bar_B2, self.tilde_B1 + self.tilde_B2)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "B": self.B}
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,6 @@ def _bounds(sf: SpannedField, forms: LieForms, residuals, alpha_scale) -> Closur
     bar_B2 = nu_sum / 2.0 ** (d.m + 1)
     tilde_B1 = nu_sum / 2.0 ** (2 * d.m + 1)
     worst = int(np.argmax(np.abs(forms.exact - forms.linear).max(axis=0)))
-    b = min(bar_B1[worst] + bar_B2[worst], tilde_B1[worst] + tilde_B2[worst])
     res = np.abs(residuals)
     col = res[:, 1 + d.m : 1 + d.m + d.n_logistic].max(axis=0)
     limit = bar_B1 + bar_B2
@@ -351,7 +350,6 @@ def _bounds(sf: SpannedField, forms: LieForms, residuals, alpha_scale) -> Closur
         bar_B2=float(bar_B2[worst]),
         tilde_B1=float(tilde_B1[worst]),
         tilde_B2=float(tilde_B2[worst]),
-        B=float(b),
         residual_max=float(res.max()),
         residual_mean=float(res.max(axis=1).mean()),
         alpha_scale=float(alpha_scale),
@@ -443,8 +441,7 @@ def _batch(pts, completed: SillDictionary, sf: SpannedField):
     table = _sigmoid_table(pts, completed)
     values = _product(table, completed.columns)
     lam = np.ascontiguousarray(values[:, : sf.dictionary.n_logistic])
-    snaps = SnapshotSet(pts, lam @ sf.W.T, "CT")
-    return _ct_system(snaps, completed, table, values), table, values, lam
+    return _ct_system(pts, lam @ sf.W.T, completed, table, values), table, values, lam
 
 
 def _join_index(completed: SillDictionary, n: int) -> np.ndarray:

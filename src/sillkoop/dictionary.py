@@ -308,12 +308,11 @@ class OrderCheckResult:
     where neither function dominates the other.
     """
 
-    totally_ordered: bool
     incomparable_pairs: tuple
 
-    def __post_init__(self):
-        if self.totally_ordered != (len(self.incomparable_pairs) == 0):
-            raise ValueError("totally_ordered must match incomparable_pairs")
+    @property
+    def totally_ordered(self) -> bool:
+        return not self.incomparable_pairs
 
 
 def _check_point(y, m: int) -> np.ndarray:
@@ -434,7 +433,7 @@ def check_total_order(d: SillDictionary) -> OrderCheckResult:
     dom = (d.mu[None] - d.mu[:, None] >= 0.0).all(-1)
     pairs = np.argwhere(np.triu(~dom & ~dom.T, 1))
     bad = tuple((int(a), int(b)) for a, b in pairs)
-    return OrderCheckResult(totally_ordered=not bad, incomparable_pairs=bad)
+    return OrderCheckResult(bad)
 
 
 def join_params(f: ConjLogistic, g: ConjLogistic) -> ConjLogistic:

@@ -180,13 +180,13 @@ def _system(s: SnapshotSet, d: SillDictionary):
     if s.mode == DT:
         return lift(s.Y, d), lift(s.D, d)
     table = _sigmoid_table(s.Y, d)
-    return _ct_system(s, d, table, _product(table, d.columns))
+    return _ct_system(s.Y, s.D, d, table, _product(table, d.columns))
 
 
-def _ct_system(s: SnapshotSet, d: SillDictionary, table, values):
-    """_system's CT pair from d's sigmoid table at s.Y and its (r, N_L) values there."""
+def _ct_system(Y, D, d: SillDictionary, table, values):
+    """_system's CT pair at (Y, D = dy/dt) from d's sigmoid table at Y and its (r, N_L) values there."""
     grads = _gradient(table, d, values)  # (r, N_L, m)
-    return _lifted(1.0, s.Y, values), _lifted(0.0, s.D, np.einsum("rkm,rm->rk", grads, s.D))
+    return _lifted(1.0, Y, values), _lifted(0.0, D, np.einsum("rkm,rm->rk", grads, D))
 
 
 def solve_koopman_ls(G, A, ridge: float):

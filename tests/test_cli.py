@@ -1144,8 +1144,8 @@ def test_help_names_every_command(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name, text in cli._DESCRIPTIONS.items():
-        assert f"  {name} " in out and text in out
+    for name, cmd in cli._COMMANDS.items():
+        assert f"  {name} " in out and cmd.__doc__ in out
 
 
 @pytest.mark.parametrize(

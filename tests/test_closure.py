@@ -452,9 +452,9 @@ def test_half_cell_shift_checks_the_count_before_dividing_by_it():
 
 def test_closure_report_invariant():
     with pytest.raises(ValueError):
-        ClosureReport(1.0, 1.0, 1.0, 1.0, 5.0, 0.0, 0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        ClosureReport(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 2)
+        ClosureReport(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 2)
+    rep = ClosureReport(1.0, 2.0, 0.5, 1.0, 0.0, 0.0, 1.0, 2)
+    assert rep.B == 1.5 and rep.to_dict()["B"] == 1.5
 
 
 def test_decay_fit_validation():
