@@ -94,11 +94,11 @@ def _grid_spec(cfg: dict):
 
 
 def _lo_hi(bounds: list, key: str):
-    """bounds as [lo, hi] whose width hi - lo is a finite number."""
+    """bounds as [lo, hi] with lo < hi and a finite width hi - lo (NaN is refused)."""
     if len(bounds) != 2:
         raise ValueError(f"config key '{key}' must be [lo, hi], got {len(bounds)} entries")
-    if not math.isfinite(bounds[1] - bounds[0]):
-        raise ValueError(f"config key '{key}' must have a finite width hi - lo, got {bounds}")
+    if not (bounds[0] < bounds[1] and math.isfinite(bounds[1] - bounds[0])):
+        raise ValueError(f"config key '{key}' needs lo < hi and a finite width, got {bounds}")
     return bounds
 
 

@@ -369,14 +369,19 @@ def lattice_grid(box, points_per_dim: int) -> np.ndarray:
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.ndim != 2 or box.shape[1] != 2:
         raise ValueError("box must be a list of (lo, hi) pairs")
-    if points_per_dim < 2:
+    p = points_per_dim
+    # an integral float counts, as m = 2.0 does for SillDictionary; inf % 1 is nan
+    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer)) or p % 1:
+        raise ValueError(f"points_per_dim must be a whole number, got {p!r}")
+    p = int(p)
+    if p < 2:
         raise ValueError("need at least two points per dimension")
     if not np.all(box[:, 1] > box[:, 0]):
         raise ValueError("box bounds must satisfy lo < hi")
-    rows = int(points_per_dim) ** box.shape[0]
+    rows = p ** box.shape[0]
     if rows > MAX_GRID_ROWS:
         raise ValueError(f"a {rows}-point lattice is above the limit of {MAX_GRID_ROWS}")
-    axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in box]
+    axes = [np.linspace(lo, hi, p) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
 

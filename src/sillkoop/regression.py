@@ -184,7 +184,7 @@ def _system(s: SnapshotSet, d: SillDictionary):
 
 
 def _ct_system(Y, D, d: SillDictionary, table, values):
-    """_system's CT pair at (Y, D = dy/dt) from d's sigmoid table at Y and its (r, N_L) values there."""
+    """_system's CT pair of Y and D = dy/dt from d's sigmoid table and (r, N_L) values at Y."""
     grads = _gradient(table, d, values)  # (r, N_L, m)
     return _lifted(1.0, Y, values), _lifted(0.0, D, np.einsum("rkm,rm->rk", grads, D))
 
@@ -292,7 +292,7 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
         raise ValueError(f"horizon / dt = {n} is not a finite step count")
     steps = int(round(n))
     if steps > MAX_STEPS:
-        raise ValueError(f"horizon / dt = {steps} steps exceeds the limit of {MAX_STEPS}")
+        raise ValueError(f"horizon / dt = {steps:.6g} steps exceeds the limit of {MAX_STEPS}")
 
     d = model.dictionary
     z = lift(y0, d)

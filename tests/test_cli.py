@@ -362,6 +362,22 @@ def test_predict_past_step_limit_exits_2(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_predict_past_step_limit_prints_the_count_short(tmp_path, capsys):
+    # horizon 2 at dt 1e-300 is a 301-digit step count
+    d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
+    model_path = tmp_path / "model.json"
+    save_model(KoopmanModel(np.zeros((3, 3)), d, "CT"), model_path)
+    cfg = _write_config(
+        tmp_path / "predict.json",
+        {"model": str(model_path), "y0": [1.0], "horizon": 2.0, "dt": 1e-300},
+    )
+    assert _run(["predict", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"sillkoop: bad-input: horizon / dt = 2e+300 steps exceeds the limit of {MAX_STEPS}\n"
+    )
+
+
 def test_predict_non_finite_y0_exits_2(tmp_path, capsys):
     d = SillDictionary(1, (ConjLogistic([50.0], [1.0]),))
     model_path = tmp_path / "model.json"
@@ -914,7 +930,7 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         pytest.param("stats", ["a_values"], [1e150], 2, "interval radius", id="stats-radius-1e150"),
         pytest.param("stats", ["a_values"], [1e200], 2, "interval radius", id="stats-radius-1e200"),
         pytest.param("stats", ["rate_a"], 1e200, 2, "interval radius", id="stats-rate-a-1e200"),
-        # an interval or lattice box needs a finite width hi - lo
+        # an interval or lattice box needs lo < hi and a finite width hi - lo
         pytest.param(
             "example1", ["fit_range"], [0.0, float("inf")], 2, "finite width",
             id="example1-infinite-fit-range",
@@ -922,6 +938,13 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         pytest.param(
             "closure", ["grid", "box", 0], [-2.0, float("inf")], 2, "finite width",
             id="closure-infinite-box",
+        ),
+        # an empty or reversed interval is refused, as a lattice box's always was
+        pytest.param(
+            "example1", ["fit_range"], [1.0, 1.0], 2, "lo < hi", id="example1-empty-fit-range"
+        ),
+        pytest.param(
+            "example1", ["sill", "box"], [2.0, -2.0], 2, "lo < hi", id="example1-reversed-box"
         ),
         pytest.param(
             "theorem1", ["grid", "delta"], float("nan"), 2, "grid delta", id="theorem1-nan-delta"

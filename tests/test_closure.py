@@ -483,6 +483,24 @@ def test_lattice_grid_validation():
         lattice_grid([(0.0, 1.0)], 1)
 
 
+def test_lattice_grid_takes_an_integral_float_count():
+    # as SillDictionary takes m = 2.0; np.linspace refused the float
+    box = [(-1.0, 1.0), (0.0, 2.0)]
+    assert np.array_equal(lattice_grid(box, 9.0), lattice_grid(box, 9))
+    assert np.array_equal(half_cell_shift(box, 9.0), half_cell_shift(box, 9))
+
+
+@pytest.mark.parametrize("count", [9.5, "9", True, float("nan")], ids=repr)
+@pytest.mark.parametrize("make", [lattice_grid, half_cell_shift], ids=lambda f: f.__name__)
+def test_lattice_grid_refuses_a_count_that_is_not_a_whole_number(monkeypatch, make, count):
+    def allocated(*args, **kwargs):
+        raise AssertionError("lattice allocated before its count was checked")
+
+    monkeypatch.setattr(np, "linspace", allocated)
+    with pytest.raises(ValueError, match="whole number"):
+        make([(-1.0, 1.0)], count)
+
+
 def test_lattice_grid_caps_rows_before_allocating(monkeypatch):
     def allocated(*args, **kwargs):
         raise AssertionError("lattice allocated before its size was checked")
