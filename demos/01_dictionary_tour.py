@@ -52,9 +52,9 @@ fd = (lift(y + [h, 0], d) - lift(y - [h, 0], d)) / (2 * h)
 print("max |Jacobian - finite difference| in column 0:", np.abs(J[:, 0] - fd).max())
 
 # the two centers are incomparable: neither dominates componentwise
-order = check_total_order(d)
-print("\ntotally ordered:", order.totally_ordered)
-print("incomparable pairs:", order.incomparable_pairs)
+pairs = check_total_order(d)
+print("\ntotally ordered:", not pairs)
+print("incomparable pairs:", pairs)
 
 j = join_params(d.logistics[0], d.logistics[1])
 print("componentwise-max join: mu =", j.mu, " alpha =", j.alpha)

@@ -45,9 +45,3 @@ for s, e in zip(fit.alphas, fit.max_errors):
 print(f"\nfitted log-error slope per unit scale: {fit.slope:.4f} (negative = decay)")
 print(f"error at scale 16 is {fit.max_errors[-1] / fit.max_errors[0]:.2e} "
       "of the scale-1 error")
-
-with open("decay_demo.csv", "w") as fh:
-    fh.write("scale,max_error\n")
-    for s, e in zip(fit.alphas, fit.max_errors):
-        fh.write(f"{s},{e!r}\n")
-print("\nwrote decay_demo.csv (scale,max_error) for plotting")

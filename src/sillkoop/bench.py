@@ -1,6 +1,7 @@
 """Closed-form vector fields, RK4 trajectories and exact-derivative snapshots.
 
-A VectorField wraps a closed-form field; spanned_field wraps a
+A vector field is any callable fn(y) that maps a (..., m) batch of
+points to the field there, same shape; spanned_field gives a
 dictionary-spanned one.  Snapshots pair measurements with derivatives
 computed analytically from the field, never differenced from
 trajectories, so regression targets are exact to machine precision.  The
@@ -20,7 +21,6 @@ from .closure import SpannedField
 from .regression import SnapshotSet, Trajectory
 
 __all__ = [
-    "VectorField",
     "PolynomialGrowthResult",
     "rk4_integrate",
     "spanned_field",
@@ -33,29 +33,7 @@ GROWTH_POINTS = np.logspace(2, 4, 9)
 GROWTH_POINTS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """A closed-form field dy/dt = fn(y) on R^m.
-
-    fn takes a point (m,) or a batch (..., m) and returns the field at
-    every point in an array of the same shape.
-    """
-
-    name: str
-    m: int
-    fn: callable
-
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.asarray(self.fn(y), dtype=float)
-        if y.shape[-1:] != (self.m,) or out.shape != y.shape:
-            raise ValueError(
-                f"{self.name}: field returned shape {out.shape} for points of shape {y.shape}"
-            )
-        return out
-
-
-def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
+def rk4_integrate(fn, y0, dt: float, steps: int) -> Trajectory:
     """Classical fourth-order Runge-Kutta at fixed dt; row 0 is y0.
 
     A non-finite state truncates the trajectory and sets the divergence
@@ -71,10 +49,10 @@ def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
     y[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
-            k1 = F.fn(x)
-            k2 = F.fn(x + 0.5 * dt * k1)
-            k3 = F.fn(x + 0.5 * dt * k2)
-            k4 = F.fn(x + dt * k3)
+            k1 = fn(x)
+            k2 = fn(x + 0.5 * dt * k1)
+            k3 = fn(x + 0.5 * dt * k2)
+            k4 = fn(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x).all():
                 return Trajectory(y[:i], True)
@@ -82,23 +60,22 @@ def rk4_integrate(F: VectorField, y0, dt: float, steps: int) -> Trajectory:
     return Trajectory(y, False)
 
 
-def spanned_field(sf: SpannedField) -> VectorField:
-    """Wrap a dictionary-spanned field as a benchmark VectorField.
+def spanned_field(sf: SpannedField):
+    """The dictionary-spanned field as a callable: sf.evaluate.
 
-    The field is sf.evaluate, bounded by the row sums of |W|.
+    It is bounded by the row sums of |W|.
     """
-    return VectorField("spanned-logistic", sf.dictionary.m, sf.evaluate)
+    return sf.evaluate
 
 
-def make_snapshots(F: VectorField, points) -> SnapshotSet:
-    """CT snapshots with derivatives evaluated exactly from the field.
+def make_snapshots(fn, points) -> SnapshotSet:
+    """CT snapshots with derivatives evaluated exactly from the field fn.
 
-    The field is called once, on the whole (P, m) batch of points.
+    fn is called once, on the whole (P, m) batch of points; SnapshotSet
+    refuses a result that is not of the batch's shape.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != F.m:
-        raise ValueError(f"points must have {F.m} columns, got {pts.shape}")
-    return SnapshotSet(pts, F.eval(pts), "CT")
+    return SnapshotSet(pts, fn(pts), "CT")
 
 
 @dataclass(frozen=True)
@@ -106,13 +83,11 @@ class PolynomialGrowthResult:
     """Least-squares residual of d(y^n)/dt over a monomial dictionary.
 
     coeffs are the fitted monomial coefficients; growth arrays evaluate
-    the residual n y^(n+1) - p(y) at large y, where its log-log slope
-    approaches n + 1 and residual / y^(n+1) approaches n.
+    the residual n y^(n+1) - p(y) at GROWTH_POINTS, where its log-log
+    slope approaches n + 1 and residual / y^(n+1) approaches n.
     """
 
-    degree: int
     coeffs: np.ndarray
-    growth_y: np.ndarray
     growth_residual: np.ndarray
     growth_ratio: np.ndarray
     growth_slope: float
@@ -143,12 +118,5 @@ def polynomial_residual_growth(n: int, y_values) -> PolynomialGrowthResult:
     growth_residual = n * g ** (n + 1) - np.polynomial.polynomial.polyval(g, coeffs)
     growth_ratio = growth_residual / g ** (n + 1)
     slope = np.polyfit(np.log(g), np.log(np.abs(growth_residual)), 1)[0]
-    return PolynomialGrowthResult(
-        degree=n,
-        coeffs=coeffs,
-        growth_y=g,
-        growth_residual=growth_residual,
-        growth_ratio=growth_ratio,
-        growth_slope=float(slope),
-    )
+    return PolynomialGrowthResult(coeffs, growth_residual, growth_ratio, float(slope))
 

@@ -30,7 +30,7 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from . import __version__
-from .bench import polynomial_residual_growth
+from .bench import GROWTH_POINTS, polynomial_residual_growth
 from .closure import (
     MAX_GRID_ROWS,
     SpannedField,
@@ -273,7 +273,7 @@ def cmd_example1(cfg, seed):
     for n in degrees:
         res = polynomial_residual_growth(n, y)
         slopes[str(n)] = res.growth_slope
-        for gy, gr, ratio in zip(res.growth_y, res.growth_residual, res.growth_ratio):
+        for gy, gr, ratio in zip(GROWTH_POINTS, res.growth_residual, res.growth_ratio):
             rows.append([n, float(gy), float(gr), float(ratio)])
     grid = np.linspace(box[0], box[1], points)[:, None]
     # a bound whose square is past the float range gives inf, which
@@ -298,10 +298,10 @@ def cmd_complete_dictionary(cfg, seed):
     completed = join_completion(d)
     order = {}
     for key, dic in (("before", d), ("after", completed)):
-        check = check_total_order(dic)
+        pairs = check_total_order(dic)
         order[key] = {
-            "totally_ordered": check.totally_ordered,
-            "incomparable_pairs": [list(p) for p in check.incomparable_pairs],
+            "totally_ordered": not pairs,
+            "incomparable_pairs": [list(p) for p in pairs],
             "n_logistic": dic.n_logistic,
         }
     return {"dictionary_completed.json": completed.to_dict(), "order_check.json": order}

@@ -80,8 +80,11 @@ class SpannedField:
         expected = (self.dictionary.m, self.dictionary.n_logistic)
         if W.shape != expected:
             raise ValueError(f"W must have shape {expected}, got {W.shape}")
-        if not np.isfinite(W).all():
-            raise ValueError("W contains non-finite weights")
+        # |field_i| <= sum_j |W_ij|, so finite row sums keep evaluate finite
+        with np.errstate(over="ignore"):
+            bound = np.abs(W).sum(axis=1)
+        if not np.isfinite(bound).all():
+            raise ValueError("W has a weight or an absolute row sum that is not finite")
         object.__setattr__(self, "W", W)
 
     def evaluate(self, y):
@@ -378,9 +381,13 @@ def lattice_grid(box, points_per_dim: int) -> np.ndarray:
         raise ValueError("need at least two points per dimension")
     if not np.all(box[:, 1] > box[:, 0]):
         raise ValueError("box bounds must satisfy lo < hi")
-    rows = p ** box.shape[0]
-    if rows > MAX_GRID_ROWS:
-        raise ValueError(f"a {rows}-point lattice is above the limit of {MAX_GRID_ROWS}")
+    # decided without forming p^m in full: p >= 2 and 2^bit_length is above
+    # the limit, so no more factors than bit_length are needed
+    m = box.shape[0]
+    if p > MAX_GRID_ROWS or p ** min(m, MAX_GRID_ROWS.bit_length()) > MAX_GRID_ROWS:
+        raise ValueError(
+            f"a lattice of points_per_dim^{m} points is above the limit of {MAX_GRID_ROWS}"
+        )
     axes = [np.linspace(lo, hi, p) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
@@ -438,7 +445,10 @@ def _scale_report(sf: SpannedField, s, pts, held, ridge) -> ClosureReport:
     R = A - G @ K.T
     joins = np.take(values, _join_index(completed, sf.dictionary.n_logistic), axis=-1)
     del G, A, values  # the forms need only the table, lam and the joins
-    return _bounds(sf, _lie_forms(sf, table, lam, joins), R, s)
+    # alpha times W may overflow on a finite field; the report that holds
+    # the inf or nan is refused when it is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _bounds(sf, _lie_forms(sf, table, lam, joins), R, s)
 
 
 def _batch(pts, completed: SillDictionary, sf: SpannedField):

@@ -38,7 +38,6 @@ import numpy as np
 __all__ = [
     "ConjLogistic",
     "SillDictionary",
-    "OrderCheckResult",
     "stable_sigmoid",
     "eval_conjunctive",
     "conj_values",
@@ -300,21 +299,6 @@ def _logistic_from(obj, label: str, source: str) -> ConjLogistic:
     return ConjLogistic(mu, alpha)
 
 
-@dataclass(frozen=True)
-class OrderCheckResult:
-    """Outcome of the pairwise dominance scan over a dictionary.
-
-    incomparable_pairs holds 0-based (l, j) logistic index pairs, l < j,
-    where neither function dominates the other.
-    """
-
-    incomparable_pairs: tuple
-
-    @property
-    def totally_ordered(self) -> bool:
-        return not self.incomparable_pairs
-
-
 def _check_point(y, m: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim < 1 or y.shape[-1] != m:
@@ -427,13 +411,15 @@ def dominates(f: ConjLogistic, g: ConjLogistic) -> bool:
     return bool(np.all(g.mu - f.mu >= 0.0))
 
 
-def check_total_order(d: SillDictionary) -> OrderCheckResult:
-    """List every logistic pair where neither function dominates."""
+def check_total_order(d: SillDictionary) -> tuple:
+    """Every logistic pair where neither function dominates the other.
+
+    A tuple of 0-based (l, j) index pairs of ints, l < j, in row-major
+    order; it is empty exactly when d is totally ordered.
+    """
     # dom[a, b] is dominates(a, b) for all pairs at once
     dom = (d.mu[None] - d.mu[:, None] >= 0.0).all(-1)
-    pairs = np.argwhere(np.triu(~dom & ~dom.T, 1))
-    bad = tuple((int(a), int(b)) for a, b in pairs)
-    return OrderCheckResult(bad)
+    return tuple((int(a), int(b)) for a, b in np.argwhere(np.triu(~dom & ~dom.T, 1)))
 
 
 def join_params(f: ConjLogistic, g: ConjLogistic) -> ConjLogistic:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sillkoop.bench import (
-    VectorField,
     make_snapshots,
     polynomial_residual_growth,
     rk4_integrate,
@@ -15,42 +14,39 @@ from sillkoop.regression import load_snapshots, save_snapshots
 from reference_fields import VAN_DER_POL
 
 
-def _zero_field():
-    return VectorField("zero", 2, lambda y: np.zeros(2))
+def _zero_field(y):
+    return np.zeros(2)
 
 
 def test_rk4_zero_field_constant():
-    traj = rk4_integrate(_zero_field(), [0.3, -0.4], dt=0.1, steps=10)
+    traj = rk4_integrate(_zero_field, [0.3, -0.4], dt=0.1, steps=10)
     assert not traj.diverged
     np.testing.assert_array_equal(traj.y, np.tile([0.3, -0.4], (11, 1)))
 
 
 def test_rk4_exponential_decay():
-    F = VectorField("decay", 1, lambda y: -y)
-    traj = rk4_integrate(F, [1.0], dt=1e-3, steps=1000)
+    traj = rk4_integrate(lambda y: -y, [1.0], dt=1e-3, steps=1000)
     assert abs(traj.y[-1, 0] - np.exp(-1.0)) < 1e-9
 
 
 def test_rk4_zero_steps():
-    traj = rk4_integrate(_zero_field(), [0.1, 0.2], dt=0.1, steps=0)
+    traj = rk4_integrate(_zero_field, [0.1, 0.2], dt=0.1, steps=0)
     assert traj.y.shape == (1, 2)
 
 
 def test_rk4_fourth_order_convergence():
     # halving dt shrinks the endpoint error about sixteenfold
-    F = VectorField("decay", 1, lambda y: -y)
     errs = []
     for dt in (2e-2, 1e-2):
         steps = int(round(1.0 / dt))
-        traj = rk4_integrate(F, [1.0], dt=dt, steps=steps)
+        traj = rk4_integrate(lambda y: -y, [1.0], dt=dt, steps=steps)
         errs.append(abs(traj.y[-1, 0] - np.exp(-1.0)))
     ratio = errs[0] / errs[1]
     assert 12.0 <= ratio <= 20.0
 
 
 def test_rk4_flags_divergence():
-    F = VectorField("blowup", 1, lambda y: y * y)
-    traj = rk4_integrate(F, [1.0], dt=0.5, steps=100)
+    traj = rk4_integrate(lambda y: y * y, [1.0], dt=0.5, steps=100)
     assert traj.diverged
     assert np.isfinite(traj.y).all()
 
@@ -60,31 +56,29 @@ def test_spanned_field_wraps_evaluate():
     sf = SpannedField(d, np.array([[1.0], [0.5]]))
     F = spanned_field(sf)
     y = np.array([0.2, 0.8])
-    np.testing.assert_allclose(F.eval(y), sf.evaluate(y), rtol=1e-15)
-    assert F.m == 2
+    np.testing.assert_allclose(F(y), sf.evaluate(y), rtol=1e-15)
 
 
 def test_spanned_field_zero_weights():
     d = SillDictionary(1, (ConjLogistic([0.0], [2.0]),))
     F = spanned_field(SpannedField(d, np.zeros((1, 1))))
-    assert F.eval([0.3]) == pytest.approx(0.0)
+    assert F([0.3]) == pytest.approx(0.0)
 
 
 def test_spanned_field_center_value_and_bound():
     d = SillDictionary(1, (ConjLogistic([0.4], [3.0]),))
     sf = SpannedField(d, np.array([[1.0]]))
     F = spanned_field(sf)
-    assert F.eval([0.4])[0] == pytest.approx(0.5)
+    assert F([0.4])[0] == pytest.approx(0.5)
     rng = np.random.default_rng(0)
     for _ in range(50):
         y = rng.uniform(-5, 5, 1)
-        assert abs(F.eval(y)[0]) < 1.0  # bounded by sum |w|
+        assert abs(F(y)[0]) < 1.0  # bounded by sum |w|
 
 
 def test_make_snapshots_exact_derivatives():
-    F = VectorField("cubic", 1, lambda y: y**3)
     pts = np.linspace(-1, 1, 7)[:, None]
-    s = make_snapshots(F, pts)
+    s = make_snapshots(lambda y: y**3, pts)
     assert s.mode == "CT"
     assert s.r == 7
     np.testing.assert_array_equal(s.D, pts**3)
@@ -95,7 +89,7 @@ def test_make_snapshots_rows_match_single_point_evals():
     vdp = VAN_DER_POL
     pts = rng.uniform(-3, 3, size=(500, 2))
     s = make_snapshots(vdp, pts)
-    np.testing.assert_array_equal(s.D, np.stack([vdp.eval(p) for p in pts]))
+    np.testing.assert_array_equal(s.D, np.stack([vdp(p) for p in pts]))
     d = SillDictionary(
         2, tuple(ConjLogistic(rng.uniform(-2, 2, 2), rng.uniform(1, 6, 2)) for _ in range(12))
     )
@@ -105,12 +99,10 @@ def test_make_snapshots_rows_match_single_point_evals():
     # the batch matmul may sum in another order: 1e-15 relative to the
     # magnitude of the summands, since the sum itself can cancel
     magnitude = conj_values(pts, d) @ np.abs(W).T
-    assert (np.abs(s.D - np.stack([F.eval(p) for p in pts])) <= 1e-15 * magnitude).all()
+    assert (np.abs(s.D - np.stack([F(p) for p in pts])) <= 1e-15 * magnitude).all()
     # a field that ignores the batch axis is caught, not broadcast
-    with pytest.raises(ValueError, match="returned shape"):
-        make_snapshots(_zero_field(), pts)
-    with pytest.raises(ValueError, match="returned shape"):
-        _zero_field().eval(pts)
+    with pytest.raises(ValueError, match="must be 2-D"):
+        make_snapshots(_zero_field, pts)
 
 
 def test_snapshots_roundtrip_through_csv(tmp_path):
@@ -163,8 +155,7 @@ def test_polynomial_residual_at_zero_is_fitted_constant():
 
 
 def test_rk4_rejects_bad_step():
-    F = VectorField("decay", 1, lambda y: -y)
     with pytest.raises(ValueError):
-        rk4_integrate(F, [1.0], dt=0.0, steps=5)
+        rk4_integrate(lambda y: -y, [1.0], dt=0.0, steps=5)
     with pytest.raises(ValueError):
-        rk4_integrate(F, [1.0], dt=0.1, steps=-1)
+        rk4_integrate(lambda y: -y, [1.0], dt=0.1, steps=-1)

@@ -1004,6 +1004,25 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
         ),
         # finite inputs whose least-squares solution overflows
         pytest.param("closure", ["W", 0, 0], 1e308, 3, "overflows", id="closure-W-1e308"),
+        # finite weights whose absolute row sum, the field's bound, is not
+        pytest.param(
+            "closure", ["W", 0], [1e308, 1e308, 1e308], 2, "row sum", id="closure-W-row-sum"
+        ),
+        # a finite field whose steepness-weighted forms and bounds overflow
+        pytest.param("closure", ["W", 0], [5e307, 0.0, 0.0], 3, "not finite", id="closure-W-5e307"),
+        # a lattice count too large to print is refused in a short line
+        pytest.param(
+            "closure", ["grid", "points_per_dim"], 10**400, 2, "above the limit",
+            id="closure-points-10^400",
+        ),
+        pytest.param(
+            "closure", ["grid", "box"], [[-2.8, 2.8]] * 3000, 2, "above the limit",
+            id="closure-box-3000-rows",
+        ),
+        pytest.param(
+            "theorem1", ["grid", "points_per_dim"], 10**400, 2, "above the limit",
+            id="theorem1-points-10^400",
+        ),
         # a sample count above the grid limit is refused before np.linspace
         pytest.param(
             "example1", ["fit_points"], 1_000_001, 2, "at most", id="example1-fit-points-1000001"
@@ -1015,8 +1034,8 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
     ],
 )
 def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, value, code, word):
-    # one stderr line and no artifact on failure, a silent run on success;
-    # a leaked RuntimeWarning fails the test through pytest's filter
+    # one short stderr line and no artifact on failure, a silent run on
+    # success; a leaked RuntimeWarning fails the test through pytest's filter
     out = tmp_path / "o"
     bad = _mutated_config(tmp_path, command, path, value)
     assert _run([command, "--config", bad, "--out", out]) == code
@@ -1027,7 +1046,7 @@ def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, va
     else:
         kind = "numerical" if code == 3 else "bad-input"
         assert err.startswith(f"sillkoop: {kind}: ") and err.count("\n") == 1
-        assert word in err
+        assert word in err and len(err.encode()) < 200
         assert not list(out.iterdir())
 
 

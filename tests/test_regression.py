@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sillkoop.bench import VectorField, rk4_integrate
+from sillkoop.bench import rk4_integrate
 from sillkoop.dictionary import ConjLogistic, SillDictionary, lift
 from sillkoop.regression import (
     _BLOCK,
@@ -233,8 +233,7 @@ def test_predict_matches_rk4_on_the_lifted_field():
     d = _dictionary(seed=30)
     model = fit_generator(_ct_snapshots(d, seed=31), d, ridge=1e-8)
     K, y0 = model.K, np.array([0.4, -0.9])
-    lifted = VectorField("lifted", d.size, lambda z: K @ z)
-    ref = rk4_integrate(lifted, lift(y0, d), dt=1e-3, steps=1000)
+    ref = rk4_integrate(lambda z: K @ z, lift(y0, d), dt=1e-3, steps=1000)
     traj = predict_ct(model, y0, horizon=1.0, dt=1e-3)
     assert not traj.diverged and not ref.diverged
     np.testing.assert_allclose(traj.y, ref.y[:, 1 : 1 + d.m], rtol=0, atol=1e-9)
