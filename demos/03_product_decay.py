@@ -36,12 +36,12 @@ grid = np.asarray(pts)
 print(f"grid: {grid.shape[0]} points, clearance >= 0.5")
 
 scales = [1, 2, 4, 8, 16]
-fit = product_approx_decay(f, g, grid, scales)
+errors, slope, _ = product_approx_decay(f, g, grid, scales)
 
 print("\n scale   max |Lambda_f Lambda_g - Lambda_join|")
-for s, e in zip(fit.alphas, fit.max_errors):
+for s, e in zip(scales, errors):
     bar = "#" * max(1, int(60 + 2.5 * np.log10(e)))
     print(f"  {s:4.0f}   {e:.6e}  {bar}")
-print(f"\nfitted log-error slope per unit scale: {fit.slope:.4f} (negative = decay)")
-print(f"error at scale 16 is {fit.max_errors[-1] / fit.max_errors[0]:.2e} "
+print(f"\nfitted log-error slope per unit scale: {slope:.4f} (negative = decay)")
+print(f"error at scale 16 is {errors[-1] / errors[0]:.2e} "
       "of the scale-1 error")

@@ -2,12 +2,15 @@
 
 Every command reads a JSON config (validated before any computation runs)
 and computes all of its artifacts before anything is written.  main then
-writes them into the output directory, each atomically (temp file +
-rename), and run_manifest.json last: the command, the config and its hash,
-the seed, the files written and library versions.  A failed run writes no
-file.  JSON artifacts hold no NaN or Infinity and no file has a timestamp,
-so a rerun with the same config and seed reproduces every file byte for
-byte.
+writes each into a temp file in the output directory and only then
+renames them over their names in order, run_manifest.json last: the
+command, the config and its hash, the seed, the files written and library
+versions.  A run that fails before the renames leaves no file; a failure
+while renaming (for example, a directory already holds an artifact's
+name) can leave the files renamed before it, but never a new
+run_manifest.json.  JSON artifacts hold no NaN or Infinity and no file
+has a timestamp, so a rerun with the same config and seed reproduces
+every file byte for byte.
 
 Exit codes: 0 success, 2 bad input (bad usage and a config the manifest
 cannot record included), 3 numerical failure (trajectory divergence,
@@ -81,9 +84,12 @@ def _need(cfg: dict, key: str, kind, desc: str, least=None, most=None):
     return _checked(cfg[key], kind, f"config key '{key}'", desc, least, most)
 
 
-def _grid_spec(cfg: dict):
+def _grid_spec(cfg: dict, m: int):
     grid = _need(cfg, "grid", dict, "grid settings object")
     box = _need(grid, "box", [[float]], "list of [lo, hi] pairs")
+    # refused before any lattice is built
+    if len(box) != m:
+        raise ValueError(f"config key 'grid.box' must have {m} [lo, hi] rows, got {len(box)}")
     for i, bounds in enumerate(box):
         _lo_hi(bounds, f"box[{i}]")
     points = _need(grid, "points_per_dim", int, "lattice points per dimension")
@@ -173,7 +179,7 @@ def _spanned_field_from(cfg) -> SpannedField:
 def cmd_closure(cfg, seed):
     """closure bounds and fitted residuals across steepness scales"""
     sf = _spanned_field_from(cfg)
-    box, points, delta = _grid_spec(cfg)
+    box, points, delta = _grid_spec(cfg, sf.dictionary.m)
     scales = _need(cfg, "alpha_scales", [float], "steepness scale factors")
     ridge = _need(cfg, "ridge", float, "ridge penalty")
     train = lattice_grid(box, points)
@@ -192,8 +198,10 @@ def cmd_theorem1(cfg, seed):
     """steepness-decay sweep of the product-approximation error"""
     f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f", "config")
     g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g", "config")
-    box, points, delta = _grid_spec(cfg)
-    scales = _need(cfg, "scales", [float], "steepness scale factors")
+    if f.m != g.m:
+        raise ValueError(f"config keys 'f' and 'g' must have equal dimensions, got {f.m} and {g.m}")
+    box, points, delta = _grid_spec(cfg, f.m)
+    scales = np.asarray(_need(cfg, "scales", [float], "steepness scale factors"), dtype=float)
     pair = SillDictionary(f.m, (f, g))
     grid = lattice_grid(box, points)
     keep = hyperplane_distance(grid, pair) >= delta
@@ -202,14 +210,14 @@ def cmd_theorem1(cfg, seed):
         raise ValueError(
             f"no lattice points clear the center hyperplanes by delta={delta}"
         )
-    fit = product_approx_decay(f, g, grid, scales)
+    errors, slope, intercept = product_approx_decay(f, g, grid, scales)
     return {
-        "decay.csv": ("scale,max_error", np.column_stack([fit.alphas, fit.max_errors]).tolist()),
+        "decay.csv": ("scale,max_error", np.column_stack([scales, errors]).tolist()),
         "decay_fit.json": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "scales": fit.alphas.tolist(),
-            "max_errors": fit.max_errors.tolist(),
+            "slope": slope,
+            "intercept": intercept,
+            "scales": scales.tolist(),
+            "max_errors": errors.tolist(),
             "grid_points": int(grid.shape[0]),
         },
     }
@@ -383,10 +391,8 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         files = _COMMANDS[args.command](cfg, args.seed)
         files["run_manifest.json"] = _manifest(args.command, cfg, args.seed, list(files))
-        # every file is formatted before the first is written
-        texts = {name: _text(name, obj) for name, obj in files.items()}
-        for name, text in texts.items():
-            _write_atomic(os.path.join(args.out, name), text)
+        # every file is formatted before the first is written, the manifest last
+        _write_atomic([(os.path.join(args.out, n), _text(n, obj)) for n, obj in files.items()])
         if args.command == "predict" and files["predict_summary.json"]["diverged"]:
             print("sillkoop: numerical: trajectory diverged; output truncated", file=sys.stderr)
             return 3

@@ -44,13 +44,12 @@ from .dictionary import (
     join_completion,
     stable_sigmoid,  # noqa: F401  (still importable as closure.stable_sigmoid)
 )
-from .errors import ClosureBoundError, IncomparableCentersError
+from .errors import ClosureBoundError
 from .regression import _ct_system, solve_koopman_ls
 
 __all__ = [
     "SpannedField",
     "ClosureReport",
-    "DecayFit",
     "product_approx_error",
     "hyperplane_distance",
     "product_approx_decay",
@@ -91,10 +90,6 @@ class SpannedField:
         """Field value W . Lambda(y); shape (..., m)."""
         return conj_values(y, self.dictionary) @ self.W.T
 
-    def scaled(self, s: float) -> "SpannedField":
-        """Same weights over the steepness-scaled dictionary."""
-        return SpannedField(self.dictionary.scaled(s), self.W)
-
 
 @dataclass(frozen=True)
 class ClosureReport:
@@ -126,27 +121,6 @@ class ClosureReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "B": self.B}
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Log-linear fit of max product-approximation error vs steepness scale."""
-
-    alphas: np.ndarray
-    max_errors: np.ndarray
-    slope: float
-    intercept: float
-
-    def __post_init__(self):
-        alphas, errors = _frozen(self.alphas), _frozen(self.max_errors)
-        if alphas.shape != errors.shape or alphas.ndim != 1:
-            raise ValueError("alphas and max_errors must be matching 1-D arrays")
-        if not np.all(np.diff(alphas) > 0):
-            raise ValueError("steepness scales must be strictly increasing")
-        if not np.all(errors > 0):
-            raise ValueError("max errors must be positive")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "max_errors", errors)
 
 
 def product_approx_error(f: ConjLogistic, g: ConjLogistic, y):
@@ -193,20 +167,21 @@ def _as_grid(grid, m: int) -> np.ndarray:
     return pts
 
 
-def product_approx_decay(f: ConjLogistic, g: ConjLogistic, grid, scales) -> DecayFit:
+def product_approx_decay(f: ConjLogistic, g: ConjLogistic, grid, scales):
     """Sweep a steepness multiplier and fit the decay of the product error.
 
     For each scale s, both functions' steepnesses are multiplied by s and
     the max |product_approx_error| over the grid is recorded; the slope of
-    log(max error) against s is fitted by ordinary least squares.  A
-    negative slope is the expected exponential decay.
+    log(max error) against s is fitted by ordinary least squares.  Returns
+    (max_errors, slope, intercept), max_errors an array with one entry per
+    scale.  A negative slope is the expected exponential decay.
 
     The pair must be comparable under the dominance order (the decay
     guarantee assumes an ordered pair), and no grid point may sit on a
     center hyperplane of either function.
     """
     if not (dominates(f, g) or dominates(g, f)):
-        raise IncomparableCentersError(
+        raise ValueError(
             "centers admit no dominance order; the steepness-decay guarantee "
             "requires a comparable pair (join-complete the dictionary first)"
         )
@@ -235,7 +210,7 @@ def product_approx_decay(f: ConjLogistic, g: ConjLogistic, grid, scales) -> Deca
             "reduce the largest scale or move the grid closer to the centers"
         )
     slope, intercept = np.polyfit(scales, np.log(max_errors), 1)
-    return DecayFit(scales, max_errors, float(slope), float(intercept))
+    return max_errors, float(slope), float(intercept)
 
 
 @dataclass(frozen=True)
@@ -407,7 +382,7 @@ def closure_experiment(
     *,
     holdout_grid,
     ridge: float = 0.0,
-    delta: float = 1e-3,
+    delta: float,
 ):
     """Fit a generator to the spanned field at each steepness scale.
 
@@ -434,7 +409,10 @@ def closure_experiment(
         raise ValueError("alpha_scales must be positive")
     _check_steepness(sf.dictionary.alpha, scales)
     _check_clearance(held, sf.dictionary, delta)
-    return [_scale_report(sf.scaled(s), s, pts, held, ridge) for s in scales]
+    return [
+        _scale_report(SpannedField(sf.dictionary.scaled(s), sf.W), s, pts, held, ridge)
+        for s in scales
+    ]
 
 
 def _scale_report(sf: SpannedField, s, pts, held, ridge) -> ClosureReport:

@@ -472,20 +472,28 @@ def _first_occurrences(rows, radix):
     return np.unique(rows, axis=0, return_index=True)[1]
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write text to path through a temp file and os.replace.
+def _write_atomic(pairs) -> None:
+    """Write each (path, text) pair through a temp file and os.replace.
 
-    Readers see the old file or the complete new one, never a partial
-    write; on failure the temp file is removed and the old file is kept.
+    Every temp file is written before the first rename, and the renames
+    run in order: a failed write replaces no file, and a failed rename
+    keeps the files renamed before it.  Readers see an old file or a
+    complete new one, never a partial write; on failure the temp files
+    not yet renamed are removed.
     """
-    tmp = f"{path}.tmp"
+    pending = []  # (temp, path) written and not yet renamed
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in pairs:
+            with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+                pending.append((fh.name, path))
+                fh.write(text)
+        while pending:
+            os.replace(*pending[0])
+            del pending[0]
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
@@ -501,7 +509,7 @@ def _csv_text(header: str, rows) -> str:
 
 
 def save_dictionary(d: SillDictionary, path) -> None:
-    _write_atomic(path, _json_text(d.to_dict()))
+    _write_atomic([(path, _json_text(d.to_dict()))])
 
 
 def load_dictionary(path) -> SillDictionary:

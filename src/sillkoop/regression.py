@@ -353,8 +353,8 @@ def save_snapshots(s: SnapshotSet, csv_path, manifest_path) -> None:
     header = ",".join([f"y{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)])
     fmt = ",".join(["%.17g"] * (2 * m))
     rows = ([fmt % tuple(row)] for row in np.hstack([s.Y, s.D]).tolist())
-    _write_atomic(csv_path, _csv_text(header, rows))
-    _write_atomic(manifest_path, _json_text({"mode": s.mode, "dt": s.dt}))
+    manifest = _json_text({"mode": s.mode, "dt": s.dt})
+    _write_atomic([(csv_path, _csv_text(header, rows)), (manifest_path, manifest)])
 
 
 def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
@@ -397,7 +397,7 @@ def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
 
 
 def save_model(model: KoopmanModel, path) -> None:
-    _write_atomic(path, _json_text(model.to_dict()))
+    _write_atomic([(path, _json_text(model.to_dict()))])
 
 
 def load_model(path) -> KoopmanModel:

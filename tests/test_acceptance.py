@@ -74,9 +74,9 @@ def test_criterion_1_product_decay():
             cand = rng.uniform(-3.5, 3.5, (200, m))
             keep = hyperplane_distance(cand, pair) >= 0.6
             pts.extend(cand[keep][: 30 - len(pts)])
-        fit = product_approx_decay(f, g, np.asarray(pts), [1, 2, 4, 8])
-        worst_ratio = max(worst_ratio, fit.max_errors[-1] / fit.max_errors[0])
-        worst_slope = max(worst_slope, fit.slope)
+        errors, slope, _ = product_approx_decay(f, g, np.asarray(pts), [1, 2, 4, 8])
+        worst_ratio = max(worst_ratio, errors[-1] / errors[0])
+        worst_slope = max(worst_slope, slope)
     elapsed = time.time() - t0
     ok = worst_slope < 0 and worst_ratio <= 1e-3
     _criterion(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import expit
 
@@ -887,6 +891,24 @@ def test_failed_last_call_writes_nothing(tmp_path, monkeypatch, capsys, command)
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "held, left",
+    [
+        # a temp name held by a directory fails before the first rename
+        ("residual_summary.json.tmp", ["residual_summary.json.tmp"]),
+        # an artifact name held by a directory fails after model.json is renamed
+        ("residual_summary.json", ["model.json", "residual_summary.json"]),
+    ],
+    ids=["temp-name", "artifact-name"],
+)
+def test_failed_write_leaves_no_manifest_or_temp(tmp_path, capsys, held, left):
+    out = tmp_path / "o"
+    (out / held).mkdir(parents=True)
+    assert _run(["fit", "--config", _CONFIGS["fit"](tmp_path), "--out", out]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == left
+
+
 def _mutated_config(tmp_path, command, path, value):
     """The command's test config with the entry at path set to value."""
     cfg = json.loads(Path(_CONFIGS[command](tmp_path)).read_text())
@@ -1016,12 +1038,24 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
             id="closure-points-10^400",
         ),
         pytest.param(
-            "closure", ["grid", "box"], [[-2.8, 2.8]] * 3000, 2, "above the limit",
+            "theorem1", ["grid", "points_per_dim"], 10**400, 2, "above the limit",
+            id="theorem1-points-10^400",
+        ),
+        # a box with a row count other than m is refused before any lattice is built
+        pytest.param(
+            "closure", ["grid", "box"], [[-2.8, 2.8]] * 3000, 2, "grid.box",
             id="closure-box-3000-rows",
         ),
         pytest.param(
-            "theorem1", ["grid", "points_per_dim"], 10**400, 2, "above the limit",
-            id="theorem1-points-10^400",
+            "closure", ["grid", "box"], [[-2.8, 2.8]] * 3, 2, "grid.box", id="closure-box-3-rows"
+        ),
+        pytest.param(
+            "theorem1", ["grid", "box"], [[-3.0, 4.0]] * 3, 2, "grid.box", id="theorem1-box-3-rows"
+        ),
+        # f and g of different lengths are named as such
+        pytest.param(
+            "theorem1", ["g"], {"mu": [1.0, 1.2, 0.5], "alpha": [3.0, 2.5, 2.0]}, 2,
+            "'f' and 'g'", id="theorem1-g-length-3",
         ),
         # a sample count above the grid limit is refused before np.linspace
         pytest.param(
@@ -1048,6 +1082,75 @@ def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, va
         assert err.startswith(f"sillkoop: {kind}: ") and err.count("\n") == 1
         assert word in err and len(err.encode()) < 200
         assert not list(out.iterdir())
+
+
+def _config_paths(node, path=()):
+    """The key or index path of every entry of a JSON value, depth first."""
+    if isinstance(node, dict):
+        entries = node.items()
+    elif isinstance(node, list):
+        entries = enumerate(node)
+    else:
+        return
+    for key, child in entries:
+        yield (*path, key)
+        yield from _config_paths(child, (*path, key))
+
+
+def _mutate(parent, key, kind):
+    """Apply one named mutation to parent[key], in place."""
+    value = parent[key]
+    swaps = {"str": "1.0", "bool": True, "null": None, "object": {}, "list": []}
+    if kind in swaps:
+        parent[key] = swaps[kind]
+    elif kind == "wrap":
+        parent[key] = [value]
+    elif kind == "unwrap" and isinstance(value, list) and value:
+        parent[key] = value[0]
+    elif kind == "drop":
+        del parent[key]
+    elif kind == "add" and isinstance(parent, dict):
+        parent["extra"] = value
+    elif kind == "append" and isinstance(value, list):
+        value.append(value[-1] if value else 1.0)
+    elif kind in ("nan", "inf"):
+        parent[key] = float(kind)
+    elif kind == "1e999":
+        parent[key] = "1e999"  # written as the bare JSON literal 1e999
+
+
+_MUTATIONS = [
+    "str", "bool", "null", "object", "list", "wrap", "unwrap",
+    "drop", "add", "append", "nan", "inf", "1e999",
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(list(_CONFIGS)), st.integers(0, 10_000), st.sampled_from(_MUTATIONS))
+def test_config_mutation_exits_cleanly(tmp_path_factory, command, pick, kind):
+    # any one mutation of a working config exits 0, 2 or 3; a failure is
+    # one stderr line, and bad input leaves no manifest
+    tmp_path = tmp_path_factory.mktemp("mutation")
+    cfg = json.loads(Path(_CONFIGS[command](tmp_path)).read_text())
+    paths = list(_config_paths(cfg))
+    *parents, key = paths[pick % len(paths)]
+    parent = cfg
+    for step in parents:
+        parent = parent[step]
+    _mutate(parent, key, kind)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(cfg).replace('"1e999"', "1e999"))
+    out = tmp_path / "o"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run([command, "--config", path, "--out", out])
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("sillkoop: ") and err.count("\n") == 1
+    if code == 2:
+        assert not (out / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("nested", ["config", "dictionary", "model", "manifest"])

@@ -12,7 +12,6 @@ import pytest
 import sillkoop
 from sillkoop.bench import make_snapshots
 from sillkoop.closure import (
-    DecayFit,
     SpannedField,
     closure_experiment,
     half_cell_shift,
@@ -484,12 +483,6 @@ def _conj_logistic():
     return [mu, alpha], [f.mu, f.alpha]
 
 
-def _decay_fit():
-    alphas, errors = np.array([1.0, 2.0]), np.array([0.1, 0.01])
-    fit = DecayFit(alphas, errors, -2.3, 0.0)
-    return [alphas, errors], [fit.alphas, fit.max_errors]
-
-
 def _make_snapshots():
     pts = np.linspace(-1.0, 1.0, 8).reshape(4, 2)
     return [pts], [make_snapshots(lambda y: -y, pts).Y]
@@ -516,8 +509,8 @@ def _product_approx_decay():
     f = ConjLogistic([0.0, 0.0], [2.5, 3.0])
     g = ConjLogistic([1.0, 1.2], [3.0, 2.5])
     scales = np.array([1.0, 2.0, 4.0])
-    fit = product_approx_decay(f, g, lattice_grid([[-3.0, 4.0], [-3.0, 4.0]], 10), scales)
-    return [scales], [fit.alphas]
+    product_approx_decay(f, g, lattice_grid([[-3.0, 4.0], [-3.0, 4.0]], 10), scales)
+    return [scales], []
 
 
 @pytest.mark.parametrize(
@@ -527,7 +520,6 @@ def _product_approx_decay():
         _spanned_field,
         _koopman_model,
         _conj_logistic,
-        _decay_fit,
         _make_snapshots,
         _closure_experiment,
         _product_approx_decay,

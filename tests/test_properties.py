@@ -711,7 +711,7 @@ def _reference_closure(sf, pts, held, scales, ridge):
     """closure_experiment from the public calls, each with its own tables."""
     reports = []
     for s in scales:
-        sf_s = sf.scaled(s)
+        sf_s = SpannedField(sf.dictionary.scaled(s), sf.W)
         completed = join_completion(sf_s.dictionary)
         model = fit_generator(SnapshotSet(pts, sf_s.evaluate(pts), "CT"), completed, ridge)
         R = residual(model, SnapshotSet(held, sf_s.evaluate(held), "CT")).matrix

@@ -405,6 +405,21 @@ def test_failed_model_save_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+def test_failed_snapshot_save_keeps_both_previous_files(tmp_path):
+    # both temp files are written before either is renamed, so a manifest
+    # temp name held by a directory replaces neither file
+    csv_path, man_path = tmp_path / "snaps.csv", tmp_path / "snaps.json"
+    save_snapshots(SnapshotSet(np.zeros((2, 2)), np.ones((2, 2)), "CT"), csv_path, man_path)
+    before = csv_path.read_bytes(), man_path.read_bytes()
+    (tmp_path / "snaps.json.tmp").mkdir()
+    new = SnapshotSet(np.ones((3, 2)), np.zeros((3, 2)), "DT", dt=0.5)
+    with pytest.raises(OSError):
+        save_snapshots(new, csv_path, man_path)
+    assert (csv_path.read_bytes(), man_path.read_bytes()) == before
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == ["snaps.csv", "snaps.json", "snaps.json.tmp"]
+
+
 def test_snapshot_set_rejects_flat_vectors():
     with pytest.raises(ValueError, match="2-D"):
         SnapshotSet(np.zeros(4), np.zeros(4), "CT")
