@@ -13,15 +13,12 @@ residual growing like y^(n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .closure import SpannedField
 from .regression import SnapshotSet, Trajectory
 
 __all__ = [
-    "PolynomialGrowthResult",
     "rk4_integrate",
     "spanned_field",
     "make_snapshots",
@@ -78,29 +75,15 @@ def make_snapshots(fn, points) -> SnapshotSet:
     return SnapshotSet(pts, fn(pts), "CT")
 
 
-@dataclass(frozen=True)
-class PolynomialGrowthResult:
-    """Least-squares residual of d(y^n)/dt over a monomial dictionary.
-
-    coeffs are the fitted monomial coefficients; growth arrays evaluate
-    the residual n y^(n+1) - p(y) at GROWTH_POINTS, where its log-log
-    slope approaches n + 1 and residual / y^(n+1) approaches n.
-    """
-
-    coeffs: np.ndarray
-    growth_residual: np.ndarray
-    growth_ratio: np.ndarray
-    growth_slope: float
-
-
-def polynomial_residual_growth(n: int, y_values) -> PolynomialGrowthResult:
+def polynomial_residual_growth(n: int, y_values):
     """Fit d(y^n)/dt = n y^(n+1) for the field dy/dt = y^2 over {1..y^n}.
 
-    The target sits one polynomial degree above the dictionary, so the
-    least-squares residual over the sampled interval cannot cancel the
-    leading term; evaluated at GROWTH_POINTS, far outside, it grows like
-    y^(n+1).  A degree whose target overflows on the samples or at
-    GROWTH_POINTS is refused before the fit.
+    Returns (coeffs, growth_residual, slope).  The target sits one
+    polynomial degree above the dictionary, so the least-squares residual
+    over the sampled interval cannot cancel the leading term; evaluated at
+    GROWTH_POINTS, far outside, it grows like y^(n+1), its log-log slope
+    approaching n + 1.  A degree whose target overflows on the samples or
+    at GROWTH_POINTS is refused before the fit.
     """
     if int(n) != n or n < 1:
         raise ValueError("degree must be a positive integer")
@@ -116,7 +99,6 @@ def polynomial_residual_growth(n: int, y_values) -> PolynomialGrowthResult:
     coeffs, *_ = np.linalg.lstsq(V, target, rcond=None)
     g = GROWTH_POINTS
     growth_residual = n * g ** (n + 1) - np.polynomial.polynomial.polyval(g, coeffs)
-    growth_ratio = growth_residual / g ** (n + 1)
     slope = np.polyfit(np.log(g), np.log(np.abs(growth_residual)), 1)[0]
-    return PolynomialGrowthResult(coeffs, growth_residual, growth_ratio, float(slope))
+    return coeffs, growth_residual, float(slope)
 

@@ -78,22 +78,26 @@ from .stats import (
 _RNG_NAME = "pcg64"
 
 
-def _need(cfg: dict, key: str, kind, desc: str, least=None, most=None):
+def _need(cfg: dict, path: str, kind, desc: str, least=None, most=None):
+    """The value at a dotted path such as 'grid.box'; each parent was read first."""
+    *parents, key = path.split(".")
+    for parent in parents:
+        cfg = cfg[parent]
     if key not in cfg:
-        raise ValueError(f"config missing required key '{key}' ({desc})")
-    return _checked(cfg[key], kind, f"config key '{key}'", desc, least, most)
+        raise ValueError(f"config missing required key '{path}' ({desc})")
+    return _checked(cfg[key], kind, "config", path, desc, least, most)
 
 
 def _grid_spec(cfg: dict, m: int):
-    grid = _need(cfg, "grid", dict, "grid settings object")
-    box = _need(grid, "box", [[float]], "list of [lo, hi] pairs")
+    _need(cfg, "grid", dict, "grid settings object")
+    box = _need(cfg, "grid.box", [[float]], "list of [lo, hi] pairs")
     # refused before any lattice is built
     if len(box) != m:
         raise ValueError(f"config key 'grid.box' must have {m} [lo, hi] rows, got {len(box)}")
     for i, bounds in enumerate(box):
-        _lo_hi(bounds, f"box[{i}]")
-    points = _need(grid, "points_per_dim", int, "lattice points per dimension")
-    delta = _need(grid, "delta", float, "hyperplane clearance")
+        _lo_hi(bounds, f"grid.box[{i}]")
+    points = _need(cfg, "grid.points_per_dim", int, "lattice points per dimension")
+    delta = _need(cfg, "grid.delta", float, "hyperplane clearance")
     if not delta > 0:
         raise ValueError("grid delta must be strictly positive")
     return box, points, delta
@@ -152,11 +156,13 @@ def cmd_edmd(cfg, seed):
 def cmd_predict(cfg, seed):
     """step a fitted CT model with its exact propagator"""
     model = load_model(_need(cfg, "model", str, "model JSON path"))
+    m = model.dictionary.m
     y0 = _need(cfg, "y0", [float], "initial measurement vector")
+    if len(y0) != m:
+        raise ValueError(f"config key 'y0' has {len(y0)} entries, the model's dimension is {m}")
     horizon = _need(cfg, "horizon", float, "integration horizon")
     dt = _need(cfg, "dt", float, "integration step")
     traj = predict_ct(model, y0, horizon, dt)
-    m = model.dictionary.m
     header = "t," + ",".join(f"y{i + 1}" for i in range(m))
     # str of a tolist float is its shortest round trip; arange(n) * dt is each k * dt
     rows = np.column_stack([np.arange(len(traj.y)) * dt, traj.y]).tolist()
@@ -233,8 +239,12 @@ def cmd_stats(cfg, seed):
     rate_a = 2.0  # when the key is missing or null
     if cfg.get("rate_a") is not None:
         rate_a = _need(cfg, "rate_a", float, "interval radius for the rate table")
-    for a in a_values + [rate_a]:
-        _check_radius(a)
+    keys = [f"a_values[{i}]" for i in range(len(a_values))] + ["rate_a"]
+    for key, a in zip(keys, a_values + [rate_a]):
+        try:
+            _check_radius(a)
+        except ValueError as exc:
+            raise ValueError(f"config key '{key}': {exc}") from None
     # the error table is the largest estimate: 2 max(m) logistics and its error term
     _check_work(samples, 2 * max(m_values, default=0) + 1)
     # A one-thread pool runs it while this thread runs the moment sweep and
@@ -268,20 +278,19 @@ def cmd_example1(cfg, seed):
     degrees = _need(cfg, "degrees", [int], "polynomial dictionary degrees", 1)
     lo, hi = _interval(cfg, "fit_range", "sampling interval")
     fit_points = _need(cfg, "fit_points", int, "sample count over fit_range", most=MAX_GRID_ROWS)
-    sill = _need(cfg, "sill", dict, "bounded-box SILL comparison spec")
-    centers = _need(sill, "centers", [float], "logistic centers")
-    alpha = _need(sill, "alpha", float, "shared steepness")
-    box = _interval(sill, "box", "bounded interval")
-    points = _need(sill, "points", int, "sample count over the box", most=MAX_GRID_ROWS)
-    ridge = _need(sill, "ridge", float, "ridge penalty")
+    _need(cfg, "sill", dict, "bounded-box SILL comparison spec")
+    centers = _need(cfg, "sill.centers", [float], "logistic centers")
+    alpha = _need(cfg, "sill.alpha", float, "shared steepness")
+    box = _interval(cfg, "sill.box", "bounded interval")
+    points = _need(cfg, "sill.points", int, "sample count over the box", most=MAX_GRID_ROWS)
+    ridge = _need(cfg, "sill.ridge", float, "ridge penalty")
     d = SillDictionary(1, tuple(ConjLogistic([c], [alpha]) for c in centers))
     y = np.linspace(lo, hi, fit_points)
     rows = []
     slopes = {}
     for n in degrees:
-        res = polynomial_residual_growth(n, y)
-        slopes[str(n)] = res.growth_slope
-        for gy, gr, ratio in zip(GROWTH_POINTS, res.growth_residual, res.growth_ratio):
+        _, growth, slopes[str(n)] = polynomial_residual_growth(n, y)
+        for gy, gr, ratio in zip(GROWTH_POINTS, growth, growth / GROWTH_POINTS ** (n + 1)):
             rows.append([n, float(gy), float(gr), float(ratio)])
     grid = np.linspace(box[0], box[1], points)[:, None]
     # a bound whose square is past the float range gives inf, which

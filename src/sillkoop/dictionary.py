@@ -232,8 +232,8 @@ class SillDictionary:
     def from_dict(cls, obj: dict) -> "SillDictionary":
         obj = _json_object(obj, "dictionary", ("m", "logistics"))
         m, entries = obj["m"], obj["logistics"]
-        m = _checked(m, int, "dictionary key 'm'", "measurement dimension", least=1)
-        entries = _checked(entries, list, "dictionary key 'logistics'", "logistic objects")
+        m = _checked(m, int, "dictionary", "m", "measurement dimension", least=1)
+        entries = _checked(entries, list, "dictionary", "logistics", "logistic objects")
         logistics = (
             _logistic_from(e, f"logistics[{i}]", "dictionary") for i, e in enumerate(entries)
         )
@@ -247,21 +247,23 @@ def _json_object(obj, where: str, keys) -> dict:
     return obj
 
 
-def _checked(val, kind, where: str, desc: str, least=None, most=None):
+def _checked(val, kind, source: str, key: str, desc: str, least=None, most=None):
     """val as kind, where [kind] is a list of kind, to any depth.
 
     The one rule for numbers read from JSON (CLI configs and dictionary
     files): a float is any JSON number, an int an integer within
     [least, most], and neither is ever a bool or a string, alone or inside
-    a list.
+    a list.  Errors name "<source> key '<key>'", entry i of a list as
+    '<key>[i]'.
     """
+    where = f"{source} key '{key}'"
     if isinstance(kind, list):
         if not isinstance(val, list):
             raise ValueError(f"{where} must be a list ({desc})")
         if kind[0] is float and all(type(v) is float for v in val):
             return list(val)  # what the checks below return for it, without a call per entry
         return [
-            _checked(v, kind[0], f"{where}[{i}]", desc, least, most)
+            _checked(v, kind[0], source, f"{key}[{i}]", desc, least, most)
             for i, v in enumerate(val)
         ]
     if kind is float:
@@ -293,7 +295,7 @@ def _logistic_from(obj, label: str, source: str) -> ConjLogistic:
     if not isinstance(obj, dict) or "mu" not in obj or "alpha" not in obj:
         raise ValueError(f"{label} must be an object with 'mu' and 'alpha' arrays")
     mu, alpha = (
-        _checked(obj[k], [float], f"{source} key '{label}.{k}'", "logistic parameters")
+        _checked(obj[k], [float], source, f"{label}.{k}", "logistic parameters")
         for k in ("mu", "alpha")
     )
     return ConjLogistic(mu, alpha)

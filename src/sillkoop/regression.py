@@ -152,7 +152,7 @@ class Trajectory:
     """
 
     y: np.ndarray
-    diverged: bool = False
+    diverged: bool
 
 
 @dataclass(frozen=True)
@@ -361,10 +361,10 @@ def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
     """Read save_snapshots' files; one float() map parses every field of the CSV."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = _json_object(json.load(fh), manifest_path, ("mode",))
-    mode = _checked(manifest["mode"], str, f"{manifest_path} key 'mode'", "'CT' or 'DT'")
+    mode = _checked(manifest["mode"], str, manifest_path, "mode", "'CT' or 'DT'")
     dt = manifest.get("dt")
     if dt is not None:
-        dt = _checked(dt, float, f"{manifest_path} key 'dt'", "sampling interval or null")
+        dt = _checked(dt, float, manifest_path, "dt", "sampling interval or null")
     with open(csv_path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -405,9 +405,9 @@ def load_model(path) -> KoopmanModel:
         obj = _json_object(json.load(fh), path, ("mode", "ridge", "dictionary", "K"))
     d = SillDictionary.from_dict(obj["dictionary"])
     n = d.size
-    K = _checked(obj["K"], [float], "model key 'K'", f"{n}x{n} matrix, row by row")
+    K = _checked(obj["K"], [float], "model", "K", f"{n}x{n} matrix, row by row")
     if len(K) != n * n:
         raise ValueError(f"model key 'K' has {len(K)} entries, a {n}x{n} matrix needs {n * n}")
-    mode = _checked(obj["mode"], str, "model key 'mode'", "'CT' or 'DT'")
-    ridge = _checked(obj["ridge"], float, "model key 'ridge'", "ridge penalty")
+    mode = _checked(obj["mode"], str, "model", "mode", "'CT' or 'DT'")
+    ridge = _checked(obj["ridge"], float, "model", "ridge", "ridge penalty")
     return KoopmanModel(np.reshape(K, (n, n)), d, mode, ridge)

@@ -314,7 +314,7 @@ def _dimensions(m_values) -> list:
     return ms
 
 
-def expected_logistic(a: float, *, samples: int = 1_000_000, seed: int = 0) -> MomentReport:
+def expected_logistic(a: float, *, samples: int, seed: int) -> MomentReport:
     """Logistic moments by quadrature, with the MC cross-check attached.
 
     expectation and variance come from integrating the logistic and its
@@ -354,13 +354,7 @@ def mc_conjunctive_table(m_values, a: float, samples: int, seed: int):
     return list(zip(mean.tolist(), stderr.tolist()))
 
 
-def expected_error_rates(
-    m_values,
-    a: float,
-    *,
-    samples: int = 1_000_000,
-    seed: int = 0,
-):
+def expected_error_rates(m_values, a: float, *, samples: int, seed: int):
     """Analytic per-term rates and MC error magnitudes for each m.
 
     The analytic columns are 1/2^(m+1) and 1/2^(2m+1); their ratio is

@@ -818,7 +818,7 @@ def test_example1_bad_degree_exits_2(tmp_path, capsys, degrees):
     out = tmp_path / "o"
     path = _example1_config(tmp_path, degrees)
     assert _run(["example1", "--config", path, "--out", out]) == 2
-    assert "bad-input: config key 'degrees'" in capsys.readouterr().err
+    assert "bad-input: config key 'degrees[0]'" in capsys.readouterr().err
     assert not (out / "example1_poly.csv").exists()
 
 
@@ -831,7 +831,7 @@ def test_example1_interval_needs_exactly_two_entries(tmp_path, capsys, key):
     bad = _write_config(tmp_path / "bad.json", cfg)
     assert _run(["example1", "--config", bad, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert f"config key '{key[-1]}' must be [lo, hi], got 3 entries" in err
+    assert f"config key '{'.'.join(key)}' must be [lo, hi], got 3 entries" in err
     assert err.count("\n") == 1
     assert not list(out.iterdir())
 
@@ -1065,6 +1065,28 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
             "example1", ["sill", "points"], 1_000_001, 2, "at most",
             id="example1-sill-points-1000001",
         ),
+        # a refusal names its key by the full path, a list entry inside the quotes
+        pytest.param(
+            "closure", ["grid", "box", 0], [2.0, -2.0], 2, "'grid.box[0]'", id="closure-box-reversed"
+        ),
+        pytest.param(
+            "closure", ["grid", "points_per_dim"], "9", 2, "'grid.points_per_dim'",
+            id="closure-points-string",
+        ),
+        pytest.param("example1", ["sill", "alpha"], "4", 2, "'sill.alpha'", id="example1-alpha-string"),
+        pytest.param(
+            "example1", ["sill", "centers", 1], "x", 2, "'sill.centers[1]'",
+            id="example1-centers-string",
+        ),
+        pytest.param(
+            "closure", ["alpha_scales", 1], "2", 2, "'alpha_scales[1]'", id="closure-scale-string"
+        ),
+        # refusals that the library would word without the key
+        pytest.param("predict", ["y0"], [0.5, 0.1], 2, "'y0'", id="predict-y0-length-2"),
+        pytest.param(
+            "stats", ["a_values"], [1.0, 0.0], 2, "'a_values[1]'", id="stats-radius-entry-1"
+        ),
+        pytest.param("stats", ["rate_a"], 1e60, 2, "'rate_a'", id="stats-rate-a-1e60"),
     ],
 )
 def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, value, code, word):
@@ -1143,6 +1165,76 @@ def test_config_mutation_exits_cleanly(tmp_path_factory, command, pick, kind):
     out = tmp_path / "o"
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = _run([command, "--config", path, "--out", out])
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("sillkoop: ") and err.count("\n") == 1
+    if code == 2:
+        assert not (out / "run_manifest.json").exists()
+
+
+# the files besides the config that each command reads, as _CONFIGS writes them
+_INPUT_FILES = {
+    "fit": ("dict.json", "snaps_manifest.json", "snaps.csv"),
+    "edmd": ("dict.json", "dt_manifest.json", "dt.csv"),
+    "predict": ("model.json",),
+    "complete-dictionary": ("dict.json",),
+}
+
+_CSV_MUTATIONS = ["text", "empty", "nan", "inf", "1e999", "drop", "add", "blank", "repeat"]
+
+
+def _mutate_csv(lines, pick, kind):
+    """Apply one named field or line mutation to the CSV lines, in place."""
+    i = pick % len(lines)
+    if kind == "blank":
+        lines.insert(i, "")
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split(",")
+        j = pick // len(lines) % len(fields)
+        if kind == "drop":
+            del fields[j]
+        elif kind == "add":
+            fields.insert(j, fields[j])
+        else:
+            fields[j] = {"text": "x", "empty": ""}.get(kind, kind)
+        lines[i] = ",".join(fields)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(c, name) for c, names in _INPUT_FILES.items() for name in names]),
+    st.integers(0, 10_000),
+    st.sampled_from(_MUTATIONS),
+    st.sampled_from(_CSV_MUTATIONS),
+)
+def test_input_file_mutation_exits_cleanly(tmp_path_factory, target, pick, kind, csv_kind):
+    # one mutation of a dictionary, model, snapshot manifest or snapshot CSV
+    # that a working config reads: the same contract as a mutated config
+    command, name = target
+    tmp_path = tmp_path_factory.mktemp("file-mutation")
+    cfg = _CONFIGS[command](tmp_path)
+    path = tmp_path / name
+    if name.endswith(".csv"):
+        lines = path.read_text().splitlines()
+        _mutate_csv(lines, pick, csv_kind)
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        obj = json.loads(path.read_text())
+        paths = list(_config_paths(obj))
+        *parents, key = paths[pick % len(paths)]
+        parent = obj
+        for step in parents:
+            parent = parent[step]
+        _mutate(parent, key, kind)
+        path.write_text(json.dumps(obj).replace('"1e999"', "1e999"))
+    out = tmp_path / "o"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run([command, "--config", cfg, "--out", out])
     err = err.getvalue()
     assert code in (0, 2, 3)
     if code == 0:
@@ -1251,6 +1343,34 @@ def test_model_file_number_rule_exits_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("sillkoop: bad-input: model key") and err.count("\n") == 1
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, name, path, word",
+    [
+        pytest.param(
+            "complete-dictionary", "dict.json", ["logistics", 0, "alpha", 0],
+            "dictionary key 'logistics[0].alpha[0]'", id="dictionary-alpha-entry",
+        ),
+        pytest.param("predict", "model.json", ["K", 1], "model key 'K[1]'", id="model-K-entry"),
+    ],
+)
+def test_file_refusal_names_the_list_entry(tmp_path, capsys, command, name, path, word):
+    # a bad entry of a list in a dictionary or model file is named by its
+    # full path, the index inside the quotes
+    cfg = _CONFIGS[command](tmp_path)
+    obj = json.loads((tmp_path / name).read_text())
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = "0.5"
+    (tmp_path / name).write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert _run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sillkoop: bad-input: {word} must be a number")
+    assert err.count("\n") == 1
 
 
 def test_complete_dictionary_closes_pairs(tmp_path):
