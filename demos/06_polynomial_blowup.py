@@ -37,9 +37,9 @@ d = SillDictionary(1, tuple(ConjLogistic([c], [6.0]) for c in centers))
 grid = np.linspace(-2.0, 2.0, 81)[:, None]
 snaps = SnapshotSet(grid, grid**2, "CT")
 model = fit_generator(snaps, join_completion(d), ridge=1e-10)
-rep = residual(model, snaps)
+norms = np.linalg.norm(residual(model, snaps), axis=1)
 print(f"\nSILL fit of dy/dt = y^2 on [-2, 2] with {len(centers)} logistics:")
-print(f"  residual max row norm  {rep.max_row_norm:.4e}")
-print(f"  residual mean row norm {rep.mean_row_norm:.4e}")
+print(f"  residual max row norm  {norms.max():.4e}")
+print(f"  residual mean row norm {norms.mean():.4e}")
 print("  bounded box, bounded dictionary, bounded residual: the contrast")
 print("  with the monomial blowup is the whole argument for logistic lifts")

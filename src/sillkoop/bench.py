@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .closure import SpannedField
-from .regression import SnapshotSet, Trajectory
+from .regression import SnapshotSet
 
 __all__ = [
     "rk4_integrate",
@@ -30,12 +30,12 @@ GROWTH_POINTS = np.logspace(2, 4, 9)
 GROWTH_POINTS.setflags(write=False)
 
 
-def rk4_integrate(fn, y0, dt: float, steps: int) -> Trajectory:
-    """Classical fourth-order Runge-Kutta at fixed dt; row 0 is y0.
+def rk4_integrate(fn, y0, dt: float, steps: int) -> tuple:
+    """Classical fourth-order Runge-Kutta at fixed dt; returns (y, diverged).
 
-    A non-finite state truncates the trajectory and sets the divergence
-    flag; overflow on an unstable field is reported through that flag,
-    not a warning.
+    y has one row per step, row 0 being y0.  A non-finite state truncates
+    y and sets diverged; overflow on an unstable field is reported through
+    that flag, not a warning.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -52,9 +52,9 @@ def rk4_integrate(fn, y0, dt: float, steps: int) -> Trajectory:
             k4 = fn(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x).all():
-                return Trajectory(y[:i], True)
+                return y[:i], True
             y[i] = x
-    return Trajectory(y, False)
+    return y, False
 
 
 def spanned_field(sf: SpannedField):

@@ -9,8 +9,9 @@ versions.  A run that fails before the renames leaves no file; a failure
 while renaming (for example, a directory already holds an artifact's
 name) can leave the files renamed before it, but never a new
 run_manifest.json.  JSON artifacts hold no NaN or Infinity and no file
-has a timestamp, so a rerun with the same config and seed reproduces
-every file byte for byte.
+has a timestamp, so a rerun with the same config, seed and BLAS thread
+count reproduces every file byte for byte (at another thread count a
+least-squares product may sum in another order).
 
 Exit codes: 0 success, 2 bad input (bad usage and a config the manifest
 cannot record included), 3 numerical failure (trajectory divergence,
@@ -65,6 +66,7 @@ from .regression import (
 )
 from .stats import (
     MAX_M,
+    MAX_SAMPLE_FACTORS,
     MAX_SAMPLES,
     ErrorRateRow,
     MomentReport,
@@ -99,7 +101,7 @@ def _grid_spec(cfg: dict, m: int):
     points = _need(cfg, "grid.points_per_dim", int, "lattice points per dimension")
     delta = _need(cfg, "grid.delta", float, "hyperplane clearance")
     if not delta > 0:
-        raise ValueError("grid delta must be strictly positive")
+        raise ValueError(f"config key 'grid.delta' must be strictly positive, got {delta}")
     return box, points, delta
 
 
@@ -133,14 +135,23 @@ def _fit_command(cfg, mode):
             f"{command} expects {mode} snapshots; use the {other} command for "
             f"{snaps.mode} data"
         )
-    model, rep = _fit(snaps, load_dictionary(dict_path), ridge, mode)
+    model, R = _fit(snaps, load_dictionary(dict_path), ridge, mode)
+    top, mean = _row_norm_max_mean(R)
     summary = {
-        "max_row_norm": rep.max_row_norm,
-        "mean_row_norm": rep.mean_row_norm,
-        "per_function_max": rep.per_function_max.tolist(),
+        "max_row_norm": top,
+        "mean_row_norm": mean,
+        "per_function_max": np.abs(R).max(axis=0).tolist(),
         "snapshots": snaps.r,
     }
     return {"model.json": model.to_dict(), "residual_summary.json": summary}
+
+
+def _row_norm_max_mean(R):
+    """Max and mean of the 2-norms of the rows of a residual matrix R."""
+    # a row whose squares overflow gets norm inf, without a warning
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(R, axis=1)
+    return float(norms.max()), float(norms.mean())
 
 
 def cmd_fit(cfg, seed):
@@ -162,13 +173,13 @@ def cmd_predict(cfg, seed):
         raise ValueError(f"config key 'y0' has {len(y0)} entries, the model's dimension is {m}")
     horizon = _need(cfg, "horizon", float, "integration horizon")
     dt = _need(cfg, "dt", float, "integration step")
-    traj = predict_ct(model, y0, horizon, dt)
+    y, diverged = predict_ct(model, y0, horizon, dt)
     header = "t," + ",".join(f"y{i + 1}" for i in range(m))
     # str of a tolist float is its shortest round trip; arange(n) * dt is each k * dt
-    rows = np.column_stack([np.arange(len(traj.y)) * dt, traj.y]).tolist()
+    rows = np.column_stack([np.arange(len(y)) * dt, y]).tolist()
     return {
         "trajectory.csv": (header, rows),
-        "predict_summary.json": {"diverged": traj.diverged, "rows": len(rows)},
+        "predict_summary.json": {"diverged": diverged, "rows": len(rows)},
     }
 
 
@@ -247,6 +258,12 @@ def cmd_stats(cfg, seed):
             raise ValueError(f"config key '{key}': {exc}") from None
     # the error table is the largest estimate: 2 max(m) logistics and its error term
     _check_work(samples, 2 * max(m_values, default=0) + 1)
+    # the moment sweep draws one logistic per sample at every radius
+    if len(a_values) * samples > MAX_SAMPLE_FACTORS:
+        raise ValueError(
+            f"config key 'a_values' has {len(a_values)} radii of {samples} samples each; "
+            f"radii x samples must be at most {MAX_SAMPLE_FACTORS}"
+        )
     # A one-thread pool runs it while this thread runs the moment sweep and
     # then the conjunctive table.  Each table owns its seeded generator and
     # walks its blocks in a fixed order, so no number depends on scheduling.
@@ -297,14 +314,14 @@ def cmd_example1(cfg, seed):
     # SnapshotSet refuses
     with np.errstate(over="ignore"):
         snaps = SnapshotSet(grid, grid**2, "CT")
-    rep = _fit(snaps, join_completion(d), ridge, "CT")[1]
+    top, mean = _row_norm_max_mean(_fit(snaps, join_completion(d), ridge, "CT")[1])
     return {
         "example1_poly.csv": ("n,y,residual,residual_over_y_pow", rows),
         "example1_summary.json": {
             "growth_slopes": slopes,
             "sill_box": [box[0], box[1]],
-            "sill_residual_max": rep.max_row_norm,
-            "sill_residual_mean": rep.mean_row_norm,
+            "sill_residual_max": top,
+            "sill_residual_mean": mean,
         },
     }
 

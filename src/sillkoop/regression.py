@@ -37,8 +37,6 @@ from .dictionary import (
 __all__ = [
     "SnapshotSet",
     "KoopmanModel",
-    "Trajectory",
-    "ResidualReport",
     "solve_koopman_ls",
     "fit_generator",
     "fit_edmd",
@@ -143,32 +141,6 @@ class KoopmanModel:
         }
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Integrated measurement trajectory with a divergence flag.
-
-    y has one row per accepted step (row 0 is the initial condition);
-    diverged marks a truncation caused by a non-finite state.
-    """
-
-    y: np.ndarray
-    diverged: bool
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Residual matrix plus its summary statistics.
-
-    matrix is r x N, one residual row per snapshot; per_function_max holds
-    the max absolute residual for each dictionary coordinate.
-    """
-
-    matrix: np.ndarray
-    max_row_norm: float
-    mean_row_norm: float
-    per_function_max: np.ndarray
-
-
 def _system(s: SnapshotSet, d: SillDictionary):
     """The regression pair (G, A) of s, its lift and target, each (r, N).
 
@@ -220,12 +192,12 @@ def solve_koopman_ls(G, A, ridge: float):
 
 
 def _fit(s: SnapshotSet, d: SillDictionary, ridge: float, mode: str) -> tuple:
-    """The fitted model and its training ResidualReport, residual(model, s)."""
+    """The fitted model and its (r, N) training residual, residual(model, s)."""
     if s.mode != mode:
         raise ValueError(f"a {mode} fit requires {mode} snapshots, got {s.mode}")
     G, A = _system(s, d)
     model = KoopmanModel(solve_koopman_ls(G.T, A.T, ridge), d, mode, ridge)
-    return model, _report(A - G @ model.K.T)
+    return model, A - G @ model.K.T
 
 
 def fit_generator(s: SnapshotSet, d: SillDictionary, ridge: float = 0.0) -> KoopmanModel:
@@ -265,18 +237,19 @@ def _expm(A):
     return E
 
 
-def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory:
+def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> tuple:
     """Step dz/dt = K z from z0 = lift(y0) with its exact propagator.
 
     The flow of the lifted linear system over one step is expm(K dt), so
     each row is z_k = expm(K dt)^k z0 projected onto the measurements:
     there is no step-size error, and dt only sets where the trajectory is
     sampled.  Each step is one gemv through the propagator's bound dot.
-    A non-finite state (the model itself is unstable) stops the
-    trajectory at the last finite row and flags it; overflow is reported
-    through that flag, not a warning.  A step count round(horizon / dt)
-    above MAX_STEPS (10^7) is rejected before anything is allocated, and
-    so is a non-finite y0; so is a dt at which dt * K overflows.
+    Returns (y, diverged), one row of y per step, row 0 being y0.  A
+    non-finite state (the model itself is unstable) truncates y at the
+    last finite row and sets diverged; overflow is reported through that
+    flag, not a warning.  A step count round(horizon / dt) above
+    MAX_STEPS (10^7) is rejected before anything is allocated, and so is
+    a non-finite y0; so is a dt at which dt * K overflows.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.isfinite(y0).all():
@@ -312,35 +285,21 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> Trajectory
             if not finite.all():
                 bad = int(finite.argmin())  # the first non-finite state
                 y[start : start + bad] = buf[:bad, 1 : 1 + d.m]
-                return Trajectory(y[: start + bad], True)
+                return y[: start + bad], True
             y[start : start + k] = buf[:k, 1 : 1 + d.m]
-    return Trajectory(y, False)
+    return y, False
 
 
-def residual(model: KoopmanModel, s: SnapshotSet) -> ResidualReport:
-    """Closure residual eps(y) = target - K psi(y) at every snapshot.
+def residual(model: KoopmanModel, s: SnapshotSet) -> np.ndarray:
+    """Closure residual eps(y) = target - K psi(y), one row per snapshot, (r, N).
 
     CT targets are the lifted derivatives; DT targets are the lifted
-    successors.  The report summarizes row 2-norms and the per-coordinate
-    max absolute residual.
+    successors.
     """
     if model.mode != s.mode:
         raise ValueError(f"model mode {model.mode} does not match snapshots {s.mode}")
     G, A = _system(s, model.dictionary)
-    return _report(A - G @ model.K.T)
-
-
-def _report(R) -> ResidualReport:
-    """The ResidualReport of an (r, N) residual matrix R."""
-    # a row whose squares overflow gets norm inf, without a warning
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(R, axis=1)
-    return ResidualReport(
-        matrix=R,
-        max_row_norm=float(norms.max()),
-        mean_row_norm=float(norms.mean()),
-        per_function_max=np.abs(R).max(axis=0),
-    )
+    return A - G @ model.K.T
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,19 @@ def _zero_field(y):
 
 
 def test_rk4_zero_field_constant():
-    traj = rk4_integrate(_zero_field, [0.3, -0.4], dt=0.1, steps=10)
-    assert not traj.diverged
-    np.testing.assert_array_equal(traj.y, np.tile([0.3, -0.4], (11, 1)))
+    y, diverged = rk4_integrate(_zero_field, [0.3, -0.4], dt=0.1, steps=10)
+    assert not diverged
+    np.testing.assert_array_equal(y, np.tile([0.3, -0.4], (11, 1)))
 
 
 def test_rk4_exponential_decay():
-    traj = rk4_integrate(lambda y: -y, [1.0], dt=1e-3, steps=1000)
-    assert abs(traj.y[-1, 0] - np.exp(-1.0)) < 1e-9
+    y, _ = rk4_integrate(lambda y: -y, [1.0], dt=1e-3, steps=1000)
+    assert abs(y[-1, 0] - np.exp(-1.0)) < 1e-9
 
 
 def test_rk4_zero_steps():
-    traj = rk4_integrate(_zero_field, [0.1, 0.2], dt=0.1, steps=0)
-    assert traj.y.shape == (1, 2)
+    y, _ = rk4_integrate(_zero_field, [0.1, 0.2], dt=0.1, steps=0)
+    assert y.shape == (1, 2)
 
 
 def test_rk4_fourth_order_convergence():
@@ -40,16 +40,16 @@ def test_rk4_fourth_order_convergence():
     errs = []
     for dt in (2e-2, 1e-2):
         steps = int(round(1.0 / dt))
-        traj = rk4_integrate(lambda y: -y, [1.0], dt=dt, steps=steps)
-        errs.append(abs(traj.y[-1, 0] - np.exp(-1.0)))
+        y, _ = rk4_integrate(lambda y: -y, [1.0], dt=dt, steps=steps)
+        errs.append(abs(y[-1, 0] - np.exp(-1.0)))
     ratio = errs[0] / errs[1]
     assert 12.0 <= ratio <= 20.0
 
 
 def test_rk4_flags_divergence():
-    traj = rk4_integrate(lambda y: y * y, [1.0], dt=0.5, steps=100)
-    assert traj.diverged
-    assert np.isfinite(traj.y).all()
+    y, diverged = rk4_integrate(lambda y: y * y, [1.0], dt=0.5, steps=100)
+    assert diverged
+    assert np.isfinite(y).all()
 
 
 def test_spanned_field_wraps_evaluate():

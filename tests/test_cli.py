@@ -24,6 +24,8 @@ from sillkoop.regression import (
     KoopmanModel,
     SnapshotSet,
     load_model,
+    load_snapshots,
+    residual,
     save_model,
     save_snapshots,
 )
@@ -88,6 +90,16 @@ def test_fit_writes_model_and_summary(tmp_path):
     assert model.K.shape == (d.size, d.size)
     summary = json.loads((out / "residual_summary.json").read_text())
     assert summary["max_row_norm"] >= summary["mean_row_norm"] >= 0
+    # K round-trips through JSON exactly, so the library's residual of the
+    # written model on the written snapshots is the summarised one, bit for bit
+    R = residual(model, load_snapshots(csv_path, man_path))
+    norms = np.linalg.norm(R, axis=1)
+    assert summary == {
+        "max_row_norm": float(norms.max()),
+        "mean_row_norm": float(norms.mean()),
+        "per_function_max": np.abs(R).max(axis=0).tolist(),
+        "snapshots": 40,
+    }
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "fit"
     assert sorted(manifest["outputs"]) == ["model.json", "residual_summary.json"]
@@ -669,6 +681,29 @@ def test_stats_bad_config_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "radii, samples",
+    [
+        # about 15 ns per sample and radius: hours of draws, not minutes
+        pytest.param(11, 10**9, id="11-radii-at-1e9"),
+        pytest.param(1000, 10**9, id="1000-radii-at-1e9"),
+        pytest.param(100_001, 100_000, id="just-above-limit"),
+    ],
+)
+def test_stats_moment_sweep_work_is_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys, radii, samples
+):
+    computed = _fail_with(AssertionError("stats computed before its config was checked"))
+    monkeypatch.setattr(cli, "moment_sweep", computed)
+    monkeypatch.setattr(stats, "_mc_products", computed)
+    cfg = {"a_values": [1.0] * radii, "samples": samples, "m_values": [1]}
+    out = tmp_path / "o"
+    assert _run(["stats", "--config", _write_config(tmp_path / "stats.json", cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sillkoop: bad-input: config key 'a_values'") and err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
 def test_stats_unresolved_quadrature_exits_3(tmp_path, monkeypatch, capsys):
     # a logistic that swings hundreds of times over the support is beyond
     # both Gauss-Legendre rules, so the moment sweep stops before any CSV
@@ -969,8 +1004,9 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
             "example1", ["sill", "box"], [2.0, -2.0], 2, "lo < hi", id="example1-reversed-box"
         ),
         pytest.param(
-            "theorem1", ["grid", "delta"], float("nan"), 2, "grid delta", id="theorem1-nan-delta"
+            "theorem1", ["grid", "delta"], float("nan"), 2, "'grid.delta'", id="theorem1-nan-delta"
         ),
+        pytest.param("closure", ["grid", "delta"], 0.0, 2, "'grid.delta'", id="closure-zero-delta"),
         # a target n y^(n+1) beyond the float range is refused before the fit
         pytest.param("example1", ["degrees"], [100], 2, "overflows", id="example1-degree-100"),
         pytest.param(

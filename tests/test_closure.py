@@ -270,7 +270,7 @@ def test_compute_bounds_reports_worst_function_grid_maxima():
     # the residual is the held-out residual of the fit over the completed dictionary
     completed = join_completion(sf.dictionary)
     model = fit_generator(SnapshotSet(train, sf.evaluate(train), "CT"), completed)
-    fitted = np.abs(residual(model, SnapshotSet(pts, sf.evaluate(pts), "CT")).matrix)
+    fitted = np.abs(residual(model, SnapshotSet(pts, sf.evaluate(pts), "CT")))
     assert rep.residual_max == pytest.approx(fitted.max(), rel=1e-15)
     assert rep.bar_B1 == pytest.approx(inter_gaps[worst], rel=1e-15)
     assert rep.B == pytest.approx(
