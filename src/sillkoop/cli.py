@@ -19,6 +19,7 @@ which still writes the truncated trajectory, a moment whose two
 quadrature rules disagree, least-squares solver failure, a fitted
 residual above its closure bound, or a computed value that is not
 finite).  Errors, bad usage included, print as a single line on stderr.
+Any other exception is a bug, not bad input, and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
         print(f"sillkoop: numerical: {_one_line(exc)}", file=sys.stderr)
         return 3
     # RecursionError: json.load of a file nested too deeply to parse
-    except (OSError, ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"sillkoop: bad-input: {_one_line(exc)}", file=sys.stderr)
         return 2
 

@@ -302,7 +302,8 @@ def _bounds(sf: SpannedField, forms: LieForms, residuals, alpha_scale) -> Closur
     sums; bar_B2 and tilde_B1 are the expectation-based per-term bounds with
     nu_ij = |alpha_li W_ij|.  The residual statistics are those of the fitted
     model's (P, N) residual matrix on the grid.  A field logistic whose residual
-    column exceeds its bar_B1 + bar_B2 raises ClosureBoundError.
+    column exceeds its bar_B1 + bar_B2 raises ClosureBoundError, which names
+    the logistic with the largest ratio of residual to that limit.
     """
     d = sf.dictionary
     # grid maxima of |sum|: the signed maxima would not dominate the
@@ -318,7 +319,9 @@ def _bounds(sf: SpannedField, forms: LieForms, residuals, alpha_scale) -> Closur
     limit = bar_B1 + bar_B2
     bad = np.flatnonzero(col > limit)
     if bad.size:
-        l = bad[0]
+        # a limit of 0 gives ratio inf
+        with np.errstate(divide="ignore", over="ignore"):
+            l = bad[np.argmax(col[bad] / limit[bad])]
         raise ClosureBoundError(
             f"logistic {l}: fitted residual {col[l]:.6g} exceeds its "
             f"closure bound {limit[l]:.6g}"

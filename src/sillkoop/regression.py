@@ -166,8 +166,9 @@ def solve_koopman_ls(G, A, ridge: float):
 
     G and A are N x r with one lifted sample per column.  One SVD
     G^T = U diag(s) V^T gives K^T = V diag(f) U^T A^T with filter factors
-    f = s / (s^2 + ridge), zeroed at or below s_max * eps * max(N, r), the
-    default rcond cutoff of numpy's least squares.  ridge = 0 gives the
+    f = s / (s^2 + ridge), or 1 / (s + ridge / s) where s^2 + ridge
+    overflows, zeroed at or below s_max * eps * max(N, r), the default
+    rcond cutoff of numpy's least squares.  ridge = 0 gives the
     minimum-norm solution, so rank deficiency (r < N or collinear lifts) is
     well defined; ridge > 0, which must be finite, gives the exact ridge
     solution without the normal equations' squared condition number.
@@ -183,7 +184,11 @@ def solve_koopman_ls(G, A, ridge: float):
         raise ValueError(f"ridge must be finite and non-negative, got {ridge}")
     U, s, Vt = np.linalg.svd(G.T, full_matrices=False)
     keep = s > s[0] * np.finfo(float).eps * max(G.shape)
-    f = np.divide(s, s * s + ridge, out=np.zeros_like(s), where=keep)
+    with np.errstate(over="ignore"):  # s * s overflows once s passes about 1.34e154
+        den = s * s + ridge
+    f = np.divide(s, den, out=np.zeros_like(s), where=keep)
+    big = keep & np.isinf(den)
+    f[big] = 1.0 / (s[big] + ridge / s[big])
     with np.errstate(over="ignore", invalid="ignore"):  # G and A are finite
         K = ((Vt.T * f) @ (U.T @ A.T)).T
     if not np.isfinite(K).all():

@@ -161,53 +161,43 @@ def _mass_zero_to(u, a: float):
     return np.where(u == 0.0, 0.0, mass)
 
 
-def _gauss_legendre(fn, t0: float, t1: float, panels: int) -> float:
-    """Composite Gauss-Legendre rule for fn(e^t) e^t over [t0, t1]."""
-    edges = np.linspace(t0, t1, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    z = np.exp((mid[:, None] + half[:, None] * _PANEL_NODES).ravel())
-    w = (half[:, None] * _PANEL_WEIGHTS).ravel()
-    return math.fsum(w * (fn(z) * z))
-
-
-def _outer_quad(fn, lo: float, hi: float):
-    """Integral of fn over [lo, hi], 0 < lo < hi, and its error estimate.
-
-    The substitution z = e^t turns the logarithmic endpoint growth of the
-    product density into a smooth function of t, which _PANELS equal
-    50-node Gauss-Legendre panels integrate to about 1e-15, the accuracy of
-    numpy's leggauss weights.  A rule with twice the panels runs alongside;
-    the finer value is returned with |fine - coarse| as the error estimate,
-    and an estimate that is not at most 1e-13 + 1e-12 |fine|, NaN
-    included, raises QuadratureError.  fn takes and returns arrays.
-    """
-    t0, t1 = math.log(lo), math.log(hi)
-    coarse = _gauss_legendre(fn, t0, t1, _PANELS)
-    fine = _gauss_legendre(fn, t0, t1, 2 * _PANELS)
-    err = abs(fine - coarse)
-    if not err <= 1e-13 + 1e-12 * abs(fine):
-        raise QuadratureError(
-            f"quadrature on [{lo:.3g}, {hi:.3g}] did not converge: rules with "
-            f"{_PANELS} and {2 * _PANELS} panels differ by {err:.3g}"
-        )
-    return fine, err
-
-
 def _lotus(a: float, fn):
     """Integral of product_pdf * fn, with the singular sliver handled analytically.
 
     The interval |z| <= eps = 1e-8 a^2 carries analytic mass; fn is
     replaced there by fn(0), which for a smooth fn such as the logistic
     and its square is its symmetric average over the sliver to O(eps^2).
-    Each half of the rest, [eps, 2a^2] and its mirror, is one _outer_quad
-    call.  Returns the integral and the sum of the two halves' error
-    estimates.
+    On each half of the rest, [eps, 2a^2] and its mirror, the substitution
+    z = e^t turns the density's logarithmic endpoint growth into a smooth
+    function of t, which _PANELS equal 50-node Gauss-Legendre panels
+    integrate to about 1e-15, the accuracy of numpy's leggauss weights.  A
+    check rule with twice the panels runs alongside; each half takes the
+    finer value with |fine - coarse| as its error estimate, and an estimate
+    that is not at most 1e-13 + 1e-12 |fine|, NaN included, raises
+    QuadratureError.  The density is even, so each rule evaluates it once
+    for both halves.  fn takes and returns arrays.  Returns the integral
+    and the sum of the two halves' error estimates.
     """
     eps = 1e-8 * a * a
     hi = 2.0 * a * a
-    pos, err_pos = _outer_quad(lambda u: product_pdf(u, a) * fn(u), eps, hi)
-    neg, err_neg = _outer_quad(lambda u: product_pdf(-u, a) * fn(-u), eps, hi)
+    t0, t1 = math.log(eps), math.log(hi)
+    rules = []  # per rule: the positive half's sum, then the negative half's
+    for panels in (_PANELS, 2 * _PANELS):
+        edges = np.linspace(t0, t1, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * np.diff(edges)
+        z = np.exp((mid[:, None] + half[:, None] * _PANEL_NODES).ravel())
+        w = (half[:, None] * _PANEL_WEIGHTS).ravel()
+        pdf = product_pdf(z, a)
+        rules.append([math.fsum(w * ((pdf * fn(u)) * z)) for u in (z, -z)])
+    (c_pos, c_neg), (pos, neg) = rules
+    err_pos, err_neg = abs(pos - c_pos), abs(neg - c_neg)
+    for fine, err in ((pos, err_pos), (neg, err_neg)):
+        if not err <= 1e-13 + 1e-12 * abs(fine):
+            raise QuadratureError(
+                f"quadrature on [{eps:.3g}, {hi:.3g}] did not converge: rules with "
+                f"{_PANELS} and {2 * _PANELS} panels differ by {err:.3g}"
+            )
     return pos + neg + fn(0.0) * 2.0 * _mass_zero_to(eps, a), err_pos + err_neg
 
 

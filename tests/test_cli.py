@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import expit
@@ -217,15 +217,38 @@ def _fit_config(tmp_path, csv_path, man_path, name="fit.json"):
     )
 
 
-def test_fit_snapshot_csv_without_rows_exits_2(tmp_path, capsys):
-    csv_path, man_path = _ct_snapshot_files(tmp_path)
-    Path(csv_path).write_text("y1,y2,d1,d2\n")
+_M3_DICTIONARY = json.dumps(
+    {"m": 3, "logistics": [{"mu": [0.0, 0.0, 0.0], "alpha": [2.0, 2.0, 2.0]}]}
+)
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        pytest.param(
+            "snapshots_csv", "y1,y2,d1,d2\n", "{path}: no snapshot rows after the header",
+            id="csv-header-only",
+        ),
+        pytest.param(
+            "snapshots_csv", "\n \n", "{path}: line 1: empty snapshot file", id="csv-blank"
+        ),
+        pytest.param(
+            "dictionary", _M3_DICTIONARY, "snapshots have m=2, dictionary has m=3",
+            id="dictionary-m3",
+        ),
+        pytest.param(None, "[1]", "config must be a JSON object", id="config-list"),
+    ],
+)
+def test_fit_bad_input_file_exits_2(tmp_path, capsys, key, text, message):
+    # the file the config names at key, or the config itself, holds text
+    cfg = _CONFIGS["fit"](tmp_path)
+    path = json.loads(Path(cfg).read_text())[key] if key else cfg
+    Path(path).write_text(text)
     out = tmp_path / "out"
-    assert _run(["fit", "--config", _fit_config(tmp_path, csv_path, man_path), "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert f"bad-input: {csv_path}: no snapshot rows after the header" in err
-    assert err.count("\n") == 1
-    assert not (out / "model.json").exists()
+    out.mkdir()
+    assert _run(["fit", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"sillkoop: bad-input: {message.format(path=path)}\n"
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -926,6 +949,17 @@ def test_failed_last_call_writes_nothing(tmp_path, monkeypatch, capsys, command)
     assert not list(out.iterdir())
 
 
+def test_command_bug_keeps_its_traceback(tmp_path, monkeypatch, capsys):
+    # exit 2 means bad input: an exception no input raises is a bug, and
+    # main lets it propagate rather than print it as bad input
+    monkeypatch.setitem(cli._COMMANDS, "fit", _fail_with(TypeError("a bug")))
+    out = tmp_path / "o"
+    with pytest.raises(TypeError, match="a bug"):
+        _run(["fit", "--config", _CONFIGS["fit"](tmp_path), "--out", out])
+    assert capsys.readouterr().err == ""
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "held, left",
     [
@@ -1123,6 +1157,22 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
             "stats", ["a_values"], [1.0, 0.0], 2, "'a_values[1]'", id="stats-radius-entry-1"
         ),
         pytest.param("stats", ["rate_a"], 1e60, 2, "'rate_a'", id="stats-rate-a-1e60"),
+        # refusals the library words for itself
+        pytest.param("predict", ["dt"], 0.0, 2, "dt must be positive", id="predict-dt-0"),
+        pytest.param(
+            "predict", ["horizon"], -1.0, 2, "horizon must be non-negative",
+            id="predict-horizon-negative",
+        ),
+        pytest.param(
+            "closure", ["alpha_scales"], [1, -2], 2, "alpha_scales must be positive",
+            id="closure-scale-negative",
+        ),
+        pytest.param(
+            "theorem1", ["grid", "delta"], 100.0, 2, "no lattice points", id="theorem1-delta-100"
+        ),
+        pytest.param(
+            "theorem1", ["scales"], [1, 5000], 2, "underflowed", id="theorem1-scale-5000"
+        ),
     ],
 )
 def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, value, code, word):
@@ -1171,7 +1221,7 @@ def _mutate(parent, key, kind):
         parent["extra"] = value
     elif kind == "append" and isinstance(value, list):
         value.append(value[-1] if value else 1.0)
-    elif kind in ("nan", "inf"):
+    elif kind in ("nan", "inf", "1e300", "-1e300", "1e160", "1e-300"):
         parent[key] = float(kind)
     elif kind == "1e999":
         parent[key] = "1e999"  # written as the bare JSON literal 1e999
@@ -1180,11 +1230,15 @@ def _mutate(parent, key, kind):
 _MUTATIONS = [
     "str", "bool", "null", "object", "list", "wrap", "unwrap",
     "drop", "add", "append", "nan", "inf", "1e999",
+    # large and tiny finite values: squares and sums that overflow or underflow
+    "1e300", "-1e300", "1e160", "1e-300",
 ]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(list(_CONFIGS)), st.integers(0, 10_000), st.sampled_from(_MUTATIONS))
+# grid.box[0][1] = 1e160: the lift's largest singular value squares to inf
+@example(command="closure", pick=36, kind="1e160")
 def test_config_mutation_exits_cleanly(tmp_path_factory, command, pick, kind):
     # any one mutation of a working config exits 0, 2 or 3; a failure is
     # one stderr line, and bad input leaves no manifest
@@ -1219,7 +1273,10 @@ _INPUT_FILES = {
     "complete-dictionary": ("dict.json",),
 }
 
-_CSV_MUTATIONS = ["text", "empty", "nan", "inf", "1e999", "drop", "add", "blank", "repeat"]
+_CSV_MUTATIONS = [
+    "text", "empty", "nan", "inf", "1e999", "drop", "add", "blank", "repeat",
+    "1e300", "-1e300", "1e160", "1e-300",
+]
 
 
 def _mutate_csv(lines, pick, kind):
@@ -1248,6 +1305,8 @@ def _mutate_csv(lines, pick, kind):
     st.sampled_from(_MUTATIONS),
     st.sampled_from(_CSV_MUTATIONS),
 )
+# the first snapshot's y1 = 1e300: the lift's largest singular value squares to inf
+@example(target=("fit", "snaps.csv"), pick=1, kind="str", csv_kind="1e300")
 def test_input_file_mutation_exits_cleanly(tmp_path_factory, target, pick, kind, csv_kind):
     # one mutation of a dictionary, model, snapshot manifest or snapshot CSV
     # that a working config reads: the same contract as a mutated config

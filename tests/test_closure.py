@@ -278,6 +278,24 @@ def test_compute_bounds_reports_worst_function_grid_maxima():
     )
 
 
+def test_bound_refusal_names_the_logistic_furthest_over_its_limit():
+    sf = _reference_field()
+    pts = half_cell_shift(_REFERENCE_BOX, 9)
+    forms = lie_forms(sf, pts)
+    d = sf.dictionary
+    nu_sum = np.abs(d.alpha[:, :, None] * sf.W).sum(axis=(1, 2))
+    limit = np.abs(forms.exact - forms.intermediate).max(axis=0) + nu_sum / 2.0 ** (d.m + 1)
+    residuals = np.zeros((len(pts), 1 + d.m + d.n_logistic))
+    # logistics 0 and 1 are both over their limits, logistic 1 by more
+    residuals[0, 1 + d.m : 1 + d.m + 2] = [2.0 * limit[0], 3.0 * limit[1]]
+    with pytest.raises(ClosureBoundError, match="^logistic 1: "):
+        closure._bounds(sf, forms, residuals, 1.0)
+    # zero weights give every logistic a limit of 0: no divide warning
+    zero = SpannedField(d, np.zeros_like(sf.W))
+    with pytest.raises(ClosureBoundError, match="^logistic 0: .* bound 0$"):
+        closure._bounds(zero, lie_forms(zero, pts), residuals, 1.0)
+
+
 def test_compute_bounds_decrease_with_steepness_on_fixed_grid():
     sf = _reference_field()
     train = lattice_grid(_REFERENCE_BOX, 9)

@@ -102,6 +102,19 @@ def test_single_snapshot_with_ridge_is_finite():
     assert np.isfinite(model.K).all()
 
 
+def test_singular_value_whose_square_overflows_is_kept():
+    # one snapshot at y = 1e160 gives a singular value near 1e160, whose
+    # square is inf; its direction carries the fit of dy/dt = 0.5 y
+    y = np.append(np.linspace(-2.0, 2.0, 39), 1e160)[:, None]
+    s = SnapshotSet(y, 0.5 * y, "CT")
+    d = SillDictionary(1, (ConjLogistic([0.0], [2.0]), ConjLogistic([1.0], [3.0])))
+    G, A = _system(s, d)
+    expected = np.linalg.lstsq(G, A, rcond=None)[0].T
+    K = fit_generator(s, d).K
+    np.testing.assert_allclose(K[1], expected[1], rtol=1e-12, atol=1e-12)
+    assert K[1, 1] == pytest.approx(0.5, rel=1e-12)
+
+
 def test_zero_derivatives_give_zero_generator():
     d = _dictionary(seed=9)
     rng = np.random.default_rng(10)
