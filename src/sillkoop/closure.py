@@ -129,8 +129,6 @@ def product_approx_error(f: ConjLogistic, g: ConjLogistic, y):
     One sigmoid table of the pair gives all three: the join's columns are
     the pair's column max, as in lie_forms.
     """
-    if f.m != g.m:
-        raise ValueError(f"dimension mismatch: {f.m} vs {g.m}")
     pair = SillDictionary(f.m, (f, g))
     table, (cf, cg) = _sigmoid_table(y, pair), pair.columns
     out = _product(table, cf) * _product(table, cg) - _product(table, np.maximum(cf, cg))
@@ -442,6 +440,6 @@ def _batch(pts, completed: SillDictionary, sf: SpannedField):
 
 def _join_index(completed: SillDictionary, n: int) -> np.ndarray:
     """(n, n) places in completed of the joins of its first n logistics."""
-    place = {row: k for k, row in enumerate(map(tuple, completed.ranks.tolist()))}
-    joins = np.maximum(completed.ranks[:n, None], completed.ranks[:n]).tolist()
+    place = {row: k for k, row in enumerate(map(tuple, completed.columns.tolist()))}
+    joins = np.maximum(completed.columns[:n, None], completed.columns[:n]).tolist()
     return np.array([[place[tuple(r)] for r in row] for row in joins], dtype=np.intp)

@@ -8,13 +8,13 @@ differentiates, orders, and join-completes such dictionaries.
 
 A dictionary lives in index space.  Coordinate i has only r_i <= N_L
 distinct (mu_i, alpha_i) pairs; sorted lexicographically they form its
-table, and the R = sum r_i columns of all coordinates form one flat
-table.  Each logistic is a row of integer ranks into the tables.  The
-join of two logistics takes, per coordinate, the lexicographically larger
-pair, so it is np.maximum on ranks, and join completion never leaves the
-tables.  Evaluation is one kernel: one stable_sigmoid call over the
-(..., R) table at the points, then a gather of each logistic's columns and
-a product over coordinates.  A ConjLogistic is the one-row case, whose
+table, and the R = sum r_i columns of all coordinates form one flat table,
+coordinate 0's first.  Each logistic is a row of m columns.  The join of
+two logistics takes, per coordinate, the lexicographically larger pair, so
+it is np.maximum on columns; _groups finds the distinct rows of the table
+and of the joins.  Evaluation is one kernel: one stable_sigmoid call over
+the (..., R) table at the points, then a gather of each logistic's columns
+and a product over coordinates.  A ConjLogistic is the one-row case, whose
 table is its own m pairs.  Every gather is C-contiguous (np.take), so a
 later reduction over its last axis runs in the same order as over a
 freshly computed array, and values match a per-factor evaluation bit for
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -153,10 +152,10 @@ class SillDictionary:
 
     The index space (see the module docstring), all read-only:
     table_mu, table_alpha and table_coord are the (R,) flat table of every
-    coordinate's sorted distinct pairs, coordinate 0's first; ranks[l, i]
-    is logistic l's pair's place in coordinate i's table, and columns[l, i]
-    its column in the flat table.  Centers compare as floats, so -0.0 and
-    0.0 are one center, stored as its first occurrence.
+    coordinate's sorted distinct pairs, coordinate 0's first, and
+    columns[l, i] is the column of logistic l's pair in coordinate i.
+    Centers compare as floats, so -0.0 and 0.0 are one center, stored as
+    its first occurrence.
     """
 
     m: int
@@ -166,7 +165,6 @@ class SillDictionary:
     table_mu: np.ndarray = field(init=False, repr=False)
     table_alpha: np.ndarray = field(init=False, repr=False)
     table_coord: np.ndarray = field(init=False, repr=False)
-    ranks: np.ndarray = field(init=False, repr=False)
     columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -187,21 +185,15 @@ class SillDictionary:
         mu = np.stack([f.mu for f in logistics])
         alpha = np.stack([f.alpha for f in logistics])
         n, m = mu.shape
-        # sort every (coordinate, mu, alpha) triple; a triple unlike the one
-        # before it opens a new table column
+        # every (coordinate, mu, alpha) triple; each distinct one is a column
         coord, u, a = np.repeat(np.arange(m), n), mu.T.ravel(), alpha.T.ravel()
-        order = np.lexsort((a, u, coord))
-        coord, u, a = coord[order], u[order], a[order]
-        opens = np.ones(n * m, dtype=bool)
-        opens[1:] = (coord[1:] != coord[:-1]) | (u[1:] != u[:-1]) | (a[1:] != a[:-1])
+        order, opens = _groups(np.stack([coord, u, a], axis=1))
         columns = np.empty(n * m, dtype=np.intp)
         columns[order] = np.cumsum(opens) - 1
-        columns = np.ascontiguousarray(columns.reshape(m, n).T)
-        table_coord = coord[opens]
-        ranks = columns - np.searchsorted(table_coord, np.arange(m))
+        first = order[opens]
         arrays = dict(
-            mu=mu, alpha=alpha, table_mu=u[opens], table_alpha=a[opens],
-            table_coord=table_coord, ranks=ranks, columns=columns,
+            mu=mu, alpha=alpha, table_mu=u[first], table_alpha=a[first],
+            table_coord=coord[first], columns=np.ascontiguousarray(columns.reshape(m, n).T),
         )
         for name, arr in arrays.items():
             arr.setflags(write=False)
@@ -427,12 +419,10 @@ def check_total_order(d: SillDictionary) -> tuple:
 def join_params(f: ConjLogistic, g: ConjLogistic) -> ConjLogistic:
     """Componentwise-max join of two conjunctive logistics.
 
-    Per coordinate, the larger table column of the pair (the rank join):
+    Per coordinate, the larger table column of the pair (the column join):
     the larger center with the steepness of whichever function supplied
     it, and on a center tie the larger steepness.
     """
-    if f.m != g.m:
-        raise ValueError(f"dimension mismatch: {f.m} vs {g.m}")
     pair = SillDictionary(f.m, (f, g))
     cols = pair.columns.max(axis=0)
     return ConjLogistic(pair.table_mu[cols], pair.table_alpha[cols])
@@ -446,32 +436,33 @@ def join_completion(d: SillDictionary) -> SillDictionary:
     pass joins, in row-major order, the pairs (a, b), a < b, whose b
     arrived in the previous pass (all pairs in the first), and appends the
     first occurrence of each join not yet a member.  The passes run on
-    rank rows, where a join is np.maximum and a row's mixed-radix number
-    is its exact deduplication key; every join draws its pairs from the
-    originals' tables, so the closure is finite and this terminates.
+    column rows: a coordinate's columns are contiguous and sorted, so a
+    join is np.maximum, and _groups finds the new rows.  Every join draws
+    its pairs from the originals' tables, so this terminates.
     """
-    n0, radix = d.n_logistic, np.bincount(d.table_coord)
-    rows = d.ranks
-    fresh = 0
+    n0, rows, fresh = d.n_logistic, d.columns, 0
     while fresh < len(rows):
         n = len(rows)
         a, b = np.triu_indices(n, 1)
         a, b = a[b >= fresh], b[b >= fresh]
         joined = np.maximum(rows[a], rows[b])
-        first = _first_occurrences(np.vstack([rows, joined]), radix)
+        order, opens = _groups(np.vstack([rows, joined]))
+        first = order[opens]
         rows = np.vstack([rows, joined[np.sort(first[first >= n]) - n]])
         fresh = n
-    cols = rows[n0:] + (np.cumsum(radix) - radix)
-    new = map(ConjLogistic, d.table_mu[cols], d.table_alpha[cols])
+    new = map(ConjLogistic, d.table_mu[rows[n0:]], d.table_alpha[rows[n0:]])
     return SillDictionary(d.m, d.logistics + tuple(new))
 
 
-def _first_occurrences(rows, radix):
-    """Index of the first occurrence of each distinct rank row."""
-    if math.prod(radix.tolist()) < 2**63:
-        return np.unique(np.ravel_multi_index(rows.T, radix), return_index=True)[1]
-    # the mixed-radix number would overflow int64
-    return np.unique(rows, axis=0, return_index=True)[1]
+def _groups(keys):
+    """Stable lexicographic order of keys' rows, and where each distinct row starts.
+
+    Column 0 is primary and floats compare as floats (-0.0 == 0.0), so
+    order[opens] is each distinct row's first occurrence.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    return order, np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
 
 
 def _write_atomic(pairs) -> None:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Contract violations (bad shapes, bad parameters, malformed files) raise
-ValueError or a subclass of it; numerical failures raise RuntimeError
-subclasses so callers can tell the two apart.
+Bad input (shapes, parameters, malformed files) raises ValueError.  The
+CLI exits 3 on the numerical failures: the two RuntimeErrors below,
+FloatingPointError and numpy's LinAlgError (a ValueError, caught first).
 """
 
 __all__ = ["QuadratureError", "ClosureBoundError"]

@@ -120,6 +120,9 @@ def test_snapshots_roundtrip_through_csv(tmp_path):
 def test_polynomial_dictionary_validation():
     with pytest.raises(ValueError):
         polynomial_residual_growth(0, np.linspace(-10, 10, 201))
+    # degree 3 has 4 coefficients and needs 5 points
+    with pytest.raises(ValueError, match="more points than coefficients"):
+        polynomial_residual_growth(3, np.linspace(-10, 10, 4))
 
 
 def test_polynomial_residual_linear_case():

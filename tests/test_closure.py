@@ -328,12 +328,16 @@ def test_compute_bounds_rejects_near_hyperplane_grid():
     sf = _single_logistic_field(mu=0.3)
     with pytest.raises(ValueError, match="hyperplane"):
         closure_experiment(sf, [[1.0]], [1.0], holdout_grid=[[0.3005]], delta=1e-2)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        closure_experiment(sf, [[1.0]], [1.0], holdout_grid=[[1.0]], delta=0.0)
 
 
 def test_compute_bounds_rejects_empty_grid():
     sf = _single_logistic_field()
     with pytest.raises(ValueError):
         closure_experiment(sf, [[1.0]], [1.0], holdout_grid=np.zeros((0, 1)), delta=0.1)
+    with pytest.raises(ValueError, match="grid must be a list of length-1 points"):
+        closure_experiment(sf, [[1.0, 2.0]], [1.0], holdout_grid=[[1.0]], delta=0.1)
 
 
 def test_closure_experiment_residual_decays():
@@ -489,6 +493,8 @@ def test_decay_sweep_rejects_bad_scales():
 def test_lattice_grid_validation():
     with pytest.raises(ValueError):
         lattice_grid([(1.0, 0.0)], 3)
+    with pytest.raises(ValueError, match=r"list of \(lo, hi\) pairs"):
+        lattice_grid([(0.0, 1.0, 2.0)], 3)
     with pytest.raises(ValueError):
         lattice_grid([(0.0, 1.0)], 1)
 

@@ -17,6 +17,7 @@ from sillkoop.closure import (
     half_cell_shift,
     lattice_grid,
     product_approx_decay,
+    product_approx_error,
 )
 from sillkoop.dictionary import (
     ConjLogistic,
@@ -119,6 +120,10 @@ def test_conjlogistic_rejects_nonpositive_alpha():
 def test_conjlogistic_rejects_length_mismatch():
     with pytest.raises(ValueError):
         ConjLogistic([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="1-D vectors"):
+        ConjLogistic([[0.0, 1.0]], [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        ConjLogistic([], [])
 
 
 def _small_dictionary():
@@ -152,6 +157,13 @@ def test_lift_layout():
 def test_dictionary_requires_logistics():
     with pytest.raises(ValueError):
         SillDictionary(2, ())
+    f = ConjLogistic([0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="positive integer"):
+        SillDictionary(0, (f,))
+    with pytest.raises(TypeError, match=r"logistics\[1\] is not a ConjLogistic"):
+        SillDictionary(2, (f, {"mu": [0.0, 1.0], "alpha": [1.0, 1.0]}))
+    with pytest.raises(ValueError, match=r"logistics\[0\] has dimension 2, dictionary has m=3"):
+        SillDictionary(3, (f,))
 
 
 def test_grad_center_symmetry():
@@ -196,6 +208,8 @@ def test_lift_jacobian_structure():
     assert jac.shape == (5, 2)
     assert np.all(jac[0] == 0.0)
     np.testing.assert_array_equal(jac[1:3], np.eye(2))
+    with pytest.raises(ValueError, match="length-2 point"):
+        lift_jacobian(np.zeros((3, 2)), d)
 
 
 def test_lift_jacobian_matches_finite_differences():
@@ -231,6 +245,20 @@ def test_dominates_incomparable_pair():
     g = ConjLogistic([3.0, 2.0], [1.0, 1.0])
     assert not dominates(f, g)
     assert not dominates(g, f)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [join_params, dominates, lambda f, g: product_approx_error(f, g, [0.0, 0.0])],
+    ids=["join_params", "dominates", "product_approx_error"],
+)
+def test_pair_of_different_dimensions_is_refused(pair):
+    # join_params and product_approx_error leave the check to the pair's
+    # SillDictionary; without dominates' own, g.mu - f.mu would broadcast
+    f = ConjLogistic([0.0, 1.0], [1.0, 1.0])
+    g = ConjLogistic([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        pair(f, g)
 
 
 def test_dominates_reflexive_on_ties():

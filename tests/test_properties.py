@@ -7,8 +7,8 @@ sigmoid must keep its range and symmetry and stay within 2 ulp of the
 exact logistic.  Join completion must be a closure: idempotent, closed
 under join, originals first, member for member the result of the
 pairwise loop it replaced, and row for row, in order, the float
-completion that the rank completion replaced; join_params, the rank join
-of a pair, must be the float join rule.  The sigmoid-table kernel
+completion that the index completion replaced; join_params, the column
+join of a pair, must be the float join rule.  The sigmoid-table kernel
 (conj_values, grad_conjunctive, every closure form) must equal per-factor
 products bit for bit.  The closure forms,
 computed for all logistics in one pass, must agree bit for bit with their
@@ -542,7 +542,7 @@ def test_rank_completion_matches_float_completion(d):
 @example(_SIGNED_ZEROS)
 @example(_TIED_CENTERS)
 def test_join_params_is_the_float_join_rule(d):
-    # the rank join of every ordered pair, compared as floats
+    # the column join of every ordered pair, compared as floats
     for f in d.logistics:
         for g in d.logistics:
             mu, alpha = _float_join(f.mu, f.alpha, g.mu, g.alpha)
@@ -552,7 +552,8 @@ def test_join_params_is_the_float_join_rule(d):
 
 
 def test_rank_completion_without_an_int64_key():
-    # 2^64 rank tuples: the mixed-radix number would overflow int64
+    # a table whose size product is 2^64, past int64: the one grouping
+    # path must complete it
     m = 64
     mu = np.zeros((3, m))
     mu[0, ::2] = mu[1, 1::2] = mu[2, :32] = 1.0

@@ -387,6 +387,14 @@ def test_snapshot_csv_first_bad_line_is_named(tmp_path, body, message):
     assert str(exc.value) == f"{csv_path}: {message}"
 
 
+def test_model_refuses_a_k_of_another_shape_and_an_unknown_mode():
+    d = _dictionary()
+    with pytest.raises(ValueError, match="K must be 5x5"):
+        KoopmanModel(np.zeros((4, 4)), d, "CT")
+    with pytest.raises(ValueError, match="mode must be 'CT' or 'DT'"):
+        KoopmanModel(np.zeros((5, 5)), d, "XX")
+
+
 def test_model_json_roundtrip(tmp_path):
     d = _dictionary(seed=27)
     s = _ct_snapshots(d, seed=28)

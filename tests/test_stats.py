@@ -272,6 +272,16 @@ def test_error_rate_csv_layout(tmp_path):
     # the Monte Carlo columns are the library's rows, through repr
     (row,) = expected_error_rates([2], 2.0, samples=1_000, seed=0)
     assert lines[1] == f"2,0.125,0.03125,{row.mc_linear!r},{row.mc_bilinear!r}"
+    # "rate_a": null is the default 2.0, as a missing key is: the same CSVs
+    csvs = {}
+    for rate_a in (None, 2.0):
+        run = tmp_path / repr(rate_a)
+        run.mkdir()
+        cfg = dict(a_values=[1.0], samples=1_000, m_values=[1, 2], rate_a=rate_a)
+        _stats_csv(run, "moments.csv", **cfg)
+        names = ("moments.csv", "error_rates.csv", "conjunctive.csv")
+        csvs[rate_a] = [(run / "o" / name).read_bytes() for name in names]
+    assert csvs[None] == csvs[2.0]
 
 
 def test_mc_sample_count_validation():
