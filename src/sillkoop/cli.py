@@ -25,6 +25,7 @@ Any other exception is a bug, not bad input, and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -50,8 +51,9 @@ from .dictionary import (
     SillDictionary,
     _checked,
     _csv_text,
+    _dictionary_from,
     _json_text,
-    _logistic_from,
+    _params_from,
     _write_atomic,
     check_total_order,
     join_completion,
@@ -185,13 +187,9 @@ def cmd_predict(cfg, seed):
 
 
 def _spanned_field_from(cfg) -> SpannedField:
-    m = _need(cfg, "m", int, "measurement dimension")
-    entries = _need(cfg, "logistics", list, "list of {mu, alpha} objects")
-    logistics = tuple(
-        _logistic_from(e, f"logistics[{k}]", "config") for k, e in enumerate(entries)
-    )
-    W = _need(cfg, "W", [[float]], "m x N_L weight matrix")
-    return SpannedField(SillDictionary(m, logistics), W)
+    m = _need(cfg, "m", int, "measurement dimension", 1)
+    d = _dictionary_from(m, _need(cfg, "logistics", list, "list of {mu, alpha} objects"), "config")
+    return SpannedField(d, _need(cfg, "W", [[float]], "m x N_L weight matrix"))
 
 
 def cmd_closure(cfg, seed):
@@ -214,8 +212,8 @@ def cmd_closure(cfg, seed):
 
 def cmd_theorem1(cfg, seed):
     """steepness-decay sweep of the product-approximation error"""
-    f = _logistic_from(_need(cfg, "f", dict, "first logistic"), "f", "config")
-    g = _logistic_from(_need(cfg, "g", dict, "second logistic"), "g", "config")
+    f = ConjLogistic(*_params_from(_need(cfg, "f", dict, "first logistic"), "f", "config"))
+    g = ConjLogistic(*_params_from(_need(cfg, "g", dict, "second logistic"), "g", "config"))
     if f.m != g.m:
         raise ValueError(f"config keys 'f' and 'g' must have equal dimensions, got {f.m} and {g.m}")
     box, points, delta = _grid_spec(cfg, f.m)
@@ -302,7 +300,8 @@ def cmd_example1(cfg, seed):
     box = _interval(cfg, "sill.box", "bounded interval")
     points = _need(cfg, "sill.points", int, "sample count over the box", most=MAX_GRID_ROWS)
     ridge = _need(cfg, "sill.ridge", float, "ridge penalty")
-    d = SillDictionary(1, tuple(ConjLogistic([c], [alpha]) for c in centers))
+    keys = {"mu": "config key 'sill.centers[{}]'", "alpha": "config key 'sill.alpha'"}
+    d = SillDictionary._of(np.reshape(centers, (-1, 1)), np.full((len(centers), 1), alpha), keys)
     y = np.linspace(lo, hi, fit_points)
     rows = []
     slopes = {}
@@ -420,6 +419,7 @@ def main(argv=None) -> int:
         files["run_manifest.json"] = _manifest(args.command, cfg, args.seed, list(files))
         # every file is formatted before the first is written, the manifest last
         _write_atomic([(os.path.join(args.out, n), _text(n, obj)) for n, obj in files.items()])
+        gc.collect(0)  # an indented json.dumps leaves a cycle that can keep an arena resident
         if args.command == "predict" and files["predict_summary.json"]["diverged"]:
             print("sillkoop: numerical: trajectory diverged; output truncated", file=sys.stderr)
             return 3

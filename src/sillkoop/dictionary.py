@@ -3,8 +3,10 @@
 A SILL dictionary lifts an m-dimensional measurement vector y to
 N = 1 + m + N_L coordinates: a constant, the measurements themselves, and
 N_L conjunctive logistic functions (products of per-coordinate sigmoids,
-each with its own center mu and steepness alpha).  This module evaluates,
-differentiates, orders, and join-completes such dictionaries.
+each with its own center mu and steepness alpha).  A dictionary is its
+(N_L, m) mu and alpha arrays; its ConjLogistic objects are built only on
+first access.  This module evaluates, differentiates, orders, and
+join-completes such dictionaries.
 
 A dictionary lives in index space.  Coordinate i has only r_i <= N_L
 distinct (mu_i, alpha_i) pairs; sorted lexicographically they form its
@@ -28,6 +30,7 @@ call with deterministic ordering.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -97,14 +100,11 @@ class ConjLogistic:
     alpha: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(_frozen(self.mu))
-        alpha = np.atleast_1d(_frozen(self.alpha))
+        mu, alpha = (np.atleast_1d(_frozen(x)) for x in (self.mu, self.alpha))
         if mu.ndim != 1 or alpha.ndim != 1:
             raise ValueError("mu and alpha must be 1-D vectors")
         if mu.shape != alpha.shape:
-            raise ValueError(
-                f"mu has length {mu.size}, alpha has length {alpha.size}"
-            )
+            raise ValueError(f"mu has length {mu.size}, alpha has length {alpha.size}")
         if mu.size < 1:
             raise ValueError("conjunctive logistic needs at least one coordinate")
         if not (np.isfinite(mu).all() and np.isfinite(alpha).all()):
@@ -139,16 +139,16 @@ class ConjLogistic:
         return hash((tuple(self.mu.tolist()), tuple(self.alpha.tolist())))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SillDictionary:
     """Ordered dictionary [1, y, conjunctive logistics] over R^m.
 
-    Every logistic must share the dictionary's measurement dimension m and
-    there must be at least one (the dictionary is a genuine lifting,
-    N > m).  The lifted coordinate layout is fixed: index 0 is the
-    constant, 1..m are the measurements, m+1.. are the logistics in list
-    order.  mu and alpha are the logistics' centers and steepnesses
-    stacked read-only into (N_L, m) arrays.
+    A dictionary is its parameter arrays: mu and alpha, the centers and
+    steepnesses of N_L >= 1 logistics, read-only (N_L, m), one row each.
+    The lifted coordinate layout is fixed: index 0 is the constant, 1..m
+    are the measurements, m+1.. are the logistics in row order.  The
+    public constructor stacks ConjLogistic objects of dimension m, and
+    logistics, one ConjLogistic per row, is built on first access.
 
     The index space (see the module docstring), all read-only:
     table_mu, table_alpha and table_coord are the (R,) flat table of every
@@ -159,31 +159,41 @@ class SillDictionary:
     """
 
     m: int
-    logistics: tuple
-    mu: np.ndarray = field(init=False, repr=False)
-    alpha: np.ndarray = field(init=False, repr=False)
-    table_mu: np.ndarray = field(init=False, repr=False)
-    table_alpha: np.ndarray = field(init=False, repr=False)
-    table_coord: np.ndarray = field(init=False, repr=False)
-    columns: np.ndarray = field(init=False, repr=False)
+    mu: np.ndarray
+    alpha: np.ndarray
+    table_mu: np.ndarray = field(repr=False)
+    table_alpha: np.ndarray = field(repr=False)
+    table_coord: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
+    def __init__(self, m: int, logistics):
+        if int(m) != m or m < 1:
             raise ValueError("measurement dimension m must be a positive integer")
-        object.__setattr__(self, "m", int(self.m))
-        logistics = tuple(self.logistics)
-        if len(logistics) < 1:
-            raise ValueError("a SILL dictionary needs at least one logistic")
+        m, logistics = int(m), tuple(logistics)
         for k, f in enumerate(logistics):
             if not isinstance(f, ConjLogistic):
                 raise TypeError(f"logistics[{k}] is not a ConjLogistic")
-            if f.m != self.m:
-                raise ValueError(
-                    f"logistics[{k}] has dimension {f.m}, dictionary has m={self.m}"
-                )
-        object.__setattr__(self, "logistics", logistics)
-        mu = np.stack([f.mu for f in logistics])
-        alpha = np.stack([f.alpha for f in logistics])
+            if f.m != m:
+                raise ValueError(f"logistics[{k}] has dimension {f.m}, dictionary has m={m}")
+        self._index(np.array([f.mu for f in logistics]), np.array([f.alpha for f in logistics]))
+
+    @classmethod
+    def _of(cls, mu, alpha, where=None) -> "SillDictionary":
+        """The dictionary of (N_L, m) arrays; errors name row l by where[name].format(l)."""
+        return cls.__new__(cls)._index(mu, alpha, where)
+
+    def _index(self, mu, alpha, where=None) -> "SillDictionary":
+        """Check mu and alpha in one pass, then set self's arrays from them."""
+        if len(mu) < 1:
+            raise ValueError("a SILL dictionary needs at least one logistic")
+        for name, ok, text in (
+            ("mu", np.isfinite(mu), "mu and alpha must be finite"),
+            ("alpha", np.isfinite(alpha), "mu and alpha must be finite"),
+            ("alpha", alpha > 0, "all steepness components must be strictly positive"),
+        ):
+            if not ok.all():
+                row = int(ok.all(axis=1).argmin())
+                raise ValueError(text if where is None else f"{where[name].format(row)}: {text}")
         n, m = mu.shape
         # every (coordinate, mu, alpha) triple; each distinct one is a column
         coord, u, a = np.repeat(np.arange(m), n), mu.T.ravel(), alpha.T.ravel()
@@ -195,41 +205,39 @@ class SillDictionary:
             mu=mu, alpha=alpha, table_mu=u[first], table_alpha=a[first],
             table_coord=coord[first], columns=np.ascontiguousarray(columns.reshape(m, n).T),
         )
+        object.__setattr__(self, "m", m)
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        return self
+
+    @functools.cached_property
+    def logistics(self) -> tuple:
+        """One ConjLogistic per row of mu and alpha, built on first access."""
+        return tuple(map(ConjLogistic, self.mu, self.alpha))
 
     @property
     def n_logistic(self) -> int:
-        return len(self.logistics)
+        return len(self.mu)
 
     @property
     def size(self) -> int:
         """Total number of dictionary functions N = 1 + m + N_L."""
-        return 1 + self.m + len(self.logistics)
+        return 1 + self.m + len(self.mu)
 
     def scaled(self, s: float) -> "SillDictionary":
-        return SillDictionary(self.m, tuple(f.scaled(s) for f in self.logistics))
+        return SillDictionary._of(self.mu, s * self.alpha)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "logistics": [
-                {"mu": f.mu.tolist(), "alpha": f.alpha.tolist()}
-                for f in self.logistics
-            ],
-        }
+        rows = zip(self.mu.tolist(), self.alpha.tolist())
+        return {"m": self.m, "logistics": [{"mu": u, "alpha": a} for u, a in rows]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SillDictionary":
         obj = _json_object(obj, "dictionary", ("m", "logistics"))
-        m, entries = obj["m"], obj["logistics"]
-        m = _checked(m, int, "dictionary", "m", "measurement dimension", least=1)
-        entries = _checked(entries, list, "dictionary", "logistics", "logistic objects")
-        logistics = (
-            _logistic_from(e, f"logistics[{i}]", "dictionary") for i, e in enumerate(entries)
-        )
-        return cls(m, tuple(logistics))
+        m = _checked(obj["m"], int, "dictionary", "m", "measurement dimension", least=1)
+        entries = _checked(obj["logistics"], list, "dictionary", "logistics", "logistic objects")
+        return _dictionary_from(m, entries, "dictionary")
 
 
 def _json_object(obj, where: str, keys) -> dict:
@@ -278,19 +286,25 @@ def _checked(val, kind, source: str, key: str, desc: str, least=None, most=None)
     return val
 
 
-def _logistic_from(obj, label: str, source: str) -> ConjLogistic:
-    """The ConjLogistic of a JSON object {"mu": [...], "alpha": [...]}.
-
-    label names the object and source the file ("config", "dictionary")
-    in error messages.
-    """
+def _params_from(obj, label: str, source: str):
+    """[mu, alpha] of JSON object {"mu": [...], "alpha": [...]}, errors naming source's label."""
     if not isinstance(obj, dict) or "mu" not in obj or "alpha" not in obj:
         raise ValueError(f"{label} must be an object with 'mu' and 'alpha' arrays")
-    mu, alpha = (
+    return [
         _checked(obj[k], [float], source, f"{label}.{k}", "logistic parameters")
         for k in ("mu", "alpha")
-    )
-    return ConjLogistic(mu, alpha)
+    ]
+
+
+def _dictionary_from(m: int, entries: list, source: str) -> SillDictionary:
+    """The dictionary of m and its logistics' JSON objects; errors name keys in source."""
+    rows = [_params_from(e, f"logistics[{k}]", source) for k, e in enumerate(entries)]
+    for k, (mu, alpha) in enumerate(rows):
+        if not len(mu) == len(alpha) == m:
+            raise ValueError(f"{source} key 'logistics[{k}]' needs {m} entries in mu and alpha")
+    mu, alpha = (np.array([r[i] for r in rows]) for i in (0, 1))
+    where = {k: f"{source} key 'logistics[{{}}].{k}'" for k in ("mu", "alpha")}
+    return SillDictionary._of(mu, alpha, where)
 
 
 def _check_point(y, m: int) -> np.ndarray:
@@ -440,7 +454,7 @@ def join_completion(d: SillDictionary) -> SillDictionary:
     join is np.maximum, and _groups finds the new rows.  Every join draws
     its pairs from the originals' tables, so this terminates.
     """
-    n0, rows, fresh = d.n_logistic, d.columns, 0
+    rows, fresh = d.columns, 0
     while fresh < len(rows):
         n = len(rows)
         a, b = np.triu_indices(n, 1)
@@ -450,8 +464,9 @@ def join_completion(d: SillDictionary) -> SillDictionary:
         first = order[opens]
         rows = np.vstack([rows, joined[np.sort(first[first >= n]) - n]])
         fresh = n
-    new = map(ConjLogistic, d.table_mu[rows[n0:]], d.table_alpha[rows[n0:]])
-    return SillDictionary(d.m, d.logistics + tuple(new))
+    new = rows[d.n_logistic :]
+    mu, alpha = np.vstack([d.mu, d.table_mu[new]]), np.vstack([d.alpha, d.table_alpha[new]])
+    return SillDictionary._of(mu, alpha)
 
 
 def _groups(keys):

@@ -1468,6 +1468,61 @@ def test_file_refusal_names_the_list_entry(tmp_path, capsys, command, name, path
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, name, path, value, key",
+    [
+        pytest.param(
+            "complete-dictionary", "dict.json", ["logistics", 0, "alpha", 1], -7.0,
+            "dictionary key 'logistics[0].alpha'", id="dictionary-alpha",
+        ),
+        pytest.param(
+            "predict", "model.json", ["dictionary", "logistics", 0, "alpha"], [0.0],
+            "dictionary key 'logistics[0].alpha'", id="model-alpha",
+        ),
+        pytest.param(
+            "closure", None, ["logistics", 1, "alpha", 0], -7.0,
+            "config key 'logistics[1].alpha'", id="closure-alpha",
+        ),
+        pytest.param(
+            "closure", None, ["logistics", 0, "mu", 1], float("inf"),
+            "config key 'logistics[0].mu'", id="closure-infinite-mu",
+        ),
+        pytest.param(
+            "closure", None, ["logistics", 2, "mu"], [0.1],
+            "config key 'logistics[2]'", id="closure-short-mu",
+        ),
+        pytest.param(
+            "example1", None, ["sill", "alpha"], -4.0, "config key 'sill.alpha'",
+            id="example1-alpha",
+        ),
+        pytest.param(
+            "example1", None, ["sill", "centers", 2], float("nan"),
+            "config key 'sill.centers[2]'", id="example1-nan-center",
+        ),
+    ],
+)
+def test_refused_logistic_value_names_its_key(tmp_path, capsys, command, name, path, value, key):
+    # a steepness that is not positive, a center that is not finite and a
+    # logistic of the wrong length are named by their full key, in the
+    # config or in the dictionary or model file it reads
+    if name is None:
+        cfg = _mutated_config(tmp_path, command, path, value)
+    else:
+        cfg = _CONFIGS[command](tmp_path)
+        obj = json.loads((tmp_path / name).read_text())
+        *parents, last = path
+        target = obj
+        for k in parents:
+            target = target[k]
+        target[last] = value
+        (tmp_path / name).write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert _run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sillkoop: bad-input: {key}") and err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
 def test_complete_dictionary_closes_pairs(tmp_path):
     d = SillDictionary(
         2,

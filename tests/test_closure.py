@@ -1,9 +1,10 @@
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sillkoop import closure
+from sillkoop import cli, closure
 from sillkoop.closure import (
     MAX_GRID_ROWS,
     ClosureReport,
@@ -23,6 +24,7 @@ from sillkoop.dictionary import (
     eval_conjunctive,
     grad_conjunctive,
     join_completion,
+    load_dictionary,
     stable_sigmoid,
 )
 from sillkoop.errors import ClosureBoundError
@@ -529,3 +531,41 @@ def test_lattice_grid_caps_rows_before_allocating(monkeypatch):
         half_cell_shift([(0.0, 1.0)] * 3, 101)
     with pytest.raises(ValueError, match="above the limit"):
         lattice_grid([(0.0, 1.0)] * 3000, 2)
+
+
+def test_sweep_load_and_completion_build_no_conjlogistic(tmp_path, monkeypatch):
+    # a dictionary is its arrays: reading the benchmark's CLOSURE_M2 config,
+    # its closure sweep, loading the benchmark's 12-logistic dictionary file
+    # and join-completing it create no ConjLogistic object
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import CLOSURE_M2, generator_pipeline
+
+    generator_pipeline(tmp_path, 11, "full")  # writes dictionary.json
+    box, points, delta = (CLOSURE_M2["grid"][k] for k in ("box", "points_per_dim", "delta"))
+    train, held = lattice_grid(box, points), half_cell_shift(box, points)
+    built = []
+    original = ConjLogistic.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ConjLogistic, "__post_init__", counted)
+
+    def count(fn, *args, **kwargs):
+        built.clear()
+        out = fn(*args, **kwargs)
+        return len(built), out
+
+    counts = {}
+    counts["config"], sf = count(cli._spanned_field_from, CLOSURE_M2)
+    counts["closure_experiment"], reports = count(
+        closure_experiment, sf, train, CLOSURE_M2["alpha_scales"],
+        ridge=CLOSURE_M2["ridge"], delta=delta, holdout_grid=held,
+    )
+    counts["load_dictionary"], d = count(load_dictionary, tmp_path / "dictionary.json")
+    counts["join_completion"], completed = count(join_completion, d)
+    assert counts == dict.fromkeys(
+        ("config", "closure_experiment", "load_dictionary", "join_completion"), 0
+    )
+    assert (len(reports), d.n_logistic, completed.n_logistic) == (5, 12, 44)

@@ -35,6 +35,7 @@ batch's values are each public evaluation's bit for bit, and the reports
 are those of the written-out fit, residual and forms.
 """
 
+import json
 import tempfile
 from dataclasses import fields
 from decimal import Decimal, localcontext
@@ -65,6 +66,7 @@ from sillkoop.dictionary import (
     ConjLogistic,
     SillDictionary,
     _gather,
+    _groups,
     _product,
     _sigmoid_table,
     check_total_order,
@@ -549,6 +551,58 @@ def test_join_params_is_the_float_join_rule(d):
             joined = join_params(f, g)
             np.testing.assert_array_equal(joined.mu, mu)
             np.testing.assert_array_equal(joined.alpha, alpha)
+
+
+# join_completion as it was when every dictionary was built from
+# ConjLogistic objects: the same column-row passes, then one object per new
+# logistic, drawn from the original table
+def _object_join_completion(d):
+    n0, rows, fresh = d.n_logistic, d.columns, 0
+    while fresh < len(rows):
+        n = len(rows)
+        a, b = np.triu_indices(n, 1)
+        a, b = a[b >= fresh], b[b >= fresh]
+        joined = np.maximum(rows[a], rows[b])
+        order, opens = _groups(np.vstack([rows, joined]))
+        first = order[opens]
+        rows = np.vstack([rows, joined[np.sort(first[first >= n]) - n]])
+        fresh = n
+    new = map(ConjLogistic, d.table_mu[rows[n0:]], d.table_alpha[rows[n0:]])
+    return SillDictionary(d.m, d.logistics + tuple(new))
+
+
+def _assert_same_dictionary(got, want):
+    # every array equal and read-only, signed zeros included
+    assert got.m == want.m
+    for name in ("mu", "alpha", "table_mu", "table_alpha", "table_coord", "columns"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and not a.flags.writeable
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+    assert got.logistics == want.logistics
+
+
+@_settings
+@given(_tied_dictionary(), st.sampled_from([1 / 64, 64.0]) | st.floats(1 / 64, 64.0))
+@example(_SIGNED_ZEROS, 1 / 64)
+@example(_TIED_CENTERS, 64.0)
+def test_array_built_dictionary_is_the_object_built_one(d, s):
+    # scaling, join completion and a JSON round trip build a dictionary from
+    # its arrays; the same dictionary built from ConjLogistic objects has
+    # the same bits in every array
+    _assert_same_dictionary(d.scaled(s), SillDictionary(d.m, [f.scaled(s) for f in d.logistics]))
+    _assert_same_dictionary(join_completion(d), _object_join_completion(d))
+    obj = d.to_dict()
+    objects = [ConjLogistic(e["mu"], e["alpha"]) for e in obj["logistics"]]
+    _assert_same_dictionary(SillDictionary.from_dict(obj), SillDictionary(d.m, objects))
+    rows = [{"mu": f.mu.tolist(), "alpha": f.alpha.tolist()} for f in d.logistics]
+    assert json.dumps(obj) == json.dumps({"m": d.m, "logistics": rows})
+    refused = [0.0, -s, np.nan]
+    if d.alpha.max() > 1.0:
+        refused.append(np.finfo(float).max)  # overflows that steepness
+    for bad in refused:
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            d.scaled(bad)
 
 
 def test_rank_completion_without_an_int64_key():
