@@ -93,6 +93,14 @@ def _need(cfg: dict, path: str, kind, desc: str, least=None, most=None):
     return _checked(cfg[key], kind, "config", path, desc, least, most)
 
 
+def _ridge(cfg: dict, path: str) -> float:
+    """The ridge penalty at path, refused unless finite and non-negative."""
+    ridge = _need(cfg, path, float, "ridge penalty")
+    if not 0 <= ridge < math.inf:
+        raise ValueError(f"config key '{path}' must be finite and non-negative, got {ridge}")
+    return ridge
+
+
 def _grid_spec(cfg: dict, m: int):
     _need(cfg, "grid", dict, "grid settings object")
     box = _need(cfg, "grid.box", [[float]], "list of [lo, hi] pairs")
@@ -130,7 +138,7 @@ def _fit_command(cfg, mode):
     csv_path = _need(cfg, "snapshots_csv", str, "snapshot CSV path")
     man_path = _need(cfg, "snapshots_manifest", str, "snapshot manifest path")
     dict_path = _need(cfg, "dictionary", str, "dictionary JSON path")
-    ridge = _need(cfg, "ridge", float, "ridge penalty")
+    ridge = _ridge(cfg, "ridge")
     snaps = load_snapshots(csv_path, man_path)
     if snaps.mode != mode:
         command, other = ("fit", "edmd") if mode == "CT" else ("edmd", "fit")
@@ -197,7 +205,7 @@ def cmd_closure(cfg, seed):
     sf = _spanned_field_from(cfg)
     box, points, delta = _grid_spec(cfg, sf.dictionary.m)
     scales = _need(cfg, "alpha_scales", [float], "steepness scale factors")
-    ridge = _need(cfg, "ridge", float, "ridge penalty")
+    ridge = _ridge(cfg, "ridge")
     train = lattice_grid(box, points)
     held = half_cell_shift(box, points)
     reports = closure_experiment(sf, train, scales, ridge=ridge, delta=delta, holdout_grid=held)
@@ -210,10 +218,19 @@ def cmd_closure(cfg, seed):
     }
 
 
+def _logistic_from(cfg, key: str, desc: str) -> ConjLogistic:
+    """The logistic at key; a refusal of its parameters names the key."""
+    params = _params_from(_need(cfg, key, dict, desc), key, "config")
+    try:
+        return ConjLogistic(*params)
+    except ValueError as exc:
+        raise ValueError(f"config key '{key}': {exc}") from None
+
+
 def cmd_theorem1(cfg, seed):
     """steepness-decay sweep of the product-approximation error"""
-    f = ConjLogistic(*_params_from(_need(cfg, "f", dict, "first logistic"), "f", "config"))
-    g = ConjLogistic(*_params_from(_need(cfg, "g", dict, "second logistic"), "g", "config"))
+    f = _logistic_from(cfg, "f", "first logistic")
+    g = _logistic_from(cfg, "g", "second logistic")
     if f.m != g.m:
         raise ValueError(f"config keys 'f' and 'g' must have equal dimensions, got {f.m} and {g.m}")
     box, points, delta = _grid_spec(cfg, f.m)
@@ -299,7 +316,7 @@ def cmd_example1(cfg, seed):
     alpha = _need(cfg, "sill.alpha", float, "shared steepness")
     box = _interval(cfg, "sill.box", "bounded interval")
     points = _need(cfg, "sill.points", int, "sample count over the box", most=MAX_GRID_ROWS)
-    ridge = _need(cfg, "sill.ridge", float, "ridge penalty")
+    ridge = _ridge(cfg, "sill.ridge")
     keys = {"mu": "config key 'sill.centers[{}]'", "alpha": "config key 'sill.alpha'"}
     d = SillDictionary._of(np.reshape(centers, (-1, 1)), np.full((len(centers), 1), alpha), keys)
     y = np.linspace(lo, hi, fit_points)

@@ -1,7 +1,7 @@
 """Closure analysis for SILL dictionaries.
 
 The Lie derivative of a conjunctive logistic along a field spanned by the
-dictionary is a weighted sum of bilinear products of logistics.  Each
+dictionary is a weighted sum of pairwise products of logistics.  Each
 product converges, exponentially in the steepness scale, to the single
 logistic whose parameters are the componentwise-max join of the pair, so
 the Lie derivative is approximately linear in a join-completed dictionary.
@@ -231,18 +231,17 @@ class LieForms:
     * linearization: sum_{i,j} alpha_li W_ij lambda_li(y_i)
       Lambda_star_lj(y); exactly the gap linear - intermediate, since the
       (1 - lambda) and lambda weighted sums add to the unweighted one.
-    * bilinear: sum_{i,j} alpha_li W_ij lambda_li(y_i) Lambda_l(y)
-      Lambda_j(y).
     * reference: sum_{i,j} alpha_li W_ij Lambda_l(y) Lambda_j(y).
 
-    Each sum is computed on its own, none as a difference of the others.
+    reference - exact is the bilinear term that tilde_B1 bounds in
+    expectation.  Each sum is computed on its own, none as a difference
+    of the others.
     """
 
     exact: np.ndarray
     intermediate: np.ndarray
     linear: np.ndarray
     linearization: np.ndarray
-    bilinear: np.ndarray
     reference: np.ndarray
 
 
@@ -275,7 +274,6 @@ def _lie_forms(sf: SpannedField, table, lam_all, lam_star) -> LieForms:
         intermediate=(off * lam_star).sum(-1),
         linear=(coeff * lam_star).sum(-1),
         linearization=(on * lam_star).sum(-1),
-        bilinear=(on * pair).sum(-1) * lam_all,
         reference=(coeff * pair).sum(-1) * lam_all,
     )
 

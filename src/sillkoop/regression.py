@@ -286,12 +286,10 @@ def predict_ct(model: KoopmanModel, y0, horizon: float, dt: float) -> tuple:
             k = min(_BLOCK, steps + 1 - start)
             for row in buf[:k]:
                 z = step_dot(z, out=row)
-            finite = np.isfinite(buf[:k]).all(axis=1)
-            if not finite.all():
-                bad = int(finite.argmin())  # the first non-finite state
-                y[start : start + bad] = buf[:bad, 1 : 1 + d.m]
-                return y[: start + bad], True
             y[start : start + k] = buf[:k, 1 : 1 + d.m]
+            finite = np.isfinite(buf[:k]).all(axis=1)
+            if not finite.all():  # end y before the first non-finite state
+                return y[: start + int(finite.argmin())], True
     return y, False
 
 
@@ -330,33 +328,34 @@ def load_snapshots(csv_path, manifest_path) -> SnapshotSet:
     if dt is not None:
         dt = _checked(dt, float, manifest_path, "dt", "sampling interval or null")
     with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+        lines = [ln.strip() for ln in fh]  # line k of the file is lines[k - 1]
+    head = next((k for k, ln in enumerate(lines) if ln), None)
+    if head is None:
         raise ValueError(f"{csv_path}: line 1: empty snapshot file")
-    cols = lines[0].split(",")
+    cols = lines[head].split(",")
     if len(cols) % 2 != 0:
-        raise ValueError(f"{csv_path}: line 1: header needs y1..ym,d1..dm columns")
+        raise ValueError(f"{csv_path}: line {head + 1}: header needs y1..ym,d1..dm columns")
     m = len(cols) // 2
     expected = [f"y{i + 1}" for i in range(m)] + [f"d{i + 1}" for i in range(m)]
     if cols != expected:
-        raise ValueError(f"{csv_path}: line 1: header {cols} != {expected}")
-    body = lines[1:]
-    if not body:
+        raise ValueError(f"{csv_path}: line {head + 1}: header {cols} != {expected}")
+    body = lines[head + 1 :]
+    if not any(body):
         raise ValueError(f"{csv_path}: no snapshot rows after the header")
-    for lineno, ln in enumerate(body, start=2):
-        if ln.count(",") != 2 * m - 1:
+    for lineno, ln in enumerate(body, start=head + 2):
+        if ln and ln.count(",") != 2 * m - 1:
             got = ln.count(",") + 1
             raise ValueError(f"{csv_path}: line {lineno}: expected {2 * m} fields, got {got}")
-    try:
-        values = list(map(float, ",".join(body).split(",")))
+    try:  # blank lines are skipped
+        values = list(map(float, ",".join(filter(None, body)).split(",")))
     except ValueError:  # name the first bad line
-        for lineno, ln in enumerate(body, start=2):
+        for lineno, ln in enumerate(body, start=head + 2):
             try:
-                list(map(float, ln.split(",")))
+                list(map(float, ln.split(",") if ln else ()))
             except ValueError as exc:
                 raise ValueError(f"{csv_path}: line {lineno}: {exc}") from exc
         raise
-    data = np.reshape(values, (len(body), 2 * m))
+    data = np.reshape(values, (-1, 2 * m))
     return SnapshotSet(data[:, :m], data[:, m:], mode, dt)
 
 

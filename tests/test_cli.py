@@ -334,7 +334,7 @@ def test_fit_non_finite_ridge_exits_2(tmp_path, capsys, ridge):
     )
     out = tmp_path / "out"
     assert _run(["fit", "--config", cfg, "--out", out]) == 2
-    assert "bad-input: ridge must be finite" in capsys.readouterr().err
+    assert "bad-input: config key 'ridge' must be finite" in capsys.readouterr().err
     assert not (out / "model.json").exists()
 
 
@@ -1127,6 +1127,14 @@ def test_string_or_bool_in_a_number_list_exits_2(tmp_path, capsys, command, path
             "theorem1", ["g"], {"mu": [1.0, 1.2, 0.5], "alpha": [3.0, 2.5, 2.0]}, 2,
             "'f' and 'g'", id="theorem1-g-length-3",
         ),
+        # a logistic the library refuses is named by its key
+        pytest.param(
+            "theorem1", ["f", "alpha"], [0.0, 3.0], 2, "config key 'f'", id="theorem1-f-alpha-0"
+        ),
+        pytest.param(
+            "theorem1", ["f", "mu"], [0.0, 0.0, 0.5], 2, "config key 'f'",
+            id="theorem1-f-mu-length-3",
+        ),
         # a sample count above the grid limit is refused before np.linspace
         pytest.param(
             "example1", ["fit_points"], 1_000_001, 2, "at most", id="example1-fit-points-1000001"
@@ -1190,6 +1198,32 @@ def test_extreme_config_number_exits_cleanly(tmp_path, capsys, command, path, va
         assert err.startswith(f"sillkoop: {kind}: ") and err.count("\n") == 1
         assert word in err and len(err.encode()) < 200
         assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, path, value, expensive",
+    [
+        pytest.param("fit", ["ridge"], -1.0, "load_snapshots", id="fit-negative"),
+        pytest.param("edmd", ["ridge"], float("inf"), "load_snapshots", id="edmd-inf"),
+        pytest.param("closure", ["ridge"], float("nan"), "closure_experiment", id="closure-nan"),
+        pytest.param(
+            "example1", ["sill", "ridge"], -1e-8, "polynomial_residual_growth",
+            id="example1-negative",
+        ),
+    ],
+)
+def test_bad_ridge_is_refused_by_its_key_before_any_work(
+    tmp_path, monkeypatch, capsys, command, path, value, expensive
+):
+    bad = _mutated_config(tmp_path, command, path, value)
+    monkeypatch.setattr(cli, expensive, _fail_with(AssertionError(f"{expensive} ran")))
+    out = tmp_path / "o"
+    assert _run([command, "--config", bad, "--out", out]) == 2
+    key = ".".join(path)
+    assert capsys.readouterr().err == (
+        f"sillkoop: bad-input: config key '{key}' must be finite and non-negative, got {value}\n"
+    )
+    assert not list(out.iterdir())
 
 
 def _config_paths(node, path=()):

@@ -181,7 +181,6 @@ def test_lie_forms_at_shared_center():
     assert forms.intermediate[0] == pytest.approx(alpha * w / 4, rel=1e-13)
     assert forms.linear[0] == pytest.approx(alpha * w / 2, rel=1e-13)
     assert forms.linearization[0] == pytest.approx(alpha * w / 4, rel=1e-13)
-    assert forms.bilinear[0] == pytest.approx(alpha * w / 8, rel=1e-13)
 
 
 def test_lie_forms_zero_field():
@@ -202,7 +201,6 @@ def test_lie_forms_saturate_far_above_centers():
 def test_error_terms_vanish_far_below_centers():
     forms = lie_forms(_single_logistic_field(), [-60.0])
     assert abs(forms.linearization[0]) < 1e-60
-    assert abs(forms.bilinear[0]) < 1e-60
 
 
 def test_exact_lie_matches_chain_rule():

@@ -683,7 +683,6 @@ def _per_factor_lie_forms(sf, y):
         intermediate=(off * lam_star).sum(-1),
         linear=(coeff * lam_star).sum(-1),
         linearization=(on * lam_star).sum(-1),
-        bilinear=(on * pair).sum(-1) * lam_all,
         reference=(coeff * pair).sum(-1) * lam_all,
     )
 
@@ -803,9 +802,11 @@ def test_compute_bounds_rebuilt_from_per_logistic_forms(case):
     assume(delta > 0)
     _check_clearance(Y, d, delta)
     forms = lie_forms(sf, Y)
-    exact, inter, linear, bilinear = (
-        forms.exact, forms.intermediate, forms.linear, forms.bilinear
-    )
+    exact, inter, linear = forms.exact, forms.intermediate, forms.linear
+    # the bilinear sum, sum_{i,j} alpha_li W_ij lambda_li Lambda_l Lambda_j
+    lam = _per_factor(Y[..., None, :], d.mu, d.alpha)  # (P, N_L, m)
+    lam_all = np.prod(lam, axis=-1)
+    bilinear = (((d.alpha * lam) @ W) * lam_all[..., None, :]).sum(-1) * lam_all
     # residual columns that never exceed their bar_B1, the grid maximum of
     # |exact - intermediate|, so the bound check passes
     residuals = np.abs(np.hstack([np.zeros((len(Y), 1 + d.m)), exact - inter]))

@@ -357,30 +357,49 @@ def test_snapshot_csv_malformed_line_is_named(tmp_path):
         load_snapshots(csv_path, man_path)
 
 
+_HEADER = "y1,y2,d1,d2"
+
+
 @pytest.mark.parametrize(
-    "body, message",
+    "lines, message",
     [
         pytest.param(
-            ["0.5,1.0,0.25,2.0"] * 998 + ["0.5,1.0,0.25,x"],
+            [_HEADER] + ["0.5,1.0,0.25,2.0"] * 998 + ["0.5,1.0,0.25,x"],
             "line 1000: could not convert string to float: 'x'",
             id="bad-field-on-last-of-1000-lines",
         ),
         pytest.param(
-            ["0.5,1.0,0.25,2.0", "1.0,,2.0,3.0", "0.5,1.0,0.25,2.0"],
+            [_HEADER, "0.5,1.0,0.25,2.0", "1.0,,2.0,3.0", "0.5,1.0,0.25,2.0"],
             "line 3: could not convert string to float: ''",
             id="empty-field",
         ),
         pytest.param(
-            ["0.5,1.0,0.25,2.0"] * 998 + ["0.5,1.0,0.25"],
+            [_HEADER] + ["0.5,1.0,0.25,2.0"] * 998 + ["0.5,1.0,0.25"],
             "line 1000: expected 4 fields, got 3",
             id="short-last-line",
         ),
+        # blank lines are skipped but keep their numbers
+        pytest.param(
+            [_HEADER, "", "0.5,1.0,0.25,2.0", "", "1.0,2.0,3.0,x"],
+            "line 5: could not convert string to float: 'x'",
+            id="bad-field-after-blank-lines",
+        ),
+        pytest.param(
+            [_HEADER, "0.5,1.0,0.25,2.0", "  ", "", "0.5,1.0,0.25"],
+            "line 5: expected 4 fields, got 3",
+            id="short-line-after-blank-lines",
+        ),
+        pytest.param(
+            ["", "y1,y2,d1", "0.5,1.0,0.25"],
+            "line 2: header needs y1..ym,d1..dm columns",
+            id="header-after-a-blank-line",
+        ),
     ],
 )
-def test_snapshot_csv_first_bad_line_is_named(tmp_path, body, message):
+def test_snapshot_csv_first_bad_line_is_named(tmp_path, lines, message):
     csv_path = tmp_path / "bad.csv"
     man_path = tmp_path / "bad.json"
-    csv_path.write_text("\n".join(["y1,y2,d1,d2"] + body) + "\n")
+    csv_path.write_text("\n".join(lines) + "\n")
     man_path.write_text('{"mode": "CT", "dt": null}\n')
     with pytest.raises(ValueError) as exc:
         load_snapshots(csv_path, man_path)
